@@ -35,22 +35,25 @@ import time
 from typing import Any, Callable, Dict, List, Tuple
 
 
-#: Columnar ingest phases, in chunk order: (label, method name).
-_PHASES: "List[Tuple[str, str]]" = [
-    ("probe", "_probe_chunk"),
-    ("clean-hit", "_apply_hit_slots"),
-    ("dirty-replay", "_replay_dirty"),
-    ("harvest", "_harvest_segments"),
+#: Columnar ingest phases, in chunk order: (label, method names).  The
+#: harvest phase covers both CLOCK paths: slice sweeps
+#: (``_harvest_segments``) and the segmented replay's scheduled sweeps
+#: (``_sweep_slots``, nested inside dirty-replay).
+_PHASES: "List[Tuple[str, Tuple[str, ...]]]" = [
+    ("probe", ("_probe_chunk",)),
+    ("clean-hit", ("_apply_hit_slots",)),
+    ("dirty-replay", ("_replay_dirty",)),
+    ("harvest", ("_harvest_segments", "_sweep_slots")),
 ]
 
 
 class PhaseTimer:
     """Exclusive wall-time accumulator for nested phase methods.
 
-    ``_replay_dirty`` calls ``_harvest_segments`` for the chunks it
-    finishes itself, so naive per-method totals would double-count: a
-    stack tracks the running child time and each phase records only the
-    time not already attributed to a nested phase.
+    ``_replay_dirty`` calls ``_harvest_segments`` and ``_sweep_slots``
+    for the sweeps it schedules itself, so naive per-method totals would
+    double-count: a stack tracks the running child time and each phase
+    records only the time not already attributed to a nested phase.
     """
 
     def __init__(self) -> None:
@@ -203,8 +206,9 @@ def main(argv: "list[str] | None" = None) -> int:
         from repro.core.columnar import ColumnarLTC
 
         timer = PhaseTimer()
-        for phase, method in _PHASES:
-            timer.wrap(ColumnarLTC, method, phase)
+        for phase, methods in _PHASES:
+            for method in methods:
+                timer.wrap(ColumnarLTC, method, phase)
 
     profiler = cProfile.Profile()
     profiler.enable()

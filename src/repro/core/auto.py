@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Sequence
 
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.summaries.base import expand_counts
+from repro.summaries.base import as_items, expand_counts
 
 
 class AutoLTC(ColumnarLTC):
@@ -123,6 +123,7 @@ class AutoLTC(ColumnarLTC):
         # Fast mode: skip hashing/probing entirely and replay the whole
         # batch through the memoryview scalar path (replay-identical to
         # both parents; see _replay_scalar).
+        items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
         seq: Sequence[int] = (

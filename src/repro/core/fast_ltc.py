@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from repro.core.config import LTCConfig
 from repro.core.ltc import LTC
 from repro.hashing.family import splitmix64
-from repro.summaries.base import expand_counts
+from repro.summaries.base import as_items, expand_counts
 
 
 class FastLTC(LTC):
@@ -65,6 +65,7 @@ class FastLTC(LTC):
             # skipped while an index is attached).
             LTC.insert_many(self, items, counts)
             return
+        items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
         try:

@@ -29,7 +29,12 @@ from repro.core.config import LTCConfig
 from repro.core.hooks import CellListener
 from repro.hashing.family import splitmix64
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import (
+    ItemReport,
+    StreamSummary,
+    as_items,
+    expand_counts,
+)
 
 
 class LTC(StreamSummary):
@@ -161,6 +166,7 @@ class LTC(StreamSummary):
         take them.  ``counts`` weights the batch as in
         :meth:`repro.summaries.base.StreamSummary.insert_many`.
         """
+        items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
         try:

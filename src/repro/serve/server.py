@@ -299,8 +299,14 @@ class ServingApp:
             not isinstance(counts, list) or len(counts) != len(items)
         ):
             return self._bad_request("counts must parallel items")
-        if not all(isinstance(x, int) for x in items):
+        # ``type(x) is int``, not isinstance: JSON booleans decode to bool,
+        # an int subclass, and must not be queued as keys 1 and 0.
+        if not all(type(x) is int for x in items):
             return self._bad_request("items must be integers")
+        if counts is not None and not all(
+            type(c) is int and c >= 0 for c in counts
+        ):
+            return self._bad_request("counts must be non-negative integers")
         queued = self.submit(items, counts)
         return 200, _JSON, canonical_json(
             {"queued": queued, "pending": self.queued}

@@ -7,6 +7,22 @@ from itertools import repeat
 from typing import Iterable, List, NamedTuple, Optional, Sequence
 
 
+def as_items(items: Iterable[int]) -> Iterable[int]:
+    """A batch's items as Python ints: numpy arrays become lists.
+
+    Kernels store batch items as cell keys and hash them with
+    :func:`repro.hashing.family.splitmix64`; a numpy integer scalar
+    overflows that hash's xor with the 64-bit seed and would leak into
+    the key column.  Coercing once at the batch boundary keeps ndarray
+    input replay-identical to the same items passed as a list.
+    """
+    tolist = getattr(items, "tolist", None)
+    if tolist is None:
+        return items
+    converted: List[int] = tolist()
+    return converted
+
+
 def expand_counts(items: Iterable[int], counts: Iterable[int]) -> List[int]:
     """Flatten a weighted batch into per-arrival items, in stream order.
 

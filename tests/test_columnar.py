@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.core import columnar
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
@@ -26,6 +27,7 @@ from repro.core.ltc import LTC
 from repro.core.merge import merge
 from repro.core.serialize import from_bytes, to_bytes
 from repro.hashing.family import splitmix64
+from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
 
 pytestmark = pytest.mark.skipif(
@@ -290,6 +292,87 @@ class TestAdversarialMissHeavy:
         )
         assert_identical(slow, col)
         assert_identical(fast, col)
+
+
+def bursty_churn(num_events, num_distinct, seed):
+    """Zipf-ish keys with repeats in bursts: heavy churn on a small table
+    plus long same-key runs, so claims, decrements, evictions and the
+    reclassification of later same-key events all occur in one chunk."""
+    rng = random.Random(seed)
+    events = []
+    while len(events) < num_events:
+        key = int(rng.paretovariate(0.2)) % num_distinct
+        events.extend([key] * (rng.randrange(1, 12) if rng.random() < 0.3 else 1))
+    return events[:num_events]
+
+
+class TestPaperGeometry:
+    """The paper's 8 KB point, w=85 d=8: a non-power-of-two bucket count
+    (the vectorized ``hashed % w`` path, not the mask) and enough lanes
+    for wide segmented rounds and the scalar drain."""
+
+    @pytest.mark.parametrize(
+        "policy", ["longtail", "one", "space-saving"],
+    )
+    def test_matches_fast_and_reference_with_counters(self, policy, monkeypatch):
+        lanes = []
+        drained = []
+        decrement_lanes = ColumnarLTC._decrement_lanes
+        drain_lanes = ColumnarLTC._drain_lanes
+
+        def spy_decrement(self, seq, start, koff, kval, fbk):
+            lanes.append(len(fbk))
+            return decrement_lanes(self, seq, start, koff, kval, fbk)
+
+        def spy_drain(self, seq, start, offset, opclass, cur, end):
+            drained.append(len(cur))
+            return drain_lanes(self, seq, start, offset, opclass, cur, end)
+
+        monkeypatch.setattr(ColumnarLTC, "_decrement_lanes", spy_decrement)
+        monkeypatch.setattr(ColumnarLTC, "_drain_lanes", spy_drain)
+        config = LTCConfig(
+            num_buckets=85, bucket_width=8, alpha=1.0, beta=1.0,
+            items_per_period=3000, replacement_policy=policy,
+        )
+        events = bursty_churn(24_000, 6_000, seed=85)
+        built = {}
+        registries = {}
+        try:
+            for name, cls in (("ltc", LTC), ("fast", FastLTC), ("col", ColumnarLTC)):
+                registries[name] = obs.enable(MetricsRegistry())
+                built[name] = cls(config)
+        finally:
+            obs.disable()
+        for start in range(0, len(events), 3000):
+            period = events[start : start + 3000]
+            for item in period:
+                built["ltc"].insert(item)
+            built["fast"].insert_many(period)
+            built["col"].insert_many(period)
+            for ltc in built.values():
+                ltc.end_period()
+        assert max(lanes) >= 16 and any(drained)
+        counted = (
+            "ltc_significance_decrements_total",
+            "ltc_evictions_total",
+            "ltc_longtail_replacements_total",
+            "ltc_harvests_total",
+        )
+
+        def counters(name):
+            # (type, value): a numpy scalar leaking into a counter would
+            # compare equal but break JSON export of the registry.
+            values = {
+                m["name"]: m.get("value")
+                for m in registries[name].snapshot()["metrics"]
+            }
+            return {key: (type(values[key]), values[key]) for key in counted}
+
+        assert counters("col")["ltc_evictions_total"][1] > 0
+        for name in ("ltc", "fast"):
+            assert_identical(built[name], built["col"])
+            assert counters(name) == counters("col")
+        assert to_bytes(built["fast"]) == to_bytes(built["col"])
 
 
 class TestFallbacks:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.clock import ClockPointer
 from repro.core.config import LTCConfig
 from repro.core.fast_ltc import FastLTC
+from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
@@ -185,6 +187,42 @@ class TestInsertManyEquivalence:
         summary.insert_many([])
         assert len(summary) == 0
         assert summary._clock._acc == 0
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+class TestNumpyBatchInput:
+    """Regression: every kernel raised OverflowError on an int64 ndarray
+    (``np.int64 ^ seed`` overflows inside splitmix64)."""
+
+    @staticmethod
+    def _pair(kernel):
+        config = LTCConfig(
+            num_buckets=16, bucket_width=4, alpha=1.0, beta=1.0,
+            items_per_period=1000, kernel=kernel,
+        )
+        return build_ltc(config), build_ltc(config)
+
+    @pytest.mark.parametrize("dtype", ["int64", "uint64", "int32"])
+    def test_ndarray_matches_list(self, kernel, dtype):
+        events = np.arange(5000, dtype=dtype) % 700
+        from_array, from_list = self._pair(kernel)
+        for start in range(0, len(events), 1000):
+            from_array.insert_many(events[start : start + 1000])
+            from_list.insert_many(events[start : start + 1000].tolist())
+            from_array.end_period()
+            from_list.end_period()
+        assert list(from_array.cells()) == list(from_list.cells())
+        assert all(type(key) is int for key in from_array._keys if key is not None)
+        same_state(from_array, from_list)
+
+    def test_negative_keys_and_counts_array(self, kernel):
+        items = np.array([-5, 3, -5, 9, 2**40], dtype=np.int64)
+        counts = np.array([2, 0, 1, 3, 1], dtype=np.int64)
+        from_array, from_list = self._pair(kernel)
+        from_array.insert_many(items, counts=counts)
+        from_list.insert_many(items.tolist(), counts=counts.tolist())
+        assert list(from_array.cells()) == list(from_list.cells())
+        same_state(from_array, from_list)
 
 
 class TestFastLTCIndexAfterBatch:

@@ -125,6 +125,34 @@ class TestEndpoints:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"items": [True, False, 1]},
+            {"items": [1, 2], "counts": [-3, 1]},
+            {"items": [1], "counts": ["x"]},
+            {"items": [1], "counts": [True]},
+            {"items": [1], "counts": [1.5]},
+            {"items": [1.0]},
+        ],
+    )
+    def test_ingest_rejects_bad_payloads(self, doc):
+        # bool is an int subclass, and bad counts must be refused before
+        # expand_counts sees them: all are client errors, none queued.
+        app = ServingApp(build_ltc(_cfg()))
+        status, _, payload = app.respond(
+            "POST", "/ingest", json.dumps(doc).encode()
+        )
+        assert status == 400, payload
+        assert app.queued == 0
+
+    def test_ingest_accepts_zero_counts(self):
+        app = ServingApp(build_ltc(_cfg()))
+        body = json.dumps({"items": [4, 5, 6], "counts": [2, 0, 1]}).encode()
+        status, _, payload = app.respond("POST", "/ingest", body)
+        assert status == 200
+        assert json.loads(payload)["queued"] == 3
+
     def test_metrics_endpoint_exposes_serve_counters(self):
         async def scenario():
             obs.enable()
