@@ -1,15 +1,22 @@
 """Serving tier: queries/sec under concurrent ingest, with identity gate.
 
-The serving index answers ``top_k`` / point / ``significant`` queries
-from a dict + lazy heap; this bench measures what that read path is
-worth while the ingest worker keeps applying batches on the same event
-loop — the deployment shape of the ROADMAP's north star.  Three numbers
-per endpoint:
+The serving index answers point queries from a dict and ``top_k`` /
+``significant`` from a ranked prefix of its lazy heap, kept per index
+epoch together with the server's rendered report fragments (DESIGN.md
+§12.2); this bench measures what that read path is worth while the
+ingest worker keeps applying batches on the same event loop — the
+deployment shape of the ROADMAP's north star.  Three numbers per
+endpoint:
 
-* **idle qps** — pure read-path speed, nothing ingesting;
+* **idle qps** — pure read-path speed, nothing ingesting: the table
+  does not change between queries, so after the first ranked query a
+  ``top_k`` / ``significant`` answer is a slice of the prefix and a
+  join of cached fragments, with no heap pops and no re-rendering;
 * **qps under ingest** — queries interleaved with worker chunks, so
   each query also pays the index repair for the ~2k events applied
-  since the previous one (this is the headline, gated number);
+  since the previous one, and every ranked query starts a new epoch:
+  it pops, reads and renders its prefix afresh (this is the headline,
+  gated number);
 * **full-scan qps** — the same answers computed by the oracle's table
   walk, for the O(k)-vs-O(m) contrast.
 

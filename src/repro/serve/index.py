@@ -26,6 +26,18 @@ Invalidation strategy (DESIGN.md §12):
   compacted (rebuilt from live cells) when it outgrows a small multiple
   of the table size, bounding memory.
 
+Ranked answers are kept per **epoch** (DESIGN.md §12.2): a repair that
+drains a non-empty pending list, and a table reset, start a new epoch.
+Within an epoch the live entries popped so far stay off the heap as a
+ranked prefix, with their ``(item, sig, f, p)`` reports, so repeated
+``top_k`` / ``significant`` calls between two table changes only extend
+that prefix — no re-pops, no ``cell_state`` reads, no push-backs.  The
+next repair hands the prefix back to the heap.  The prefix holds at
+most one entry per live cell, so it is bounded by the table size ``m``
+whatever ``k`` or threshold a caller asks for; callers that render
+answers (the server) may cache per prefix position under the same
+bound, keyed by :attr:`ServingIndex.epoch`.
+
 Significance is computed as ``alpha * f + beta * p`` on plain Python
 ints, the same expression the full-scan oracle uses, so served answers
 are bit-identical to the oracle's (the ``-(-x)`` round-trip through the
@@ -68,6 +80,12 @@ class ServingIndex:
         self._heap: List[HeapEntry] = []
         self._dirty = bytearray(m)
         self._pending: List[int] = []
+        #: Live entries popped this epoch, in heap order, and their reports.
+        self._ranked: List[HeapEntry] = []
+        self._reports: List[Report] = []
+        #: Bumped whenever the indexed table view changes; an answer (or
+        #: anything rendered from the ranked prefix) holds for one epoch.
+        self.epoch = 0
         #: Repair passes run (visible in /stats; tests assert laziness).
         self.repairs = 0
         ltc.attach_cell_listener(self)
@@ -95,6 +113,9 @@ class ServingIndex:
         self._heap.clear()
         self._dirty = bytearray(self._m)
         self._pending.clear()
+        self._ranked.clear()
+        self._reports.clear()
+        self.epoch += 1
 
     # ---------------------------------------------------------------- repair
     def _repair(self) -> None:
@@ -109,6 +130,14 @@ class ServingIndex:
         heap = self._heap
         dirty = self._dirty
         alpha, beta = self._alpha, self._beta
+        # Hand the ranked prefix back first.  An entry whose slot is
+        # about to be repaired goes stale here, so it is dropped now
+        # instead of costing a pop later.
+        for entry in self._ranked:
+            if not dirty[entry[2]]:
+                heapq.heappush(heap, entry)
+        self._ranked.clear()
+        self._reports.clear()
         for slot in pending:
             dirty[slot] = 0
             key, f, p = ltc.cell_state(slot)
@@ -123,6 +152,7 @@ class ServingIndex:
                 heapq.heappush(heap, (-(alpha * f + beta * p), key, slot, v))
         pending.clear()
         self.repairs += 1
+        self.epoch += 1
         if len(heap) > max(64, 4 * self._m):
             self._compact()
 
@@ -141,9 +171,23 @@ class ServingIndex:
         heapq.heapify(fresh)
         self._heap = fresh
 
-    def _live(self, entry: HeapEntry) -> bool:
-        _, item, slot, v = entry
-        return self._version[slot] == v and self._mirror[slot] == item
+    def _extend(self, k: int, threshold: float) -> None:
+        """Move live heap entries onto the ranked prefix until it holds
+        ``k`` entries or the heap head drops below ``threshold``."""
+        heap = self._heap
+        ranked = self._ranked
+        reports = self._reports
+        version = self._version
+        mirror = self._mirror
+        cell_state = self._ltc.cell_state
+        while heap and len(ranked) < k and -heap[0][0] >= threshold:
+            entry = heapq.heappop(heap)
+            negsig, item, slot, v = entry
+            if version[slot] != v or mirror[slot] != item:
+                continue  # stale: dropped for good
+            ranked.append(entry)
+            _, f, p = cell_state(slot)
+            reports.append((item, -negsig, f, p))
 
     # --------------------------------------------------------------- queries
     def query(self, item: int) -> Tuple[bool, float, int, int]:
@@ -156,40 +200,31 @@ class ServingIndex:
         return True, self._alpha * f + self._beta * p, f, p
 
     def top_k(self, k: int) -> List[Report]:
-        """The ``k`` most significant tracked items — O(k log m) pops."""
+        """The ``k`` most significant tracked items, ranked.
+
+        O(k log m) pops the first time in an epoch; a repeat within the
+        epoch only slices the ranked prefix.
+        """
         self._repair()
-        heap = self._heap
-        kept: List[HeapEntry] = []
-        out: List[Report] = []
-        while heap and len(out) < k:
-            entry = heapq.heappop(heap)
-            if not self._live(entry):
-                continue
-            kept.append(entry)
-            negsig, item, slot, _ = entry
-            _, f, p = self._ltc.cell_state(slot)
-            out.append((item, -negsig, f, p))
-        for entry in kept:
-            heapq.heappush(heap, entry)
-        return out
+        self._extend(k, float("-inf"))
+        return self._reports[:k]
 
     def significant(self, threshold: float) -> List[Report]:
         """All tracked items with significance ≥ ``threshold``, ranked."""
         self._repair()
-        heap = self._heap
-        kept: List[HeapEntry] = []
-        out: List[Report] = []
-        while heap and -heap[0][0] >= threshold:
-            entry = heapq.heappop(heap)
-            if not self._live(entry):
-                continue
-            kept.append(entry)
-            negsig, item, slot, _ = entry
-            _, f, p = self._ltc.cell_state(slot)
-            out.append((item, -negsig, f, p))
-        for entry in kept:
-            heapq.heappush(heap, entry)
-        return out
+        self._extend(self._m, threshold)
+        # The prefix may reach past the threshold (an earlier, deeper
+        # top_k); it is ranked, so the answer is its head.  Bisect on the
+        # oracle's own predicate, which also keeps a NaN threshold empty.
+        reports = self._reports
+        lo, hi = 0, len(reports)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if reports[mid][1] >= threshold:
+                lo = mid + 1
+            else:
+                hi = mid
+        return reports[:lo]
 
     def tracked(self) -> int:
         """Number of currently tracked items."""
@@ -197,8 +232,9 @@ class ServingIndex:
         return len(self._slot_of)
 
     def heap_size(self) -> int:
-        """Current heap length including stale entries (tests/stats)."""
-        return len(self._heap)
+        """Heap entries, stale ones and the ranked prefix included
+        (tests/stats)."""
+        return len(self._heap) + len(self._ranked)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -11,6 +11,15 @@ response reflects one consistent table state (this is also what lets
 the oracle self-check compare served bytes against a full scan of the
 very same state).
 
+Ranked answers (``/top_k``, ``/significant``) are assembled, not
+re-rendered: the app keeps one ``canonical_json`` fragment per position
+of the index's ranked prefix, valid for the index epoch it was rendered
+in (DESIGN.md §12.2).  A body is the envelope's own ``canonical_json``
+with the first ``n`` fragments joined into its ``results`` list, which
+is byte-for-byte what encoding the whole payload would give.  Between
+two table changes a ranked query therefore costs one envelope render and
+a join; the fragments, like the prefix, number at most ``m``.
+
 Endpoints:
 
 * ``GET  /top_k?k=10``          — k most significant items (index heap);
@@ -32,13 +41,14 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.core.ltc import LTC
-from repro.serve.index import ServingIndex
+from repro.serve.index import Report, ServingIndex
 from repro.serve.oracle import (
     canonical_json,
     oracle_query,
@@ -101,6 +111,10 @@ class ServingApp:
         self.periods = 0
         self.snapshots_written = 0
         self.oracle_checks = 0
+        # Rendered report fragments, one per ranked-prefix position of
+        # index epoch ``_frag_epoch``.
+        self._frags: List[bytes] = []
+        self._frag_epoch = -1
         # Count-based period driving: one end_period() every
         # items_per_period applied events, exactly as StreamModel.play
         # drives a batch run.  A restored checkpoint resumes mid-period.
@@ -209,8 +223,8 @@ class ServingApp:
             k = self._int_param(query, "k", 10)
             if k is None or k < 0:
                 return self._bad_request("k must be a non-negative integer")
-            payload = {"k": k, "results": reports_payload(self.index.top_k(k))}
-            return self._answer(payload, lambda: oracle_top_k(self.ltc, k))
+            served = self._ranked_json({"k": k}, self.index.top_k(k))
+            return self._answer(served, lambda: oracle_top_k(self.ltc, k))
         if path.startswith("/query/"):
             if method != "GET":
                 return self._method_not_allowed()
@@ -219,20 +233,20 @@ class ServingApp:
             except ValueError:
                 return self._bad_request("item must be an integer")
             tracked, sig, f, p = self.index.query(item)
-            payload = query_payload(item, tracked, sig, f, p)
-            return self._answer(payload, lambda: oracle_query(self.ltc, item))
+            served = canonical_json(query_payload(item, tracked, sig, f, p))
+            return self._answer(served, lambda: oracle_query(self.ltc, item))
         if path == "/significant":
             if method != "GET":
                 return self._method_not_allowed()
             threshold = self._float_param(query, "threshold")
-            if threshold is None:
-                return self._bad_request("threshold must be a number")
-            payload = {
-                "threshold": float(threshold),
-                "results": reports_payload(self.index.significant(threshold)),
-            }
+            # NaN and ±inf have no JSON encoding to echo back.
+            if threshold is None or not math.isfinite(threshold):
+                return self._bad_request("threshold must be a finite number")
+            served = self._ranked_json(
+                {"threshold": threshold}, self.index.significant(threshold)
+            )
             return self._answer(
-                payload, lambda: oracle_significant(self.ltc, threshold)
+                served, lambda: oracle_significant(self.ltc, threshold)
             )
         if path == "/ingest":
             if method != "POST":
@@ -273,8 +287,34 @@ class ServingApp:
             "oracle_checks": self.oracle_checks,
         }
 
-    def _answer(self, payload: Any, oracle: Callable[[], Any]) -> Response:
-        served = canonical_json(payload)
+    def _ranked_json(
+        self, envelope: Dict[str, Any], reports: List[Report]
+    ) -> bytes:
+        """``canonical_json`` of ``envelope`` with ``results`` = ``reports``.
+
+        ``reports`` is a head of the index's ranked prefix, so position
+        ``i`` renders the same in every answer of one epoch.
+        """
+        if self._frag_epoch != self.index.epoch:
+            self._frag_epoch = self.index.epoch
+            self._frags = []
+        frags = self._frags
+        if len(frags) < len(reports):
+            fresh = reports[len(frags) :]
+            # One encoder call for the whole extension, cut into one
+            # slice per report: the objects are flat and hold only
+            # numbers, so each ends at its first "}".
+            rendered = canonical_json(reports_payload(fresh))
+            start = 1
+            for _ in fresh:
+                end = rendered.index(b"}", start) + 1
+                frags.append(rendered[start:end])
+                start = end + 1
+        empty = canonical_json({**envelope, "results": []})
+        head, _, tail = empty.partition(b"[]")
+        return b"%s[%s]%s" % (head, b",".join(frags[: len(reports)]), tail)
+
+    def _answer(self, served: bytes, oracle: Callable[[], Any]) -> Response:
         if self.check_oracle:
             expect = canonical_json(oracle())
             self.oracle_checks += 1
@@ -358,7 +398,7 @@ class ServingApp:
                 await self._write(writer, self._bad_request("malformed request"))
                 return
             method, target = head[0], head[1]
-            length = 0
+            length: Optional[int] = 0
             while True:
                 line = await reader.readline()
                 if line in (b"\r\n", b"\n", b""):
@@ -368,7 +408,13 @@ class ServingApp:
                     try:
                         length = int(value.strip())
                     except ValueError:
-                        length = 0
+                        length = None
+            if length is None or length < 0:
+                await self._write(
+                    writer,
+                    self._bad_request("Content-Length must be a non-negative integer"),
+                )
+                return
             body = await reader.readexactly(length) if length else b""
             try:
                 response = self.respond(method, target, body)

@@ -125,6 +125,40 @@ class TestEndpoints:
 
         asyncio.run(scenario())
 
+    @pytest.mark.parametrize("length", [b"-5", b"abc", b""])
+    def test_bad_content_length_is_400(self, length):
+        # A negative length used to reach readexactly() and drop the
+        # connection unanswered; a non-numeric one was read as 0 and the
+        # request answered as if it had no body.
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                writer.write(
+                    b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                )
+                await writer.drain()
+                raw = await reader.read()
+                writer.close()
+                assert int(raw.split()[1]) == 400
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf", "1e400"])
+    def test_non_finite_threshold_is_400(self, threshold):
+        # NaN and ±inf have no JSON spelling: answering would emit
+        # invalid JSON such as {"threshold":NaN}.
+        app = ServingApp(build_ltc(_cfg()))
+        app.ltc.insert_many(list(range(10)))
+        status, _, payload = app.respond(
+            "GET", f"/significant?threshold={threshold}"
+        )
+        assert status == 400
+        json.loads(payload)
+
     @pytest.mark.parametrize(
         "doc",
         [

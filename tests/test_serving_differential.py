@@ -168,28 +168,52 @@ class TestConcurrentIngest:
 
         asyncio.run(scenario())
 
+    @staticmethod
+    async def _settled_app() -> ServingApp:
+        ltc = build_ltc(
+            LTCConfig(num_buckets=8, bucket_width=2, items_per_period=16)
+        )
+        app = ServingApp(ltc, check_oracle=True)
+        app.submit([i % 10 for i in range(40)] + [3, 3, 7])
+        app.start()
+        await app._queue.join()
+        app.respond("GET", "/top_k?k=5")  # honest answer passes
+        return app
+
     def test_oracle_mismatch_detected(self):
-        # The self-check must actually be able to fail: corrupt the
-        # index's mirror behind its back and watch the gate trip.
+        # The self-check must actually be able to fail.  Within an epoch
+        # answers come from the ranked prefix, so corrupt a prefix report
+        # the app has not rendered yet and watch the gate trip.
         from repro.serve.server import OracleMismatch
 
         async def scenario() -> None:
-            ltc = build_ltc(
-                LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
-            )
-            app = ServingApp(ltc, check_oracle=True)
-            app.submit(list(range(10)))
-            app.start()
-            await app._queue.join()
-            app.respond("GET", "/top_k?k=5")  # honest answer passes
-            app.index.top_k(1)
-            victim = next(
-                s for s, key in enumerate(app.index._mirror) if key is not None
-            )
-            app.index._slot_of.pop(app.index._mirror[victim])
-            app.index._mirror[victim] = None  # lie: claim the cell is empty
+            app = await self._settled_app()
+            assert len(app.index.top_k(8)) == 8
+            item, sig, f, p = app.index._reports[6]
+            app.index._reports[6] = (item, sig, f + 1, p)  # lie about f
+            with pytest.raises(OracleMismatch):
+                app.respond("GET", "/top_k?k=8")
+            await app.shutdown()
+
+        asyncio.run(scenario())
+
+    def test_oracle_mismatch_detected_after_new_epoch(self):
+        # A corrupt mirror is read only when an epoch's prefix is built:
+        # corrupt it, force a new epoch through an unrelated slot, and
+        # the rebuilt answer must trip the gate.
+        from repro.serve.server import OracleMismatch
+
+        async def scenario() -> None:
+            app = await self._settled_app()
+            index = app.index
+            top_item = index.top_k(1)[0][0]
+            victim = index._slot_of.pop(top_item)
+            index._mirror[victim] = None  # lie: claim the cell is empty
+            epoch = index.epoch
+            index.cell_touched((victim + 1) % app.ltc.total_cells)
             with pytest.raises(OracleMismatch):
                 app.respond("GET", "/top_k?k=5")
+            assert index.epoch == epoch + 1
             await app.shutdown()
 
         asyncio.run(scenario())

@@ -4,22 +4,45 @@ The byte-equality of served answers is pinned by
 ``tests/test_serving_differential.py``; here we test the index's own
 machinery — that it repairs lazily (no work on the ingest path), dedupes
 dirty slots, survives item relocation between repairs, bounds its heap,
+starts a new epoch (and drops its ranked prefix) on every table change,
 and detaches cleanly.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import LTCConfig
 from repro.core.kernels import KERNELS, build_ltc
+from repro.core.serialize import from_bytes, to_bytes
 from repro.serve.index import ServingIndex
+from repro.serve.oracle import (
+    canonical_json,
+    oracle_significant,
+    oracle_top_k,
+    reports_payload,
+)
+from repro.serve.server import ServingApp
+
+KERNEL_NAMES = sorted(KERNELS)
 
 
 def _cfg(**kw):
     base = dict(num_buckets=4, bucket_width=2, items_per_period=16)
     base.update(kw)
     return LTCConfig(**base)
+
+
+def _assert_oracle_equal(idx, ltc, ks=(0, 1, 3, 100), thresholds=(0.0, 2.5, 6.0)):
+    """Served top_k / significant bytes equal the full-scan oracle's."""
+    for k in ks:
+        served = {"k": k, "results": reports_payload(idx.top_k(k))}
+        assert canonical_json(served) == canonical_json(oracle_top_k(ltc, k))
+    for t in thresholds:
+        served = {"threshold": t, "results": reports_payload(idx.significant(t))}
+        assert canonical_json(served) == canonical_json(oracle_significant(ltc, t))
 
 
 class TestLaziness:
@@ -96,6 +119,107 @@ class TestInvalidation:
         assert idx.query(9)[0] is True
 
 
+#: Every way the table changes under an attached index.
+MUTATIONS = {
+    "insert": lambda ltc: ltc.insert(4),
+    "insert_many_hit": lambda ltc: ltc.insert_many([1, 2, 1]),
+    "insert_many_miss": lambda ltc: ltc.insert_many([1000, 1001, 1002]),
+    "end_period": lambda ltc: ltc.end_period(),
+    "clear": lambda ltc: ltc.clear(),
+}
+
+
+class TestEpochs:
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("source", sorted(MUTATIONS))
+    def test_every_mutation_source_bumps_epoch(self, kernel, source):
+        ltc = build_ltc(_cfg(num_buckets=8, kernel=kernel))
+        idx = ServingIndex(ltc)
+        # A period boundary, then a few events: the next end_period's
+        # sweep has last period's flags left to harvest.
+        ltc.insert_many([i % 10 for i in range(40)])
+        ltc.end_period()
+        ltc.insert_many([5, 6, 7])
+        assert 1 in ltc and 2 in ltc  # the "hit" batch really hits
+        _assert_oracle_equal(idx, ltc)  # builds this epoch's prefix
+        epoch = idx.epoch
+        MUTATIONS[source](ltc)
+        _assert_oracle_equal(idx, ltc)
+        assert idx.epoch > epoch
+
+    def test_queries_without_mutation_keep_epoch_and_prefix(self):
+        ltc = build_ltc(_cfg(num_buckets=8))
+        idx = ServingIndex(ltc)
+        ltc.insert_many([i % 10 for i in range(40)])
+        first = idx.top_k(5)
+        epoch = idx.epoch
+        reads = []
+        ltc.cell_state = lambda slot: reads.append(slot)  # must stay unused
+        assert idx.top_k(5) == first
+        assert idx.top_k(3) == first[:3]
+        # Above the prefix's last entry, so the heap head is below it too.
+        t = first[-1][1] + 0.5
+        assert idx.significant(t) == [r for r in first if r[1] >= t]
+        assert reads == [] and idx.epoch == epoch
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_attach_to_restored_table(self, kernel):
+        ltc = build_ltc(_cfg(num_buckets=8, kernel=kernel))
+        ltc.insert_many([i % 13 for i in range(70)])
+        ltc.end_period()
+        ltc.insert_many([3, 5, 3])
+        restored = from_bytes(to_bytes(ltc), cls=type(ltc))
+        idx = ServingIndex(restored)
+        _assert_oracle_equal(idx, restored)
+        assert idx.epoch == 1
+        restored.insert(11)
+        _assert_oracle_equal(idx, restored)
+        assert idx.epoch == 2
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_attach_mid_life(self, kernel):
+        ltc = build_ltc(_cfg(kernel=kernel))
+        idx = ServingIndex(ltc)
+        ltc.insert_many(list(range(30)))
+        idx.close()
+        ltc.insert_many(list(range(20, 40)))
+        fresh = ServingIndex(ltc)
+        _assert_oracle_equal(fresh, ltc)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kernel=st.sampled_from(KERNEL_NAMES),
+        rounds=st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 40), max_size=12),
+                st.booleans(),
+                st.lists(st.integers(0, 12), min_size=1, max_size=4),
+                st.lists(
+                    st.floats(0.0, 12.0, allow_nan=False), min_size=1, max_size=4
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_repeated_queries_within_epochs_match_oracle(self, kernel, rounds):
+        # Each round mutates (or not), then asks growing k and falling
+        # thresholds, interleaved, so the ranked prefix is extended and
+        # re-sliced inside one epoch.
+        ltc = build_ltc(_cfg(kernel=kernel))
+        idx = ServingIndex(ltc)
+        for events, harvest, ks, thresholds in rounds:
+            ltc.insert_many(events)
+            if harvest:
+                ltc.end_period()
+            idx.tracked()  # settle: the queries below share one epoch
+            epoch = idx.epoch
+            for k, t in zip(sorted(ks), sorted(thresholds, reverse=True)):
+                _assert_oracle_equal(idx, ltc, ks=(k,), thresholds=(t,))
+            _assert_oracle_equal(idx, ltc, ks=sorted(ks), thresholds=thresholds)
+            assert idx.epoch == epoch
+
+
 class TestHeapBounds:
     def test_compaction_bounds_heap(self):
         ltc = build_ltc(_cfg(num_buckets=1, bucket_width=1))
@@ -107,6 +231,36 @@ class TestHeapBounds:
             if i % 2 == 0:
                 idx.top_k(1)
         assert idx.heap_size() <= max(64, 4 * ltc.total_cells) + 1
+
+    def test_compaction_bound_counts_ranked_prefix(self):
+        # A deep query each step parks every live entry in the ranked
+        # prefix; they still count, so the bound holds for heap + prefix.
+        ltc = build_ltc(_cfg(num_buckets=2, bucket_width=2))
+        idx = ServingIndex(ltc)
+        m = ltc.total_cells
+        for i in range(3000):
+            ltc.insert(i % 37)
+            idx.top_k(m)
+            assert len(idx._ranked) == idx.tracked()
+            assert idx.heap_size() == len(idx._heap) + len(idx._ranked)
+            assert idx.heap_size() <= max(64, 4 * m)
+
+    def test_stats_heap_size_counts_ranked_prefix(self):
+        app = ServingApp(build_ltc(_cfg(num_buckets=8)))
+        app.ltc.insert_many([i % 10 for i in range(40)])
+        before = app.stats()["heap_size"]
+        status, _, _ = app.respond("GET", "/top_k?k=5")
+        assert status == 200
+        assert len(app.index._ranked) == 5
+        assert app.stats()["heap_size"] == before == app.index.heap_size()
+
+    def test_huge_k_bounded_by_table(self):
+        ltc = build_ltc(_cfg())
+        idx = ServingIndex(ltc)
+        ltc.insert_many(list(range(100)))
+        reports = idx.top_k(10**18)
+        assert len(idx._ranked) == len(reports) == idx.tracked()
+        assert len(idx._ranked) <= ltc.total_cells
 
     def test_stale_entries_skipped_on_pop(self):
         ltc = build_ltc(_cfg(num_buckets=1, bucket_width=1))
