@@ -1,7 +1,14 @@
 """Asyncio HTTP service: concurrent ingest + O(1)/O(k) queries.
 
-Stdlib only — a minimal HTTP/1.1 layer over ``asyncio.start_server``
-(every response is ``Connection: close``, which keeps shutdown exact).
+Stdlib only — a minimal HTTP/1.1 layer over ``asyncio.start_server``.
+One request per connection, and every response is ``Connection:
+close``, which keeps shutdown exact.  The request head is read in one
+``readuntil`` bounded by the stream's 64 KiB limit (a longer head, or
+one not ended by CRLF CRLF, is a 400).  A reply ends with a half-close
+(``write_eof``) right after its last byte, so a client reading to EOF
+sees it end before the loop runs the ingest step its POST has queued;
+the later ``close()`` would only land after that step (DESIGN.md
+§12.4).
 Ingestion and queries share one event loop: ``POST /ingest`` enqueues a
 batch and returns immediately; a background worker applies batches
 through ``insert_many`` in chunks, yielding to the loop between chunks
@@ -339,12 +346,13 @@ class ServingApp:
             not isinstance(counts, list) or len(counts) != len(items)
         ):
             return self._bad_request("counts must parallel items")
-        # ``type(x) is int``, not isinstance: JSON booleans decode to bool,
-        # an int subclass, and must not be queued as keys 1 and 0.
-        if not all(type(x) is int for x in items):
+        # Exact types, not isinstance: JSON booleans decode to bool, an
+        # int subclass, and must not be queued as keys 1 and 0.  Both
+        # checks are C-level passes over the decoded lists.
+        if not set(map(type, items)) <= {int}:
             return self._bad_request("items must be integers")
-        if counts is not None and not all(
-            type(c) is int and c >= 0 for c in counts
+        if counts is not None and not (
+            set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
         ):
             return self._bad_request("counts must be non-negative integers")
         queued = self.submit(items, counts)
@@ -388,22 +396,28 @@ class ServingApp:
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: parse a request, answer, close."""
+        """One connection: read a request, answer, half-close, close."""
         try:
-            request = await reader.readline()
-            if not request:
+            try:
+                raw = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.IncompleteReadError as exc:
+                # EOF before the blank line: a bare connect is dropped, a
+                # truncated (or bare-LF) head is refused.
+                if exc.partial:
+                    await self._write(writer, self._bad_request("malformed request"))
                 return
-            head = request.decode("latin-1").split()
+            except asyncio.LimitOverrunError:
+                await self._write(writer, self._bad_request("request head too large"))
+                return
+            request, *fields = raw.decode("latin-1").split("\r\n")
+            head = request.split()
             if len(head) < 2:
                 await self._write(writer, self._bad_request("malformed request"))
                 return
             method, target = head[0], head[1]
             length: Optional[int] = 0
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = line.decode("latin-1").partition(":")
+            for field in fields:
+                name, _, value = field.partition(":")
                 if name.strip().lower() == "content-length":
                     try:
                         length = int(value.strip())
@@ -423,7 +437,9 @@ class ServingApp:
             except Exception as exc:  # route bugs become 500s, not hangups
                 response = 500, _JSON, canonical_json({"error": str(exc)})
             await self._write(writer, response)
-        except (asyncio.IncompleteReadError, ConnectionError):
+        except (asyncio.IncompleteReadError, OSError):
+            # The peer went away: EOF inside the body, a reset, or (ENOTCONN)
+            # a half-close after it had already closed its end.
             pass
         finally:
             try:
@@ -442,6 +458,11 @@ class ServingApp:
             f"Connection: close\r\n\r\n"
         ).encode("latin-1")
         writer.write(head + payload)
+        # Half-close here, not at close(): the transport closes its socket
+        # from a call_soon callback, queued behind the worker wakeup a POST
+        # has just made, so a client reading to EOF would otherwise wait
+        # out the whole batch (DESIGN.md §12.4).
+        writer.write_eof()
         await writer.drain()
 
 

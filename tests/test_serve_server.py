@@ -12,8 +12,10 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -47,6 +49,18 @@ async def _http(port, method, path, body=b""):
     writer.close()
     head, _, payload = raw.partition(b"\r\n\r\n")
     return int(head.split()[1]), payload
+
+
+async def _raw(port, data, *, half_close=False):
+    """Send ``data`` as is, optionally half-close, read the reply to EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(data)
+    if half_close:
+        writer.write_eof()
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    return raw
 
 
 class _Server:
@@ -133,19 +147,123 @@ class TestEndpoints:
         async def scenario():
             app = ServingApp(build_ltc(_cfg()))
             async with _Server(app) as srv:
-                reader, writer = await asyncio.open_connection(
-                    "127.0.0.1", srv.port
-                )
-                writer.write(
+                raw = await _raw(
+                    srv.port,
                     b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
-                    b"Content-Length: " + length + b"\r\n\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n",
                 )
-                await writer.drain()
-                raw = await reader.read()
-                writer.close()
                 assert int(raw.split()[1]) == 400
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            b"X-Pad: " + b"a" * 70_000 + b"\r\n",  # one line over 64 KiB
+            b"X: y\r\n" * 12_000,  # many lines, 72 KiB in all
+        ],
+        ids=["long-line", "many-lines"],
+    )
+    def test_oversize_head_is_400(self, fields):
+        # The head is read in one read bounded by the stream's 64 KiB
+        # limit.  A longer line used to raise ValueError out of handle()
+        # (no reply, a logged traceback); any number of lines was read.
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                raw = await _raw(
+                    srv.port, b"GET /healthz HTTP/1.1\r\n" + fields + b"\r\n"
+                )
+                assert int(raw.split()[1]) == 400
+                assert b"too large" in raw
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /healthz HTTP/1.1\n\n",  # bare LF (RFC 9112 §2.2: a MAY)
+            b"GET /healthz HTTP/1.1\r\nHost: t\n\n",
+            b"GET /healthz HTTP/1.1\r\nHost: t\r\n",  # no blank line
+        ],
+        ids=["bare-lf", "bare-lf-end", "truncated"],
+    )
+    def test_head_without_crlf_crlf_is_400(self, head):
+        # Only CRLF CRLF ends a head: a client that sends anything else
+        # and then ends its side is refused, not answered 200.
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                raw = await _raw(srv.port, head, half_close=True)
+                assert int(raw.split()[1]) == 400
+                assert b"malformed request" in raw
+
+        asyncio.run(scenario())
+
+    def test_peer_closing_unread_is_not_an_error(self):
+        # A client that closes before reading makes the server's
+        # half-close fail with ENOTCONN; that is a departed peer, not an
+        # unhandled exception in the connection callback.
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, ctx: errors.append(ctx)
+            )
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+
+                def client():
+                    with socket.create_connection(("127.0.0.1", srv.port)) as s:
+                        s.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+
+                for _ in range(20):
+                    await asyncio.to_thread(client)
+                await asyncio.sleep(0.05)
+            assert errors == []
+
+        asyncio.run(scenario())
+
+    def test_reply_ends_before_the_batch_is_applied(self):
+        # close() only schedules the socket close, behind the worker
+        # wakeup that the POST queued; the reply must end (FIN) before
+        # that worker step runs, not after its insert_many.
+        app = ServingApp(build_ltc(_cfg()))
+        eof_seen = threading.Event()
+        waits = []
+        insert_many = app.ltc.insert_many
+
+        def gated_insert_many(items, *args, **kwargs):
+            # Blocks the event loop: the client thread can only see EOF
+            # here if the server had already ended the reply.
+            waits.append(eof_seen.wait(2.0))
+            return insert_many(items, *args, **kwargs)
+
+        app.ltc.insert_many = gated_insert_many
+        body = json.dumps({"items": list(range(10))}).encode()
+
+        async def scenario():
+            async with _Server(app) as srv:
+
+                def client():
+                    addr = ("127.0.0.1", srv.port)
+                    with socket.create_connection(addr, timeout=10) as s:
+                        s.sendall(
+                            b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                            % len(body) + body
+                        )
+                        raw = b""
+                        while chunk := s.recv(65536):
+                            raw += chunk
+                    eof_seen.set()
+                    return raw
+
+                raw = await asyncio.to_thread(client)
+                assert int(raw.split()[1]) == 200
+                await asyncio.wait_for(app._queue.join(), 10)
+
+        asyncio.run(scenario())
+        assert waits == [True]
+        assert app.ingested == 10
 
     @pytest.mark.parametrize("threshold", ["nan", "NaN", "inf", "-inf", "1e400"])
     def test_non_finite_threshold_is_400(self, threshold):
@@ -178,6 +296,23 @@ class TestEndpoints:
             "POST", "/ingest", json.dumps(doc).encode()
         )
         assert status == 400, payload
+        assert app.queued == 0
+
+    @pytest.mark.parametrize("field", ["items", "counts"])
+    @pytest.mark.parametrize(
+        "value", [True, 1.5, "1", None, [1]], ids=repr
+    )
+    def test_ingest_rejects_non_int_values(self, field, value):
+        # Every non-int JSON value, in either list, is a 400: bool is an
+        # int subclass, so exact types are what is checked.
+        doc = {"items": [1, 2], "counts": [1, 1]}
+        doc[field] = [1, value]
+        app = ServingApp(build_ltc(_cfg()))
+        status, _, payload = app.respond(
+            "POST", "/ingest", json.dumps(doc).encode()
+        )
+        assert status == 400, payload
+        assert field.encode() in payload
         assert app.queued == 0
 
     def test_ingest_accepts_zero_counts(self):
