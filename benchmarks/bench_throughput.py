@@ -244,7 +244,7 @@ def test_throughput_batched(benchmark):
 
 
 def test_throughput_columnar(benchmark):
-    """Columnar segmented kernel vs the scalar kernels, plus ``auto``.
+    """Columnar segmented kernel vs the scalar kernels.
 
     The workload is period-realistic: 50 CLOCK periods over 500k Zipf-1.0
     events, driven through whole-period ``insert_many`` + ``end_period``.
@@ -253,8 +253,7 @@ def test_throughput_columnar(benchmark):
     CLOCK sweep amortises into array slices, and since the segmented
     replay (DESIGN §11.2) the miss-heavy w=128 point holds *parity* with
     FastLTC instead of losing 3x.  Only the deeply contended w=64 point
-    (clean fraction ~0.18) still favours the scalar path — which is the
-    regime ``kernel="auto"`` detects and routes around.
+    (clean fraction ~0.18) still favours the scalar path.
 
     Gates (also the CI throughput smoke):
 
@@ -266,22 +265,13 @@ def test_throughput_columnar(benchmark):
       (w=512) point;
     * **parity** — columnar must reach
       ``REPRO_COLUMNAR_PARITY_FLOOR`` (default 1.0) x FastLTC batched
-      at the miss-heavy (w=128) point;
-    * **selection** — ``kernel="auto"`` must end up on the faster
-      kernel at both gated points.
+      at the miss-heavy (w=128) point.
     """
-    from repro.core import columnar
-    from repro.core.auto import AutoLTC
     from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
     from repro.core.fast_ltc import FastLTC
     from repro.core.ltc import LTC
     from repro.streams.synthetic import zipf_stream
-
-    if columnar._np is None:  # pragma: no cover - numpy-free box
-        import pytest
-
-        pytest.skip("numpy unavailable; columnar kernel runs scalar")
 
     stream = zipf_stream(
         num_events=500_000, num_distinct=1_000, skew=1.0, num_periods=50,
@@ -312,10 +302,6 @@ def test_throughput_columnar(benchmark):
                     lambda: ColumnarLTC(config), stream,
                     name=f"ColumnarLTC-{label}", repeats=2, batched=True,
                 ),
-                "AutoLTC": measure_throughput(
-                    lambda: AutoLTC(config), stream,
-                    name=f"AutoLTC-{label}", repeats=2, batched=True,
-                ),
             }
             if label in gated:
                 results[label]["LTC"] = measure_throughput(
@@ -325,23 +311,17 @@ def test_throughput_columnar(benchmark):
         return results
 
     results = once(benchmark, run)
-    # Differential + selection gates: outside the timed region, fresh
-    # instances at the gated points.
-    auto_selection = {}
+    # Differential gate: outside the timed region, fresh instances at
+    # the gated points.
     for label, buckets in gated.items():
         config = config_for(buckets)
-        fast, col, auto = FastLTC(config), ColumnarLTC(config), AutoLTC(config)
+        fast, col = FastLTC(config), ColumnarLTC(config)
         stream.run(fast, batched=True)
         stream.run(col, batched=True)
-        stream.run(auto, batched=True)
         assert list(fast.cells()) == list(col.cells()), (
             f"columnar diverged from FastLTC at {label}"
         )
-        assert list(fast.cells()) == list(auto.cells()), (
-            f"auto kernel diverged from FastLTC at {label}"
-        )
         assert fast.top_k(100) == col.top_k(100)
-        auto_selection[label] = auto.kernel_in_use
     speedups = {
         label: point["ColumnarLTC"].ops / point["FastLTC"].ops
         for label, point in results.items()
@@ -389,12 +369,10 @@ def test_throughput_columnar(benchmark):
                     "num_buckets": buckets,
                     "fast_mops": results[label]["FastLTC"].mops,
                     "columnar_mops": results[label]["ColumnarLTC"].mops,
-                    "auto_mops": results[label]["AutoLTC"].mops,
                     "columnar_vs_fast": speedups[label],
                 }
                 for label, buckets in curve.items()
             ],
-            "auto_selection": auto_selection,
             "results": [
                 result.to_dict()
                 for point in results.values()
@@ -411,17 +389,6 @@ def test_throughput_columnar(benchmark):
         f"columnar {speedups['w128']:.2f}x vs FastLTC is below the "
         f"{parity_floor:.2f}x parity floor at the miss-heavy point"
     )
-    for label in gated:
-        point = results[label]
-        faster = (
-            "columnar"
-            if point["ColumnarLTC"].ops >= point["FastLTC"].ops
-            else "fast"
-        )
-        assert auto_selection[label] == faster, (
-            f"auto kernel picked {auto_selection[label]} at {label}; "
-            f"measured faster kernel is {faster}"
-        )
 
 
 def test_throughput_baselines(benchmark):

@@ -17,12 +17,12 @@ summaries' ``insert`` frames dominate; batched, the numpy kernels and
 the remaining replay loops do.
 
 ``--kernel`` pins the LTC implementation for the sweep (the line-up
-default otherwise).  For the columnar family (``columnar``/``auto``)
-the script additionally instruments the four ingest phases — probe /
-clean-hit / dirty-replay / harvest — and prints an exclusive-time
-breakdown, which is how the segmented-replay work was sized: a chunk is
-probed once, its clean prefix aggregates in bulk, the dirty tail runs
-the peeling kernel, and the CLOCK harvest closes the chunk.
+default otherwise).  For ``--kernel columnar`` the script additionally
+instruments the four ingest phases — probe / clean-hit / dirty-replay /
+harvest — and prints an exclusive-time breakdown, which is how the
+segmented-replay work was sized: a chunk is probed once, its clean
+prefix aggregates in bulk, the dirty tail runs the peeling kernel, and
+the CLOCK harvest closes the chunk.
 """
 
 from __future__ import annotations
@@ -131,10 +131,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar", "auto"],
+        choices=["reference", "fast", "columnar"],
         default=None,
         help=(
-            "pin the LTC kernel for the sweep; columnar/auto also print "
+            "pin the LTC kernel for the sweep; columnar also prints "
             "the per-phase ingest breakdown (default: line-up default)"
         ),
     )
@@ -202,7 +202,7 @@ def main(argv: "list[str] | None" = None) -> int:
         file=sys.stderr,
     )
     timer: "PhaseTimer | None" = None
-    if args.kernel in ("columnar", "auto"):
+    if args.kernel == "columnar":
         from repro.core.columnar import ColumnarLTC
 
         timer = PhaseTimer()

@@ -70,12 +70,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar", "auto"],
+        choices=["reference", "fast", "columnar"],
         default="reference",
         help="LTC implementation to build (repro.core.kernels): the "
-        "paper-faithful reference, the hash-indexed fast kernel, the "
-        "numpy columnar kernel, or runtime auto-selection between the "
-        "latter two — all observably identical",
+        "paper-faithful reference, the hash-indexed fast kernel, or the "
+        "numpy columnar kernel — all observably identical",
     )
     parser.add_argument(
         "--batched",
@@ -138,10 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar", "auto"],
+        choices=["reference", "fast", "columnar"],
         default="columnar",
-        help="LTC kernel to serve (columnar default: fastest ingest; "
-        "auto probes the live stream and picks columnar or fast itself)",
+        help="LTC kernel to serve (columnar default: fastest ingest)",
     )
     serve.add_argument("--num-buckets", type=int, default=1024)
     serve.add_argument("-d", "--bucket-width", type=int, default=8)

@@ -50,17 +50,16 @@ loop, which remains the exact reference for the round kernel.
 
 The batch is processed in fixed-size chunks so dirtiness is a per-chunk
 property — on hit-heavy streams almost every chunk is all-clean and runs
-entirely in numpy.  Without numpy (guarded import below) or with the
-Deviation Eliminator off, the class degrades to plain FastLTC behaviour;
-the differential suite in ``tests/test_columnar.py`` pins cell-level
-equality against FastLTC and the reference LTC either way.
+entirely in numpy.  With the Deviation Eliminator off, or once a key
+outside the uint64 domain arrives, the class degrades to plain FastLTC
+behaviour; the differential suite in ``tests/test_columnar.py`` pins
+cell-level equality against FastLTC and the reference LTC either way.
 """
 
 from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -70,10 +69,7 @@ from typing import (
     Tuple,
 )
 
-try:  # numpy accelerates the batch path; scalar paths work without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 from repro.core.cell import CellView
 from repro.core.config import LTCConfig
@@ -111,17 +107,14 @@ _SCHEDULE_LIMIT = 1 << 62
 #: with the oldest pending flag charged: the harvest flag when set, else
 #: the set flag (``LTC._decrement_smallest``).  With the Deviation
 #: Eliminator on, flag bytes only ever hold the two low bits.
-_FLAG_COUNT: Any = None
-_CHARGE_OLDEST: Dict[int, Any] = {}
-if _np is not None:
-    _FLAG_COUNT = _np.array([0, 1, 1, 2], dtype=_np.int64)
-    _CHARGE_OLDEST = {
-        hb: _np.array(
-            [bits & ~hb if bits & hb else bits & ~(3 ^ hb) for bits in range(4)],
-            dtype=_np.int64,
-        )
-        for hb in (1, 2)
-    }
+_FLAG_COUNT: Any = _np.array([0, 1, 1, 2], dtype=_np.int64)
+_CHARGE_OLDEST: Dict[int, Any] = {
+    hb: _np.array(
+        [bits & ~hb if bits & hb else bits & ~(3 ^ hb) for bits in range(4)],
+        dtype=_np.int64,
+    )
+    for hb in (1, 2)
+}
 
 
 def _ranges(lo: Any, lens: Any) -> Any:
@@ -156,13 +149,8 @@ class ColumnarLTC(FastLTC):
 
     def __init__(self, config: LTCConfig) -> None:
         super().__init__(config)
-        #: Per-chunk classification hook ``(span, n_clean, n_dirty)`` —
-        #: the auto-kernel probe attaches here; one is-None test per chunk
-        #: when unused.
-        self._probe: Optional[Callable[[int, int, int], None]] = None
-        self._vec = _np is not None
-        if self._vec:
-            self._columnize()
+        self._vec = True
+        self._columnize()
 
     # ------------------------------------------------------------- columns
     # reprolint: detached — rebinds columns to numpy storage with identical values
@@ -410,10 +398,10 @@ class ColumnarLTC(FastLTC):
 
         Replay-identical to :meth:`FastLTC.insert_many` (same cells, same
         CLOCK state, same metrics); see the module docstring for the
-        commutation argument.  Falls back to the scalar path without
-        numpy, with the Deviation Eliminator off (set and harvest flags
-        share a bit and stop commuting), or when the batch contains keys
-        outside the uint64 domain.
+        commutation argument.  Falls back to the scalar path with the
+        Deviation Eliminator off (set and harvest flags share a bit and
+        stop commuting), or when the batch contains keys outside the
+        uint64 domain.
         """
         items = as_items(items)
         if counts is not None:
@@ -472,8 +460,6 @@ class ColumnarLTC(FastLTC):
             # All-hit chunk (the steady state on hit-heavy streams): every
             # event is clean, aggregate with one bincount and advance the
             # CLOCK over the whole span in one go.
-            if self._probe is not None:
-                self._probe(span, span, 0)
             self._apply_hit_slots(slots)
             self._advance_and_harvest(span)
             return
@@ -485,8 +471,6 @@ class ColumnarLTC(FastLTC):
         _np.minimum.at(first_miss, b[misses], misses)
         clean = hit & (_np.arange(span, dtype=_np.int64) < first_miss[b])
         dirty = _np.flatnonzero(~clean)
-        if self._probe is not None:
-            self._probe(span, span - len(dirty), len(dirty))
         if len(dirty) < span:
             # Clean hits commute with everything in the chunk: aggregate
             # them up front with one bincount per chunk.
@@ -547,8 +531,7 @@ class ColumnarLTC(FastLTC):
         Events replay one-by-one in stream order, the CLOCK advanced to
         each event's exact arrival offset (inlined on_arrivals arithmetic
         and hit path, as in FastLTC.insert_many) — hits and misses
-        through the memoryview columns, which also serves
-        :class:`repro.core.auto.AutoLTC` as its whole-batch fast mode.
+        through the memoryview columns.
         """
         listener = self._cell_listener
         get = self._slot_of.get
@@ -1124,9 +1107,8 @@ class ColumnarLTC(FastLTC):
     def clear(self) -> None:
         """Reset the structure (re-enabling vectorization) to fresh state."""
         super().clear()
-        self._vec = _np is not None
-        if self._vec:
-            self._columnize()
+        self._vec = True
+        self._columnize()
 
     def _reindex(self) -> None:
         """Rebuild the item→slot index and the key columns (restore path).

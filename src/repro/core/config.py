@@ -42,10 +42,7 @@ class LTCConfig:
             constructs for this config: ``"reference"`` (the paper-faithful
             :class:`repro.core.ltc.LTC`), ``"fast"`` (the hash-indexed
             :class:`repro.core.fast_ltc.FastLTC`) or ``"columnar"`` (the
-            numpy struct-of-arrays :class:`repro.core.columnar.ColumnarLTC`)
-            or ``"auto"`` (:class:`repro.core.auto.AutoLTC`, which probes
-            the stream's clean-chunk rate at runtime and picks between the
-            columnar and scalar batch paths with hysteresis).
+            numpy struct-of-arrays :class:`repro.core.columnar.ColumnarLTC`).
             All kernels are observably identical (differential-tested);
             excluded from config equality/merge compatibility for the same
             reason as ``sanitize``.
@@ -80,10 +77,8 @@ class LTCConfig:
             raise ValueError(
                 "replacement_policy must be 'longtail', 'one' or 'space-saving'"
             )
-        if self.kernel not in ("reference", "fast", "columnar", "auto"):
-            raise ValueError(
-                "kernel must be 'reference', 'fast', 'columnar' or 'auto'"
-            )
+        if self.kernel not in ("reference", "fast", "columnar"):
+            raise ValueError("kernel must be 'reference', 'fast' or 'columnar'")
         # Normalize the seed to its 64-bit image at construction time.
         # Hashing already reduces modulo 2**64 (splitmix64 masks its
         # input), but the binary checkpoint header stores the masked

@@ -47,7 +47,7 @@ from typing import Iterable, Protocol
 # the serving index never observes.
 
 #: Classes whose cells a :class:`CellListener` may observe.  Subclasses
-#: of these (e.g. :class:`repro.core.auto.AutoLTC`) inherit the contract.
+#: of these inherit the contract.
 HOOKED_STRUCTURES = ("LTC", "FastLTC", "ColumnarLTC")
 
 #: Attributes holding observable cell state: the key column and the

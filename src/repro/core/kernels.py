@@ -9,12 +9,7 @@ Three interchangeable kernels implement the same observable structure
 * ``"fast"`` — :class:`repro.core.fast_ltc.FastLTC`, hash-indexed O(1)
   hit path.
 * ``"columnar"`` — :class:`repro.core.columnar.ColumnarLTC`, numpy
-  struct-of-arrays storage with a vectorized batch path (degrades to
-  FastLTC behaviour without numpy).
-* ``"auto"`` — :class:`repro.core.auto.AutoLTC`, the columnar kernel
-  with a free occupancy/clean-rate probe that switches to scalar batch
-  replay (with hysteresis, at period boundaries only) when the workload
-  sits in the contended regime where FastLTC-style ingest wins.
+  struct-of-arrays storage with a vectorized batch path.
 
 Call sites that build an LTC from a config (CLI, experiment factories,
 distributed coordinators/workers) go through :func:`build_ltc` so the
@@ -25,7 +20,6 @@ from __future__ import annotations
 
 from typing import Dict, Type
 
-from repro.core.auto import AutoLTC
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
 from repro.core.fast_ltc import FastLTC
@@ -35,7 +29,6 @@ KERNELS: Dict[str, Type[LTC]] = {
     "reference": LTC,
     "fast": FastLTC,
     "columnar": ColumnarLTC,
-    "auto": AutoLTC,
 }
 
 

@@ -17,7 +17,7 @@ workers**:
 * Batches travel through a :class:`~repro.distributed.transport.ShmRing`
   — a shared-memory ring of ``int64`` slots the worker inherited via
   ``fork`` — so the pipe carries only tiny control tuples and
-  ``ingest_ipc_bytes`` drops to near zero.  When numpy/shm/fork is
+  ``ingest_ipc_bytes`` drops to near zero.  When shm/fork is
   unavailable (or ``transport="pickle"`` is forced), batches fall back to
   pickled chunks over the pipe, acknowledged in lockstep so a dead reader
   can never wedge the parent mid-``send``.  Oversized batches spill to
@@ -396,9 +396,9 @@ class _ShardWorker:
 
         ``array`` is an ``int64`` numpy view (or ``None``); ``items`` is
         the list fallback.  Batches that have an array and fit a ring
-        slot go zero-copy; everything else — no ring, no array (numpy
-        missing or oversized keys), or batch larger than a slot — spills
-        to lockstep pickled chunks.
+        slot go zero-copy; everything else — no ring, no array (oversized
+        keys), or batch larger than a slot — spills to lockstep pickled
+        chunks.
         """
         if (
             self.ring is not None
@@ -562,7 +562,7 @@ class ParallelMergingCoordinator:
         if self.transport == "shm":
             if not shm_available():
                 raise RuntimeError(
-                    "shm transport requested but numpy/shared_memory/fork "
+                    "shm transport requested but shared_memory/fork "
                     "is unavailable"
                 )
             return "shm"

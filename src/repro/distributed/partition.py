@@ -10,12 +10,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-from repro.hashing.family import (
-    as_key_array,
-    numpy_available,
-    splitmix64,
-    splitmix64_array,
-)
+import numpy as _np
+
+from repro.hashing.family import as_key_array, splitmix64, splitmix64_array
 from repro.streams.model import PeriodicStream
 
 
@@ -61,8 +58,8 @@ def partition_sharded(
 
     Models traffic entering the fabric at the item's ingress point — the
     regime where :func:`repro.core.merge.merge` is exact.  Site
-    assignment is :func:`shard_of`; with numpy the hash is computed in
-    one vectorised pass (bit-for-bit identical to the scalar loop — see
+    assignment is :func:`shard_of`, computed in one vectorised pass
+    (bit-for-bit identical per item — see
     :func:`repro.hashing.family.splitmix64_array`).
     """
     if num_sites < 1:
@@ -70,24 +67,17 @@ def partition_sharded(
     per_site: List[List[List[int]]] = [
         [[] for _ in range(stream.num_periods)] for _ in range(num_sites)
     ]
-    if numpy_available() and len(stream.events) > 0:
-        import numpy as np
-
-        keys = as_key_array(stream.events)
-        sites = (
-            splitmix64_array(keys ^ np.uint64(seed % (1 << 64)))
-            % np.uint64(num_sites)
-        ).tolist()
-        # Index the source list so sites receive the original Python int
-        # objects, exactly as the scalar loop would hand them over.
-        events = stream.events
-        for period_index, (start, end) in enumerate(stream.period_slices()):
-            for index in range(start, end):
-                per_site[sites[index]][period_index].append(events[index])
-        return _assemble(per_site, stream)
-    for period_index, period in enumerate(stream.iter_periods()):
-        for item in period:
-            per_site[shard_of(item, num_sites, seed)][period_index].append(item)
+    keys = as_key_array(stream.events)
+    sites = (
+        splitmix64_array(keys ^ _np.uint64(seed % (1 << 64)))
+        % _np.uint64(num_sites)
+    ).tolist()
+    # Index the source list so sites receive the original Python int
+    # objects, not numpy scalars.
+    events = stream.events
+    for period_index, (start, end) in enumerate(stream.period_slices()):
+        for index in range(start, end):
+            per_site[sites[index]][period_index].append(events[index])
     return _assemble(per_site, stream)
 
 

@@ -24,7 +24,7 @@ Lifecycle and crash safety:
   (which registered the segment at creation) unlinks it at interpreter
   teardown, so even double crashes cannot strand ``/dev/shm`` entries.
 
-When numpy, ``shared_memory``, or the ``fork`` start method is missing,
+When ``shared_memory`` or the ``fork`` start method is missing,
 :func:`shm_available` is false and the coordinator falls back to pickled
 batches over the pipe (chunked, see ``parallel.py``) — same results,
 higher IPC cost.
@@ -34,10 +34,7 @@ from __future__ import annotations
 
 from typing import Any, FrozenSet, List, Optional, Sequence, Set
 
-try:  # numpy backs the slot views; without it only the pickle path runs.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 try:
     from multiprocessing import shared_memory as _shm
@@ -56,12 +53,12 @@ _live_segments: Set[str] = set()
 def shm_available() -> bool:
     """Whether the zero-copy shared-memory transport can be used.
 
-    Requires numpy (slot views), ``multiprocessing.shared_memory`` (the
-    segments), and the ``fork`` start method (workers inherit the mapped
-    segment instead of re-attaching by name, which keeps the stdlib
-    resource tracker's accounting to exactly one owner: the parent).
+    Requires ``multiprocessing.shared_memory`` (the segments) and the
+    ``fork`` start method (workers inherit the mapped segment instead of
+    re-attaching by name, which keeps the stdlib resource tracker's
+    accounting to exactly one owner: the parent).
     """
-    if _np is None or _shm is None:
+    if _shm is None:
         return False
     try:
         import multiprocessing
@@ -95,8 +92,8 @@ class ShmRing:
     def __init__(
         self, slots: int, slot_items: int, name: Optional[str] = None
     ) -> None:
-        if _np is None or _shm is None:
-            raise RuntimeError("shared-memory transport requires numpy and shm")
+        if _shm is None:
+            raise RuntimeError("shared-memory transport requires shm")
         if slots < 1 or slot_items < 1:
             raise ValueError("slots and slot_items must be >= 1")
         self.slots = slots

@@ -12,10 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Iterable
 
-try:  # numpy accelerates batch updates; everything degrades to loops without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -38,7 +35,6 @@ def splitmix64_array(keys: Any) -> Any:
 
     Bit-for-bit identical to the scalar function per element (uint64
     arithmetic wraps modulo 2**64 exactly like the scalar's masking).
-    Requires numpy; callers gate on :func:`numpy_available`.
     """
     x = keys + _np.uint64(_GOLDEN)
     x = (x ^ (x >> _np.uint64(30))) * _np.uint64(0xBF58476D1CE4E5B9)
@@ -46,17 +42,12 @@ def splitmix64_array(keys: Any) -> Any:
     return x ^ (x >> _np.uint64(31))
 
 
-def numpy_available() -> bool:
-    """Whether the numpy-vectorised batch paths can be used."""
-    return _np is not None
-
-
 def as_key_array(keys: Any) -> Any:
     """Canonicalise a batch of integer keys to a ``uint64`` numpy array.
 
     Matches the scalar paths' implicit masking: ``splitmix64`` masks its
     input to 64 bits, so out-of-range or negative keys reduce modulo
-    2**64 — the fallback loop applies the same reduction.
+    2**64 — the scalar paths apply the same reduction.
     """
     try:
         return _np.asarray(keys, dtype=_np.uint64)

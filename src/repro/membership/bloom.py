@@ -9,13 +9,10 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.hashing.family import HashFamily, as_key_array, numpy_available
-from repro.metrics.memory import MemoryBudget
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.hashing.family import HashFamily, as_key_array
+from repro.metrics.memory import MemoryBudget
 
 
 class BloomFilter:
@@ -108,9 +105,6 @@ class BloomFilter:
         positives — and their hash indices are computed in one vectorised
         pass per hash function.
         """
-        if not numpy_available():
-            insert_if_absent = self.insert_if_absent
-            return [insert_if_absent(key) for key in keys]
         arr = as_key_array(keys)
         n = int(arr.size)
         if n == 0:

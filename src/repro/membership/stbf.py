@@ -13,13 +13,10 @@ from __future__ import annotations
 import enum
 from typing import Iterator, List, Tuple
 
-from repro.codes.raptor import RaptorCode
-from repro.hashing.family import HashFamily, as_key_array, numpy_available
+import numpy as _np
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+from repro.codes.raptor import RaptorCode
+from repro.hashing.family import HashFamily, as_key_array
 
 
 class CellState(enum.IntEnum):
@@ -106,11 +103,6 @@ class SpaceTimeBloomFilter:
         state) with the per-row cell indices and fingerprints hashed in
         one vectorised pass.
         """
-        if not numpy_available():
-            insert = self.insert
-            for item in items:
-                insert(item)
-            return
         arr = as_key_array(items)
         if arr.size == 0:
             return

@@ -14,17 +14,14 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as _np
+
 from repro import obs
 from repro.codes.raptor import RaptorCode
-from repro.hashing.family import as_key_array, numpy_available
+from repro.hashing.family import as_key_array
 from repro.membership.stbf import SpaceTimeBloomFilter
 from repro.metrics.memory import MemoryBudget
 from repro.summaries.base import ItemReport, StreamSummary, expand_counts
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 _ID_MASK32 = 0xFFFFFFFF
 
@@ -121,11 +118,6 @@ class PIE(StreamSummary):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))
-        if not numpy_available():
-            insert = self.insert
-            for item in items:
-                insert(item)
-            return
         arr = as_key_array(items) & _np.uint64(_ID_MASK32)
         if arr.size == 0:
             return

@@ -17,15 +17,12 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set
 
+import numpy as _np
+
 from repro import obs
-from repro.hashing.family import HashFamily, as_key_array, numpy_available
+from repro.hashing.family import HashFamily, as_key_array
 from repro.metrics.memory import COUNTER_CELL_BYTES, MemoryBudget
 from repro.summaries.base import ItemReport, StreamSummary, expand_counts
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 _HASH_SPACE = 1 << 64
 
@@ -102,11 +99,6 @@ class SmallSpacePersistent(StreamSummary):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))
-        if not numpy_available():
-            insert = self.insert
-            for item in items:
-                insert(item)
-            return
         arr = as_key_array(items)
         if arr.size == 0:
             return

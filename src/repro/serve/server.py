@@ -4,7 +4,8 @@ Stdlib only — a minimal HTTP/1.1 layer over ``asyncio.start_server``.
 One request per connection, and every response is ``Connection:
 close``, which keeps shutdown exact.  The request head is read in one
 ``readuntil`` bounded by the stream's 64 KiB limit (a longer head, or
-one not ended by CRLF CRLF, is a 400).  A reply ends with a half-close
+one not ended by CRLF CRLF, is a 400).  A body over 16 MiB is refused
+with a 413 before any of it is read.  A reply ends with a half-close
 (``write_eof``) right after its last byte, so a client reading to EOF
 sees it end before the loop runs the ingest step its POST has queued;
 the later ``close()`` would only land after that step (DESIGN.md
@@ -72,6 +73,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -80,6 +82,9 @@ _TEXT = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Events applied per worker step before yielding back to the loop.
 _INGEST_CHUNK = 4096
+
+#: Largest request body read; a longer Content-Length is answered 413.
+_MAX_BODY = 16 * 1024 * 1024
 
 #: Queue item: a batch of events, or ``None`` = drain-and-exit sentinel.
 _Batch = Optional[List[int]]
@@ -415,18 +420,19 @@ class ServingApp:
                 await self._write(writer, self._bad_request("malformed request"))
                 return
             method, target = head[0], head[1]
-            length: Optional[int] = 0
-            for field in fields:
-                name, _, value = field.partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = int(value.strip())
-                    except ValueError:
-                        length = None
-            if length is None or length < 0:
+            length = _content_length(fields)
+            if length is None:
                 await self._write(
                     writer,
-                    self._bad_request("Content-Length must be a non-negative integer"),
+                    self._bad_request(
+                        "Content-Length must be one non-negative integer"
+                    ),
+                )
+                return
+            if length > _MAX_BODY:
+                await self._write(
+                    writer,
+                    (413, _JSON, canonical_json({"error": "body too large"})),
                 )
                 return
             body = await reader.readexactly(length) if length else b""
@@ -464,6 +470,31 @@ class ServingApp:
         # out the whole batch (DESIGN.md §12.4).
         writer.write_eof()
         await writer.drain()
+
+
+def _content_length(fields: List[str]) -> Optional[int]:
+    """The body length a request head declares (0 when it declares none).
+
+    ``None`` for a value that is not ``1*DIGIT`` (``int()`` would also
+    take a sign, underscores, and Unicode digits or whitespace) and for
+    repeated fields that disagree (RFC 9112 §6.3).  A value over
+    :data:`_MAX_BODY` may come back as ``_MAX_BODY + 1``.
+    """
+    lengths: "set[int]" = set()
+    for field in fields:
+        name, _, value = field.partition(":")
+        if name.strip().lower() != "content-length":
+            continue
+        value = value.strip(" \t")
+        if not (value.isascii() and value.isdigit()):
+            return None
+        # int() refuses strings over 4300 digits, and past 18 significant
+        # digits the value is over the cap anyway.
+        digits = value.lstrip("0")
+        lengths.add(int(digits or "0") if len(digits) <= 18 else _MAX_BODY + 1)
+    if len(lengths) > 1:
+        return None
+    return lengths.pop() if lengths else 0
 
 
 async def run_app(

@@ -8,18 +8,13 @@ per-event value over same-slot events (:func:`grouped_cumsum`)?  The
 answers let ``update_and_query_many`` reconstruct the counter value each
 event *would* have observed mid-batch while committing the whole batch to
 the table in one pass.
-
-Pure numpy; callers gate on :func:`repro.hashing.family.numpy_available`.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 
 def _group_offsets(sorted_idx: Any) -> Any:

@@ -10,14 +10,11 @@ from __future__ import annotations
 from array import array
 from typing import Any, Iterable
 
-from repro.hashing.family import HashFamily, as_key_array, numpy_available
+import numpy as _np
+
+from repro.hashing.family import HashFamily, as_key_array
 from repro.metrics.memory import MemoryBudget
 from repro.sketches._vectorized import grouped_cumcount
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 
 class CountMinSketch:
@@ -58,14 +55,8 @@ class CountMinSketch:
         CM updates are pure additions, so batching commutes: the result is
         cell-for-cell identical to calling :meth:`update` per key in any
         order.  Duplicate keys are folded with ``numpy.unique`` so a
-        Zipfian batch hashes each distinct key once.  Falls back to a
-        plain loop when numpy is unavailable.
+        Zipfian batch hashes each distinct key once.
         """
-        if not numpy_available():
-            update = self.update
-            for key in keys:
-                update(key, delta)
-            return
         arr = as_key_array(keys)
         if arr.size == 0:
             return
@@ -81,8 +72,7 @@ class CountMinSketch:
         """Per-event fresh estimates for a whole batch, replay-identical.
 
         Returns the sequence of estimates :meth:`update_and_query` would
-        produce for each key in stream order (an int64 array with numpy,
-        a list without), leaving the tables exactly as a sequential
+        produce for each key in stream order as an int64 array, leaving the tables exactly as a sequential
         replay would.  The counter value event ``i`` observes in a row is
         its pre-batch value plus ``delta`` per batch event ``j <= i``
         hashing to the same slot — a grouped occurrence rank
@@ -90,9 +80,6 @@ class CountMinSketch:
         per-event table write is needed; each row commits the folded
         batch in one ``numpy.add.at``.
         """
-        if not numpy_available():
-            update_and_query = self.update_and_query
-            return [update_and_query(key, delta) for key in keys]
         arr = as_key_array(keys)
         if arr.size == 0:
             return _np.empty(0, dtype=_np.int64)

@@ -11,14 +11,11 @@ import statistics
 from array import array
 from typing import Any, Iterable
 
-from repro.hashing.family import HashFamily, as_key_array, numpy_available
+import numpy as _np
+
+from repro.hashing.family import HashFamily, as_key_array
 from repro.metrics.memory import MemoryBudget
 from repro.sketches._vectorized import grouped_cumsum
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 
 class CountSketch:
@@ -62,13 +59,8 @@ class CountSketch:
 
         Signed additions commute, so the batch is cell-for-cell identical
         to per-key :meth:`update` calls; duplicates fold via
-        ``numpy.unique``.  Falls back to a loop without numpy.
+        ``numpy.unique``.
         """
-        if not numpy_available():
-            update = self.update
-            for key in keys:
-                update(key, delta)
-            return
         arr = as_key_array(keys)
         if arr.size == 0:
             return
@@ -112,9 +104,6 @@ class CountSketch:
         applies on the per-event path.  Tables commit the folded batch in
         one pass per row.
         """
-        if not numpy_available():
-            update_and_query = self.update_and_query
-            return [update_and_query(key, delta) for key in keys]
         arr = as_key_array(keys)
         n = arr.size
         if n == 0:

@@ -22,14 +22,11 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Sequence
 
-from repro.hashing.family import as_key_array, numpy_available
+import numpy as _np
+
+from repro.hashing.family import as_key_array
 from repro.sketches._vectorized import conservative_update_targets
 from repro.sketches.count_min import CountMinSketch
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
 
 #: Fixpoint iterations before giving the batch back to the scalar loop.
 #: Dependency chains longer than this only arise when nearly every event
@@ -103,20 +100,10 @@ class CUSketch(CountMinSketch):
         consecutively at position ``i``.  Consecutive same-key updates
         fold exactly — after one conservative update the row minimum *is*
         the target, so ``c`` repeats raise it by ``c * delta`` in one
-        step — which is also how the scalar fallbacks replay them.
+        step — which is also how the bail-out replay applies them.
         """
         self._check_batch_args(delta, counts)
         if delta == 0:
-            return
-        if not numpy_available():
-            update = self.update
-            if counts is None:
-                for key in keys:
-                    update(key, delta)
-            else:
-                for key, count in zip(keys, counts):
-                    if count:
-                        update(key, delta * count)
             return
         arr = as_key_array(keys)
         if arr.size == 0:
@@ -177,16 +164,6 @@ class CUSketch(CountMinSketch):
         if delta == 0:
             # update() is a no-op at delta=0, so the estimate is a plain query.
             return [self.query(key) for key in keys]
-        if not numpy_available():
-            update_and_query = self.update_and_query
-            if counts is None:
-                return [update_and_query(key, delta) for key in keys]
-            return [
-                update_and_query(key, delta * count)
-                if count
-                else self.query(key)
-                for key, count in zip(keys, counts)
-            ]
         arr = as_key_array(keys)
         if arr.size == 0:
             return []

@@ -12,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Sequence, Tuple
 
-try:  # numpy enables zero-copy array batches; loops otherwise.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the CI image ships numpy
-    _np = None
+import numpy as _np
 
 
 @dataclass(frozen=True)
@@ -111,23 +108,18 @@ class PeriodicStream:
     def events_array(self) -> Any:
         """The whole event sequence as a cached ``int64`` numpy array.
 
-        Returns ``None`` when numpy is unavailable or any event does not
-        fit in a signed 64-bit integer (canonical keys can reach
-        ``2**64 - 1``); callers fall back to the list-based paths.  The
+        Returns ``None`` when any event does not fit in a signed 64-bit
+        integer (canonical keys can reach ``2**64 - 1``); callers fall
+        back to the list-based paths.  The
         conversion is lossless when it succeeds — ``int64`` round-trips
         every representable Python int exactly — so array batches feed
         summaries the same values the list batches would.
         """
         if self._events_cache is False:
-            if _np is None:
+            try:
+                self._events_cache = _np.asarray(self.events, dtype=_np.int64)
+            except (OverflowError, TypeError, ValueError):
                 self._events_cache = None
-            else:
-                try:
-                    self._events_cache = _np.asarray(
-                        self.events, dtype=_np.int64
-                    )
-                except (OverflowError, TypeError, ValueError):
-                    self._events_cache = None
         return self._events_cache
 
     def iter_period_arrays(self) -> Iterator[Any]:
@@ -139,7 +131,7 @@ class PeriodicStream:
         events = self.events_array()
         if events is None:
             raise RuntimeError(
-                "array batches unavailable (no numpy or oversized keys)"
+                "array batches unavailable (oversized keys)"
             )
         for start, end in self.period_slices():
             yield events[start:end]

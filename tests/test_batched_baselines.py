@@ -269,38 +269,6 @@ class TestCounts:
             rec.insert_many([1], counts=[-2])
 
 
-# -------------------------------------------------- numpy-less fallbacks
-
-FALLBACK_MODULES = {
-    "bloom": ("repro.membership.bloom", "SS+BF"),
-    "stbf": ("repro.membership.stbf", "PIE"),
-    "small_space": ("repro.persistent.small_space", "SmallSpace"),
-    "pie": ("repro.persistent.pie", "PIE"),
-    "count_min": ("repro.sketches.count_min", "CM-topk"),
-    "cu": ("repro.sketches.cu", "CU-topk"),
-    "count_sketch": ("repro.sketches.count_sketch", "Count-topk"),
-}
-
-
-class TestNumpyFallback:
-    @pytest.mark.parametrize(
-        "module_name,family",
-        FALLBACK_MODULES.values(),
-        ids=list(FALLBACK_MODULES),
-    )
-    def test_pure_python_loop_matches(self, module_name, family, monkeypatch):
-        module = __import__(module_name, fromlist=["numpy_available"])
-        monkeypatch.setattr(module, "numpy_available", lambda: False)
-        stream = zipf_stream(
-            num_events=1_500, num_distinct=250, skew=1.0, num_periods=3, seed=8
-        )
-        factory = lineup(stream.period_length)[family]
-        one, many = factory(), factory()
-        stream.run(one)
-        stream.run(many, batched=True)
-        assert state_of(one) == state_of(many)
-
-
 # -------------------------------------------------------- membership unit
 
 

@@ -123,6 +123,14 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("command", ["compare", "serve"])
+    def test_kernel_auto_is_an_argparse_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kernel", "auto"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'auto'" in err
+
 
 class TestMetricsOut:
     def test_demo_writes_snapshot_and_disables_after(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ bincount-aggregated, CLOCK harvests run as array slices), so these tests
 pin the commutation argument empirically: every observable — cells, CLOCK
 phase, parity, estimates, top-k — must match a per-event replay exactly,
 across policies, DE on/off, batch fragmentation, and period boundaries.
-The numpy-free fallback and the vectorization bail-outs (oversized keys)
-are exercised explicitly.
+The scalar delegations (Deviation Eliminator off, oversized keys) are
+exercised explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core import columnar
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
 from repro.core.fast_ltc import FastLTC
@@ -29,11 +28,6 @@ from repro.core.serialize import from_bytes, to_bytes
 from repro.hashing.family import splitmix64
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
-
-pytestmark = pytest.mark.skipif(
-    columnar._np is None, reason="numpy unavailable"
-)
-
 
 def run_trio(events, num_periods, *, batch=None, **cfg):
     """Drive LTC / FastLTC / ColumnarLTC over the same stream.
@@ -376,20 +370,6 @@ class TestPaperGeometry:
 
 
 class TestFallbacks:
-    def test_runs_without_numpy(self, monkeypatch):
-        """With numpy absent the class degrades to FastLTC behaviour."""
-        monkeypatch.setattr(columnar, "_np", None)
-        config = LTCConfig(
-            num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
-            items_per_period=20,
-        )
-        fast, col = FastLTC(config), ColumnarLTC(config)
-        assert not col._vec
-        events = [random.Random(9).randrange(30) for _ in range(200)]
-        fast.insert_many(events)
-        col.insert_many(events)
-        assert_identical(fast, col)
-
     def test_de_off_uses_scalar_path(self):
         """Without the Deviation Eliminator the harvest bit equals the
         set bit, so the batch reordering is unsound and the kernel must
@@ -399,6 +379,7 @@ class TestFallbacks:
             4,
             deviation_eliminator=False,
         )
+        assert col._vec
         assert_identical(fast, col)
 
     def test_oversized_key_disables_vectorization(self):
@@ -492,6 +473,15 @@ class TestKernelSelection:
                 num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
                 items_per_period=10, kernel="gpu",
             )
+
+    def test_auto_kernel_rejected(self):
+        """``kernel="auto"`` was removed; the error names the survivors."""
+        assert set(KERNELS) == {"reference", "fast", "columnar"}
+        with pytest.raises(ValueError) as excinfo:
+            LTCConfig(num_buckets=2, kernel="auto")
+        message = str(excinfo.value)
+        assert all(name in message for name in KERNELS)
+        assert "auto" not in message
 
 
 class SynchronousMirror:

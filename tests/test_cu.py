@@ -207,18 +207,6 @@ class TestBatchKernel:
         sketch.update_many([])
         assert sketch.update_and_query_many([]) == []
 
-    def test_numpy_absent_fallback_with_counts(self, monkeypatch):
-        monkeypatch.setattr(cu_module, "numpy_available", lambda: False)
-        batched, scalar = replay_pair()
-        batched.update_many([3, 5, 3], counts=[2, 0, 1])
-        answers = batched.update_and_query_many([3, 9], counts=[1, 0])
-        for key, count in [(3, 2), (5, 0), (3, 1)]:
-            if count:
-                scalar.update(key, count)
-        expected = [scalar.update_and_query(3), scalar.query(9)]
-        assert answers == expected
-        assert_tables_equal(batched, scalar)
-
     def test_nonconvergence_falls_back_to_scalar(self, monkeypatch):
         """With the pass budget forced to zero the kernel must return
         None without touching the tables; the scalar replay then

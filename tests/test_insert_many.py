@@ -296,19 +296,6 @@ class TestSketchUpdateMany:
         sketch.update_many([])
         assert all(not any(t) for t in sketch._tables)
 
-    def test_fallback_loop_without_numpy(self, sketch_cls, monkeypatch):
-        module = __import__(
-            sketch_cls.__module__, fromlist=["numpy_available"]
-        )
-        monkeypatch.setattr(module, "numpy_available", lambda: False)
-        one = sketch_cls(width=16, rows=3)
-        many = sketch_cls(width=16, rows=3)
-        keys = [1, 2, 1, 3, 1, 2, 9, 9]
-        for key in keys:
-            one.update(key)
-        many.update_many(keys)
-        assert one._tables == many._tables
-
 
 class TestCUSpecifics:
     def test_rejects_negative_delta(self):

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from benchmarks import profile_hotspots
 from repro.core import columnar
-
-pytestmark = pytest.mark.skipif(columnar._np is None, reason="numpy unavailable")
 
 
 def test_columnar_phases_all_report_calls(capsys):

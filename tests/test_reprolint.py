@@ -87,18 +87,6 @@ def test_r003_only_applies_inside_deterministic_dirs():
         elsewhere.unlink()
 
 
-# ----------------------------------------------------------------- R004
-def test_r004_flags_unguarded_numpy_imports():
-    diags = lint_fixture("r004_bad.py")
-    assert {d.rule for d in diags} == {"R004"}
-    assert lines_of(diags, "R004") == [3, 6]
-    unguarded, badtry = sorted(diags, key=lambda d: d.line)
-    assert "unguarded top-level numpy import 'np'" in unguarded.message
-    assert "never catches ImportError" in badtry.message
-    # The properly guarded import (line 11) is allowed.
-    assert 11 not in lines_of(diags, "R004")
-
-
 # ----------------------------------------------------------------- R005
 def test_r005_flags_missing_version_constant():
     diags = lint_fixture("r005_bad.py")
@@ -237,14 +225,14 @@ def test_diagnostics_sorted_by_location():
     keys = [(d.path, d.line, d.col, d.rule) for d in diags]
     assert keys == sorted(keys)
     assert {d.rule for d in diags} == {
-        "R001", "R002", "R003", "R004", "R005",
+        "R001", "R002", "R003", "R005",
         "R006", "R007", "R008", "R009",
     }
 
 
 def test_rule_filter_restricts_output():
-    diags = lint_paths([str(FIXTURES)], only=frozenset({"R004"}))
-    assert diags and {d.rule for d in diags} == {"R004"}
+    diags = lint_paths([str(FIXTURES)], only=frozenset({"R002"}))
+    assert diags and {d.rule for d in diags} == {"R002"}
 
 
 def test_clean_tree_src_repro():
@@ -255,9 +243,9 @@ def test_clean_tree_src_repro():
 def test_cli_exit_status_and_output(capsys):
     assert main([str(REPO_ROOT / "src" / "repro")]) == 0
     assert "reprolint: clean" in capsys.readouterr().out
-    assert main([str(FIXTURES / "r004_bad.py")]) == 1
+    assert main([str(FIXTURES / "r001_bad.py")]) == 1
     out = capsys.readouterr().out
-    assert "R004" in out and "violation(s)" in out
+    assert "R001" in out and "violation(s)" in out
     assert main([str(FIXTURES / "does_not_exist.py")]) == 2
 
 

@@ -139,20 +139,76 @@ class TestEndpoints:
 
         asyncio.run(scenario())
 
-    @pytest.mark.parametrize("length", [b"-5", b"abc", b""])
+    @pytest.mark.parametrize(
+        "length",
+        [b"-5", b"abc", b"", b"+5", b"1_0", b"\x0b7", b"7\xa0", b"\xb2"],
+    )
     def test_bad_content_length_is_400(self, length):
         # A negative length used to reach readexactly() and drop the
         # connection unanswered; a non-numeric one was read as 0 and the
-        # request answered as if it had no body.
+        # request answered as if it had no body.  The value is 1*DIGIT:
+        # int() also took a sign, underscores and Unicode whitespace, and
+        # the server then waited for a body the client never sent.
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                raw = await asyncio.wait_for(
+                    _raw(
+                        srv.port,
+                        b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                        b"Content-Length: " + length + b"\r\n\r\n",
+                    ),
+                    timeout=5,
+                )
+                assert int(raw.split()[1]) == 400
+
+        asyncio.run(scenario())
+
+    def test_conflicting_content_lengths_are_400(self):
+        # RFC 9112 §6.3: differing repeats are unrecoverable framing
+        # errors.  Equal repeats declare one length.
         async def scenario():
             app = ServingApp(build_ltc(_cfg()))
             async with _Server(app) as srv:
                 raw = await _raw(
                     srv.port,
-                    b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
-                    b"Content-Length: " + length + b"\r\n\r\n",
+                    b"GET /healthz HTTP/1.1\r\nContent-Length: 3\r\n"
+                    b"Content-Length: 5\r\n\r\n",
+                    half_close=True,
                 )
                 assert int(raw.split()[1]) == 400
+                raw = await _raw(
+                    srv.port,
+                    b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\n"
+                    b"Content-Length: 02\r\n\r\n{}",
+                )
+                assert int(raw.split()[1]) == 200
+
+        asyncio.run(scenario())
+
+    @pytest.mark.parametrize(
+        "length",
+        [str(16 * 1024 * 1024 + 1).encode(), b"1000000000000", b"9" * 5000],
+        ids=["cap+1", "1e12", "5000-digits"],
+    )
+    def test_oversize_body_is_413_before_reading_it(self, length):
+        # The body used to go straight to readexactly(): the server
+        # buffered until EOF for any length the client named.  The reply
+        # must come while the client still holds its side open.
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                raw = await asyncio.wait_for(
+                    _raw(
+                        srv.port,
+                        b"POST /ingest HTTP/1.1\r\nContent-Length: " + length
+                        + b"\r\n\r\n",
+                    ),
+                    timeout=5,
+                )
+                assert int(raw.split()[1]) == 413
+                assert b"body too large" in raw
+                assert app.batches == 0
 
         asyncio.run(scenario())
 

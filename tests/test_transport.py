@@ -4,7 +4,7 @@ The zero-copy ring is the fast path of the persistent-worker engine, so
 its failure modes get their own suite: segments must never leak (clean
 runs, crashed workers, SIGKILLed attachers, aborted runs), oversized
 batches must spill to the pickle path without changing answers, and a
-numpy/shm-free platform must degrade to pickled chunks transparently.
+shm-free platform must degrade to pickled chunks transparently.
 """
 
 from __future__ import annotations
@@ -228,28 +228,11 @@ class TestCoordinatorCleanup:
 
 class TestFallbacks:
     @needs_processes
-    def test_numpy_absent_falls_back_to_pickle(
-        self, config, sites, sequential_report, monkeypatch
-    ):
-        """With numpy gone the auto transport degrades to pickled chunks."""
-        from repro.distributed import transport as transport_mod
-
-        monkeypatch.setattr(transport_mod, "_np", None)
-        assert not transport_mod.shm_available()
-        report = ParallelMergingCoordinator(
-            config, max_workers=2, transport="auto"
-        ).run(sites, 50)
-        assert report.top_k == sequential_report.top_k
-        assert report.communication_bytes == sequential_report.communication_bytes
-        with pytest.raises(RuntimeError):
-            ParallelMergingCoordinator(
-                config, max_workers=2, transport="shm"
-            ).run(sites, 50)
-
-    @needs_processes
     def test_shared_memory_absent_falls_back_to_pickle(
         self, config, sites, sequential_report, monkeypatch
     ):
+        """Without shm the auto transport degrades to pickled chunks, and
+        an explicit ``transport="shm"`` is refused."""
         from repro.distributed import transport as transport_mod
 
         monkeypatch.setattr(transport_mod, "_shm", None)
@@ -260,6 +243,11 @@ class TestFallbacks:
             config, max_workers=2, transport="auto"
         ).run(sites, 50)
         assert report.top_k == sequential_report.top_k
+        assert report.communication_bytes == sequential_report.communication_bytes
+        with pytest.raises(RuntimeError):
+            ParallelMergingCoordinator(
+                config, max_workers=2, transport="shm"
+            ).run(sites, 50)
 
     @needs_shm
     @needs_processes

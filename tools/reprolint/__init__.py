@@ -1,8 +1,8 @@
 """reprolint — repo-specific static analysis for the LTC reproduction.
 
 Generic linters (ruff, mypy) cannot express the contracts this codebase
-actually lives by: replay-identical batched ingestion, numpy-optional
-fallbacks, the capture-at-construction observability pattern,
+actually lives by: replay-identical batched ingestion, the
+capture-at-construction observability pattern,
 determinism of the core structures, versioned binary checkpoints, the
 CellListener hooks contract, event-loop safety in the serving tier, and
 the shm transport's parent-owned segment lifecycle.  ``reprolint`` is a
@@ -32,9 +32,8 @@ Rules (details in each :mod:`tools.reprolint.rules` module):
 * **R003** — determinism: no unseeded ``random.*`` module calls,
   ``time.time()`` or ``os.urandom()`` inside ``core/``, ``sketches/``,
   ``summaries/`` or ``membership/`` (replay identity depends on it).
-* **R004** — numpy-optional: a module importing numpy at top level must
-  guard the import with ``try/except ImportError`` so the pure-Python
-  fallback path stays importable.
+* **R004** — retired: it required guarded numpy imports while numpy
+  was optional; numpy is now a runtime dependency.
 * **R005** — versioned checkpoints: a module defining both ``to_bytes``
   and ``from_bytes`` must reference a shared module-level format-version
   constant (name containing ``MAGIC``/``VERSION``/``FORMAT``) from both.

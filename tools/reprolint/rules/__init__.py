@@ -30,8 +30,6 @@ SUMMARIES: Dict[str, str] = {
     "pattern with a single is-None guard",
     "R003": "no unseeded entropy or wall-clock reads in the "
     "deterministic core",
-    "R004": "top-level numpy imports must be guarded so numpy stays "
-    "optional",
     "R005": "to_bytes/from_bytes pairs share a format-version constant",
     "R006": "cell-state mutations in hooked kernels must be "
     "post-dominated by a CellListener notification",
@@ -50,7 +48,6 @@ def rule_checks() -> Dict[str, Callable[["SymbolIndex"], List[Diagnostic]]]:
         async_safety,
         determinism,
         hooks,
-        numpy_guard,
         obs_discipline,
         pairing,
         parity,
@@ -62,7 +59,6 @@ def rule_checks() -> Dict[str, Callable[["SymbolIndex"], List[Diagnostic]]]:
         pairing,
         obs_discipline,
         determinism,
-        numpy_guard,
         serialization,
         hooks,
         async_safety,

@@ -19,7 +19,7 @@ kernels:
   method call), over the same closure.
 
 Flagged: ``required − covered``, minus observability and tuning state
-(``_obs``, ``_m_*``, ``_auto_*``) that legitimately differs per path.
+(``_obs``, ``_m_*``) that legitimately differs per path.
 
 Waiver: ``# reprolint: parity-ok — <why>`` on the batched method's
 ``def`` line or the line above it.
@@ -37,7 +37,7 @@ TAG = "parity-ok"
 
 _BATCH_NAMES = ("insert_many", "update_many")
 _EXCLUDED_EXACT = frozenset({"_obs"})
-_EXCLUDED_PREFIXES = ("_m_", "_auto_")
+_EXCLUDED_PREFIXES = ("_m_",)
 
 
 def _family(index: SymbolIndex, cls: str) -> Set[str]:
