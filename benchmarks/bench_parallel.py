@@ -1,20 +1,15 @@
 """Multi-core sharded ingestion vs the sequential batched coordinator.
 
 One Zipf stream is item-sharded into 4 site streams; the sequential
-``MergingCoordinator`` (batched fast path) and the persistent-worker
+``MergingCoordinator`` (batched fast path) and the forked-worker
 ``ParallelMergingCoordinator`` at 2 and 4 workers ingest the same
-partition end-to-end (stream batches, ingest, merge).  A 4-worker run on
-the forced pickle transport is measured as the IPC baseline for the
-zero-copy ring.  Results land in the ``parallel`` section of
-``BENCH_throughput.json``.
+partition end-to-end (ingest, serialize, merge).  Results land in the
+``parallel`` section of ``BENCH_throughput.json``.
 
 Gates (also the CI parallel smoke):
 
 * **differential** — every parallel report is item-for-item identical to
-  the sequential report (always enforced, pickle transport included);
-* **IPC** — the shared-memory transport's ``ingest_ipc_bytes`` must be
-  under 1% of the pickled-batch baseline (enforced whenever shm is
-  available);
+  the sequential report (always enforced);
 * **speedup** — the 4-worker run must beat the sequential path by a
   floor that adapts to the cores actually available (1.5x with >= 4
   cores, 1.05x with 2-3, identity-only on single-core boxes).
@@ -32,7 +27,6 @@ from repro.core.config import LTCConfig
 from repro.distributed.coordinator import MergingCoordinator
 from repro.distributed.parallel import ParallelMergingCoordinator
 from repro.distributed.partition import partition_sharded
-from repro.distributed.transport import shm_available
 from repro.metrics.throughput import measure_coordinator_throughput
 from repro.streams.synthetic import zipf_stream
 
@@ -70,16 +64,6 @@ def test_throughput_parallel(benchmark):
                 name=f"parallel-{workers}w",
                 repeats=2,
             )
-        # The pickled-batch baseline the zero-copy ring is gated against.
-        results["parallel-4w-pickle"] = measure_coordinator_throughput(
-            lambda: ParallelMergingCoordinator(
-                config, max_workers=4, transport="pickle"
-            ),
-            sites,
-            100,
-            name="parallel-4w-pickle",
-            repeats=2,
-        )
         return results
 
     results = once(benchmark, run)
@@ -88,29 +72,19 @@ def test_throughput_parallel(benchmark):
         name: timing.ops / sequential.ops
         for name, (timing, _) in results.items()
     }
-    ipc = {
-        name: report.ingest_ipc_bytes
-        for name, (_, report) in results.items()
-    }
+    cores = usable_cores()
     emit(
         "parallel",
-        ["engine", "Mops", "speedup vs sequential", "ingest IPC bytes"],
+        ["engine", "Mops", "speedup vs sequential"],
         [
-            (
-                name,
-                f"{timing.mops:.3f}",
-                f"{speedups[name]:.2f}x",
-                str(ipc[name]),
-            )
+            (name, f"{timing.mops:.3f}", f"{speedups[name]:.2f}x")
             for name, (timing, _) in results.items()
         ],
         title=(
-            f"Persistent sharded workers vs sequential coordinator "
-            f"(zipf-1.0, 4 shards, {usable_cores()} cores, "
-            f"transport={'shm' if shm_available() else 'pickle'})"
+            f"Forked sharded workers vs sequential coordinator "
+            f"(zipf-1.0, 4 shards, {cores} cores, kernel={config.kernel})"
         ),
     )
-    cores = usable_cores()
     floor_env = os.environ.get("REPRO_PARALLEL_SPEEDUP_FLOOR")
     if floor_env is not None:
         floor = float(floor_env)
@@ -134,16 +108,10 @@ def test_throughput_parallel(benchmark):
             },
             "shards": len(sites),
             "cores": cores,
-            "transport": "shm" if shm_available() else "pickle",
+            "kernel": config.kernel,
             "speedup_floor": floor,
             "results": [timing.to_dict() for timing, _ in results.values()],
             "speedups": speedups,
-            "ingest_ipc_bytes": ipc,
-            "ipc_ratio_shm_vs_pickle": (
-                ipc["parallel-4w"] / ipc["parallel-4w-pickle"]
-                if shm_available() and ipc["parallel-4w-pickle"]
-                else None
-            ),
         },
     )
     # Differential gate: every parallel engine must answer identically.
@@ -152,12 +120,6 @@ def test_throughput_parallel(benchmark):
             f"{name} diverged from the sequential coordinator"
         )
         assert report.communication_bytes == sequential_report.communication_bytes
-    # IPC gate: the zero-copy ring ships <1% of the pickled baseline.
-    if shm_available():
-        assert ipc["parallel-4w"] < 0.01 * ipc["parallel-4w-pickle"], (
-            f"shm transport shipped {ipc['parallel-4w']}B, not under 1% of "
-            f"the {ipc['parallel-4w-pickle']}B pickle baseline"
-        )
     # Speedup gate, scaled to the hardware actually present.
     assert speedups["parallel-4w"] >= floor, (
         f"parallel-4w speedup {speedups['parallel-4w']:.2f}x below the "

@@ -61,14 +61,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         "worker processes (demo only; 1 = single-process)",
     )
     parser.add_argument(
-        "--ipc",
-        choices=["auto", "shm", "pickle"],
-        default="auto",
-        help="batch transport for --workers > 1: the zero-copy shared-"
-        "memory ring (shm), pickled chunks over the pipe (pickle), or "
-        "shm-when-available (auto)",
-    )
-    parser.add_argument(
         "--kernel",
         choices=["reference", "fast", "columnar"],
         default="reference",
@@ -207,10 +199,7 @@ def _demo_parallel(args: argparse.Namespace, stream, budget) -> int:
         kernel=args.kernel,
     )
     pipeline = ShardedPipeline(
-        config,
-        num_shards=args.workers,
-        max_workers=args.workers,
-        transport=args.ipc,
+        config, num_shards=args.workers, max_workers=args.workers
     )
     report = pipeline.run(stream, args.k)
     truth = GroundTruth(stream)
@@ -229,8 +218,7 @@ def _demo_parallel(args: argparse.Namespace, stream, budget) -> int:
             rows,
             title=(
                 f"Sharded top items ({args.workers} workers, "
-                f"{report.communication_bytes}B summary traffic, "
-                f"{report.ingest_ipc_bytes}B ingest IPC)"
+                f"{report.communication_bytes}B summary traffic)"
             ),
         )
     )

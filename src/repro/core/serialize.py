@@ -232,6 +232,16 @@ def from_bytes(blob: bytes, cls: Type[LTC] = LTC) -> LTC:
     if policy_code not in _POLICY_NAMES:
         raise ValueError(f"corrupt LTC image (unknown policy code {policy_code})")
     policy = _POLICY_NAMES[policy_code]
+    # Check the geometry against the image before allocating the table:
+    # one flipped header byte must not become a huge allocation.
+    expected = header_struct.size + num_buckets * bucket_width * _CELL.size
+    if len(blob) > expected:
+        raise ValueError("trailing bytes in LTC image")
+    if len(blob) < expected:
+        raise ValueError(
+            f"truncated LTC image ({len(blob)} bytes, header geometry "
+            f"needs {expected})"
+        )
     ltc = cls(
         LTCConfig(
             num_buckets=num_buckets,
@@ -253,8 +263,6 @@ def from_bytes(blob: bytes, cls: Type[LTC] = LTC) -> LTC:
         ltc._freqs[j] = freq
         ltc._counters[j] = counter
         ltc._flags[j] = flags
-    if offset != len(blob):
-        raise ValueError("trailing bytes in LTC image")
     _restore_dynamic(
         ltc,
         parity,

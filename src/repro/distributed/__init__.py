@@ -20,14 +20,13 @@ Two coordination strategies are provided:
 
 ``repro.distributed.parallel`` scales the merging strategy across CPU
 cores: :class:`~repro.distributed.parallel.ParallelMergingCoordinator`
-streams period batches to persistent worker processes that each own a
-disjoint slice of the key space for the whole run (bit-identical to the
-sequential coordinator, differentially tested — crash + respawn
+forks worker processes after the sites exist, so each reads the sites
+it owns — a disjoint slice of the key space — from inherited memory and
+sends back only their serialized summaries (bit-identical to the
+sequential coordinator, differentially tested — crash + re-fork
 included), and :class:`~repro.distributed.parallel.ShardedPipeline`
 hash-shards one logical stream across N workers for single-stream
-multi-core ingestion.  Batches travel through the shared-memory ring in
-``repro.distributed.transport`` when numpy/shm is available, falling
-back to pickled chunks otherwise.
+multi-core ingestion.
 
 ``repro.distributed.partition`` splits a stream by item hash (each item's
 traffic enters at one site; :func:`~repro.distributed.partition.shard_of`

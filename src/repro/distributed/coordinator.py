@@ -21,19 +21,17 @@ class CoordinatorReport:
     """Outcome of one distributed run.
 
     ``communication_bytes`` counts site→coordinator traffic (serialized
-    summaries or sample reports).  ``ingest_ipc_bytes`` counts
-    coordinator→worker traffic and is only non-zero for the process-based
-    engine (:mod:`repro.distributed.parallel`), where the parent streams
-    each shard's batches to its persistent worker; in-process
-    coordinators read their streams directly and pay nothing.
-    ``worker_crashes`` counts worker-process deaths survived via respawn
-    and replay during the run (process engine only).
+    summaries or sample reports).  No coordinator ships events: the
+    process engine (:mod:`repro.distributed.parallel`) forks its workers
+    after the sites exist, so they read their shards from inherited
+    memory.  ``worker_crashes`` counts worker-process deaths survived by
+    forking the worker again and rerunning its shards (process engine
+    only).
     """
 
     top_k: List[Tuple[int, float]]  # (item, estimated significance)
     communication_bytes: int
     num_sites: int
-    ingest_ipc_bytes: int = 0
     worker_crashes: int = 0
 
     def items(self) -> "set[int]":

@@ -122,8 +122,8 @@ def measure_coordinator_throughput(
     """Measure end-to-end ingest+merge throughput of a distributed run.
 
     Times ``coordinator.run(site_streams, k)`` — for the process-based
-    engine that includes shipping batches to workers, parallel ingestion,
-    and merging the returned summaries, so sequential and parallel
+    engine that includes forking the workers, parallel ingestion, and
+    merging the returned summaries, so sequential and parallel
     coordinators are compared on the same total work.
 
     Args:

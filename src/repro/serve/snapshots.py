@@ -10,6 +10,9 @@ Crash-safety discipline:
 * a snapshot is written to ``<name>.tmp``, flushed and fsynced, then
   moved into place with :func:`os.replace` — readers never observe a
   partial snapshot file, only a leftover ``*.tmp`` which is ignored;
+* the directory is fsynced after the rename and before pruning, so a
+  power loss cannot keep the unlinks of older snapshots yet drop the
+  rename of the newest;
 * files are named ``snapshot-<seq:09d>.ltc`` so lexicographic order is
   creation order; only the newest ``retain`` are kept;
 * :meth:`SnapshotStore.restore` walks newest-first and skips anything
@@ -30,6 +33,15 @@ from repro.core.serialize import from_bytes, to_bytes
 
 _SUFFIX = ".ltc"
 _PREFIX = "snapshot-"
+
+
+def _fsync_directory(directory: Path) -> None:
+    """Make the directory's entries (a rename, an unlink) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class SnapshotStore:
@@ -70,6 +82,7 @@ class SnapshotStore:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, final)
+        _fsync_directory(self.directory)
         self._prune()
         return final
 

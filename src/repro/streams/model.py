@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, List, Sequence, Tuple
 
-import numpy as _np
-
 
 @dataclass(frozen=True)
 class StreamStats:
@@ -46,7 +44,6 @@ class PeriodicStream:
     num_periods: int
     name: str = "stream"
     _distinct: int = field(default=0, repr=False)
-    _events_cache: Any = field(default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._validate()
@@ -86,9 +83,8 @@ class PeriodicStream:
     def period_slices(self) -> List[Tuple[int, int]]:
         """Return each period's ``(start, end)`` event-index range, in order.
 
-        The single source of truth for period structure: ``iter_periods``,
-        ``period_batches``, and the array-batch iteration used by the
-        process-parallel transport all slice ``events`` by these ranges.
+        The single source of truth for period structure: ``iter_periods``
+        slices ``events`` by these ranges.
         Count-based streams cut equal slices with the last period absorbing
         the remainder; boundary-based subclasses override this.
         """
@@ -104,49 +100,6 @@ class PeriodicStream:
         """Yield the arrivals of each period, in order."""
         for start, end in self.period_slices():
             yield self.events[start:end]
-
-    def events_array(self) -> Any:
-        """The whole event sequence as a cached ``int64`` numpy array.
-
-        Returns ``None`` when any event does not fit in a signed 64-bit
-        integer (canonical keys can reach ``2**64 - 1``); callers fall
-        back to the list-based paths.  The
-        conversion is lossless when it succeeds — ``int64`` round-trips
-        every representable Python int exactly — so array batches feed
-        summaries the same values the list batches would.
-        """
-        if self._events_cache is False:
-            try:
-                self._events_cache = _np.asarray(self.events, dtype=_np.int64)
-            except (OverflowError, TypeError, ValueError):
-                self._events_cache = None
-        return self._events_cache
-
-    def iter_period_arrays(self) -> Iterator[Any]:
-        """Yield each period as a zero-copy ``int64`` numpy array view.
-
-        Requires :meth:`events_array` to be available — callers must gate
-        on it returning non-``None``.
-        """
-        events = self.events_array()
-        if events is None:
-            raise RuntimeError(
-                "array batches unavailable (oversized keys)"
-            )
-        for start, end in self.period_slices():
-            yield events[start:end]
-
-    def period_batches(self) -> List[List[int]]:
-        """Materialise every period as its own list, in period order.
-
-        The picklable shard payload for process-based ingestion
-        (:mod:`repro.distributed.parallel`): replaying the batches through
-        ``insert_many`` + ``end_period`` + ``finalize`` is exactly
-        ``run(summary, batched=True)``.  Subclasses with explicit
-        boundaries (time-binned streams) inherit this via their
-        ``iter_periods`` override.
-        """
-        return [list(period) for period in self.iter_periods()]
 
     def run(self, summary: Any, *, batched: bool = False) -> None:
         """Feed the entire stream through ``summary``.

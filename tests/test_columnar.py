@@ -52,7 +52,7 @@ def run_trio(events, num_periods, *, batch=None, **cfg):
         stream = make_stream(events, num_periods=num_periods)
         stream.run(slow)
         stream.run(fast, batched=True)
-        for period in stream.period_batches():
+        for period in stream.iter_periods():
             if batch is None:
                 col.insert_many(period)
             else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -287,6 +288,57 @@ class TestCorruptionRobustness:
         blob = to_bytes(build_ltc([1]))
         with pytest.raises(Exception):
             from_bytes(blob[: _HEADER.size - 1])
+
+
+class _GeometryGuard(LTC):
+    """Fails the test instead of allocating a table from a corrupt header."""
+
+    def __init__(self, config):
+        if config.num_buckets * config.bucket_width > 1 << 16:
+            pytest.fail(
+                f"allocated a {config.num_buckets}x{config.bucket_width} "
+                "table before checking the image length"
+            )
+        super().__init__(config)
+
+
+def _corrupt_num_buckets(blob: bytes, value: int = 0x00FFFFFF) -> bytes:
+    """Overwrite the header's ``num_buckets`` (uint32 at offset 4)."""
+    return blob[:4] + value.to_bytes(4, "little") + blob[8:]
+
+
+class TestHeaderGeometryCheck:
+    """The image length is checked against the header before allocating."""
+
+    def test_oversized_geometry_rejected_before_construction(self):
+        blob = to_bytes(build_ltc([1, 2, 3]))
+        with pytest.raises(ValueError, match="truncated"):
+            from_bytes(_corrupt_num_buckets(blob), cls=_GeometryGuard)
+
+    @pytest.mark.parametrize("magic", [b"LTC1", b"LTC2", b"LTC3"])
+    def test_every_format_version_checks_length(self, magic):
+        from repro.core.serialize import _HEADER_V1, _HEADER_V2, _HEADER_V3
+
+        header = {b"LTC1": _HEADER_V1, b"LTC2": _HEADER_V2, b"LTC3": _HEADER_V3}
+        # A valid config (alpha = beta = 1, one item per period) on a
+        # 0x00FFFFFF x 8 table, with no cell bytes behind the header.
+        fields = struct.pack("<IIddI", 0x00FFFFFF, 8, 1.0, 1.0, 1)
+        image = magic + fields + b"\x00" * (header[magic].size - 4 - len(fields))
+        with pytest.raises(ValueError, match="truncated"):
+            from_bytes(image, cls=_GeometryGuard)
+
+    def test_single_byte_header_flips_never_allocate(self):
+        """Any one-byte header corruption restores or raises ValueError."""
+        from repro.core.serialize import _HEADER
+
+        blob = to_bytes(build_ltc([1, 2, 3, 1, 4]))
+        for offset in range(4, _HEADER.size):
+            for value in (0x00, 0x01, 0x7F, 0x80, 0xFF):
+                image = blob[:offset] + bytes([value]) + blob[offset + 1 :]
+                try:
+                    from_bytes(image, cls=_GeometryGuard)
+                except (ValueError, struct.error):
+                    pass
 
 
 class TestFormatStability:

@@ -1,13 +1,17 @@
 """Multi-core sharded ingestion: differential + robustness suite.
 
 The parallel engine's contract is *bit-identity* with the sequential
-coordinator: a worker process replays exactly the per-site batched loop,
-so on the same partition the merged report must match item for item.
-The crash tests drive the retry machinery with the engine's
-fault-injection hook (a worker hard-exits mid-shard, as if OOM-killed).
+coordinator: a worker process runs exactly the per-site batched loop on
+the sites it inherited through fork, so on the same partition the merged
+report must match item for item.  The crash tests drive the re-fork
+machinery with the engine's fault-injection hook (a worker hard-exits
+mid-shard, as if OOM-killed).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import pytest
 
@@ -18,7 +22,6 @@ from repro.distributed.parallel import (
     ShardedPipeline,
     WorkerCrashError,
     ingest_shard,
-    process_pool_available,
     worker_processes_available,
 )
 from repro.distributed.partition import partition_sharded, shard_of
@@ -27,9 +30,14 @@ from repro.streams.synthetic import zipf_stream
 from tests.conftest import make_stream
 
 SHARD_SEED = 0xD15C
+WORKER_PREFIX = "repro-shard-worker-"
 
 needs_processes = pytest.mark.skipif(
     not worker_processes_available(), reason="platform lacks worker processes"
+)
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="platform lacks the fork start method",
 )
 
 
@@ -62,10 +70,18 @@ def sequential_report(config, sites):
 
 
 def assert_reports_equal(parallel, sequential):
-    """Field-by-field identity, ignoring the parallel-only IPC counter."""
+    """Field-by-field identity, ignoring the parallel-only crash counter."""
     assert parallel.top_k == sequential.top_k
     assert parallel.communication_bytes == sequential.communication_bytes
     assert parallel.num_sites == sequential.num_sites
+
+
+def shard_workers():
+    return [
+        p
+        for p in multiprocessing.active_children()
+        if p.name.startswith(WORKER_PREFIX)
+    ]
 
 
 class TestDifferential:
@@ -81,9 +97,18 @@ class TestDifferential:
     def test_single_worker_fallback_matches(
         self, config, sites, sequential_report
     ):
-        """max_workers=1 skips the pool entirely yet answers identically."""
+        """max_workers=1 skips processes entirely yet answers identically."""
         report = ParallelMergingCoordinator(config, max_workers=1).run(sites, 50)
         assert_reports_equal(report, sequential_report)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_columnar_kernel_matches_sequential(self, config, sites, workers):
+        columnar = config.with_options(kernel="columnar")
+        sequential = MergingCoordinator(columnar).run(sites, 50)
+        report = ParallelMergingCoordinator(columnar, max_workers=workers).run(
+            sites, 50
+        )
+        assert_reports_equal(report, sequential)
 
     def test_pipeline_matches_sequential_on_same_split(
         self, config, logical_stream, sequential_report
@@ -103,39 +128,39 @@ class TestDifferential:
         site_config = config.with_options(items_per_period=site.period_length)
         reference = LTC(site_config)
         site.run(reference, batched=True)
-        assert ingest_shard(site_config, site.period_batches()) == to_bytes(
-            reference
+        assert ingest_shard(site_config, site) == to_bytes(reference)
+
+    @needs_fork
+    def test_forked_workers_never_pickle_a_site(
+        self, config, sites, sequential_report, monkeypatch
+    ):
+        """Under fork the sites reach workers by inheritance, not a pipe."""
+        from repro.streams.model import PeriodicStream
+
+        def refuse(self, protocol):
+            raise AssertionError("a site stream was pickled")
+
+        monkeypatch.setattr(PeriodicStream, "__reduce_ex__", refuse)
+        report = ParallelMergingCoordinator(config, max_workers=2).run(
+            sites, 50
         )
-
-    def test_ipc_accounting_only_on_parallel_path(
-        self, config, sites, sequential_report
-    ):
-        report = ParallelMergingCoordinator(config, max_workers=2).run(sites, 50)
-        assert report.ingest_ipc_bytes > 0
-        assert sequential_report.ingest_ipc_bytes == 0
-
-    @needs_processes
-    def test_forced_single_process_worker_matches(
-        self, config, sites, sequential_report
-    ):
-        """use_processes=True runs one persistent worker even at 1 shard/core."""
-        report = ParallelMergingCoordinator(
-            config, max_workers=1, use_processes=True
-        ).run(sites, 50)
         assert_reports_equal(report, sequential_report)
-        assert report.ingest_ipc_bytes > 0
 
     @needs_processes
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_pickle_transport_matches_sequential(
-        self, config, sites, sequential_report, workers
+    def test_spawn_start_method_matches(
+        self, config, sites, sequential_report, monkeypatch
     ):
-        report = ParallelMergingCoordinator(
-            config,
-            max_workers=workers,
-            transport="pickle",
-            use_processes=True,
-        ).run(sites, 50)
+        """Without fork the same Process arguments are pickled instead."""
+        from repro.distributed import parallel as parallel_mod
+
+        monkeypatch.setattr(
+            parallel_mod,
+            "_mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        report = ParallelMergingCoordinator(config, max_workers=2).run(
+            sites, 50
+        )
         assert_reports_equal(report, sequential_report)
 
     def test_owned_key_ranges_are_disjoint_and_stable(self, logical_stream):
@@ -148,60 +173,8 @@ class TestDifferential:
             )
 
 
-class TestSingleSerialization:
-    """Every outbound message is pickled once: shipped bytes == counted bytes."""
-
-    @needs_processes
-    def test_accounting_reuses_shipped_payloads(
-        self, config, sites, sequential_report, monkeypatch
-    ):
-        from repro.distributed import parallel as parallel_mod
-
-        shipped = []
-        real_dumps = parallel_mod.dumps_ipc
-
-        def counting_dumps(message):
-            payload = real_dumps(message)
-            shipped.append(payload)
-            return payload
-
-        monkeypatch.setattr(parallel_mod, "dumps_ipc", counting_dumps)
-        coordinator = ParallelMergingCoordinator(
-            config, max_workers=2, transport="pickle"
-        )
-        report = coordinator.run(sites, 50)
-        assert_reports_equal(report, sequential_report)
-        # Accounting is exactly the sum of the payloads that went out the
-        # pipe — a second serialisation pass (the old bug) would either
-        # double the byte count or bypass the chokepoint entirely.
-        assert report.ingest_ipc_bytes == sum(len(p) for p in shipped)
-        # And the message count is exactly what the protocol requires:
-        # one chunk per (shard, period) batch (all far below the chunk
-        # size here) plus one finish message per worker.
-        expected = sum(site.num_periods for site in sites) + 2
-        assert len(shipped) == expected
-
-    @needs_processes
-    def test_shm_transport_ships_only_control_messages(self, config, sites):
-        import pickle
-
-        from repro.distributed import transport as transport_mod
-
-        if not transport_mod.shm_available():
-            pytest.skip("shared-memory transport unavailable")
-        report = ParallelMergingCoordinator(
-            config, max_workers=2, transport="shm"
-        ).run(sites, 50)
-        # Control tuples are a few dozen bytes; the events themselves
-        # (thousands of ints) never touch the pipe.
-        raw_events = len(pickle.dumps([s.events for s in sites]))
-        assert 0 < report.ingest_ipc_bytes < raw_events / 10
-
-
 class TestCrashRecovery:
-    @pytest.mark.skipif(
-        not process_pool_available(), reason="platform lacks process pools"
-    )
+    @needs_processes
     def test_single_crash_counts_exactly_one(
         self, config, sites, sequential_report
     ):
@@ -209,7 +182,7 @@ class TestCrashRecovery:
 
         The pool-based engine let a single death poison the whole pool —
         finished and unstarted shards' futures raised too, were counted
-        as crashes, and were fully re-ingested.  Persistent workers are
+        as crashes, and were fully re-ingested.  Per-worker processes are
         isolated: the report records exactly the one genuine death.
         """
         coordinator = ParallelMergingCoordinator(
@@ -247,33 +220,19 @@ class TestCrashRecovery:
             obs.disable()
 
     @needs_processes
-    def test_crash_recovery_on_pickle_transport(
-        self, config, sites, sequential_report
-    ):
+    def test_crash_recovery_on_columnar_kernel(self, config, sites):
+        columnar = config.with_options(kernel="columnar")
+        sequential = MergingCoordinator(columnar).run(sites, 50)
         coordinator = ParallelMergingCoordinator(
-            config, max_workers=2, max_retries=2, transport="pickle"
+            columnar, max_workers=2, max_retries=2
         )
-        coordinator._crash_plan = {1: 1}
+        coordinator._crash_plan = {0: 1, 3: 2}
         report = coordinator.run(sites, 50)
-        assert_reports_equal(report, sequential_report)
-        assert report.worker_crashes == 1
+        assert_reports_equal(report, sequential)
+        # Worker 0 (shards 0, 2) dies once; worker 1 (shards 1, 3) twice.
+        assert report.worker_crashes == 3
 
     @needs_processes
-    def test_crash_recovery_at_one_worker(
-        self, config, sites, sequential_report
-    ):
-        """The whole key space on one persistent worker still survives it."""
-        coordinator = ParallelMergingCoordinator(
-            config, max_workers=1, max_retries=2, use_processes=True
-        )
-        coordinator._crash_plan = {0: 1}
-        report = coordinator.run(sites, 50)
-        assert_reports_equal(report, sequential_report)
-        assert report.worker_crashes == 1
-
-    @pytest.mark.skipif(
-        not process_pool_available(), reason="platform lacks process pools"
-    )
     def test_retry_recovers_from_mid_run_crash(
         self, config, sites, sequential_report
     ):
@@ -285,9 +244,7 @@ class TestCrashRecovery:
         report = coordinator.run(sites, 50)
         assert_reports_equal(report, sequential_report)
 
-    @pytest.mark.skipif(
-        not process_pool_available(), reason="platform lacks process pools"
-    )
+    @needs_processes
     def test_persistent_crash_surfaces_clear_error(self, config, sites):
         coordinator = ParallelMergingCoordinator(
             config, max_workers=2, max_retries=1
@@ -297,10 +254,74 @@ class TestCrashRecovery:
             coordinator.run(sites, 50)
         error = excinfo.value
         # The sick shard is named, along with any other shards owned by
-        # the same persistent worker (they are replayed together).
+        # the same worker (they are rerun together).
         assert 0 in error.shards
         assert error.max_retries == 1
         assert "retries" in str(error)
+
+    @needs_processes
+    def test_exhausted_retries_count_every_death(self, config, sites):
+        from repro import obs
+
+        reg = obs.enable()
+        try:
+            coordinator = ParallelMergingCoordinator(
+                config, max_workers=2, max_retries=2
+            )
+            coordinator._crash_plan = {2: 99}
+            with pytest.raises(WorkerCrashError) as excinfo:
+                coordinator.run(sites, 50)
+            values = {
+                m["name"]: m["value"]
+                for m in reg.snapshot()["metrics"]
+                if m["type"] == "counter"
+            }
+        finally:
+            obs.disable()
+        # Worker 0 owns shards 0 and 2: three deaths, two re-forks of both.
+        assert excinfo.value.shards == [0, 2]
+        assert values["coordinator_worker_crashes_total"] == 3
+        assert values["coordinator_worker_retries_total"] == 4
+
+
+class TestWorkerCleanup:
+    """No worker process outlives a clean, crashed or aborted run."""
+
+    @needs_processes
+    def test_clean_run_leaves_no_workers(self, config, sites, sequential_report):
+        report = ParallelMergingCoordinator(config, max_workers=2).run(
+            sites, 50
+        )
+        assert report.top_k == sequential_report.top_k
+        assert not shard_workers()
+
+    @needs_processes
+    def test_crashed_workers_leave_no_workers(
+        self, config, sites, sequential_report
+    ):
+        """Worker deaths mid-run (as if SIGKILLed) leave nothing behind."""
+        coordinator = ParallelMergingCoordinator(
+            config, max_workers=4, max_retries=2
+        )
+        coordinator._crash_plan = {0: 1, 3: 1}
+        report = coordinator.run(sites, 50)
+        assert report.worker_crashes == 2
+        assert report.top_k == sequential_report.top_k
+        assert not shard_workers()
+
+    @needs_processes
+    def test_aborted_run_leaves_no_workers(self, config, sites):
+        """Even WorkerCrashError exhaustion tears every worker down."""
+        coordinator = ParallelMergingCoordinator(
+            config, max_workers=2, max_retries=1
+        )
+        coordinator._crash_plan = {1: 99}
+        with pytest.raises(WorkerCrashError):
+            coordinator.run(sites, 50)
+        deadline = time.monotonic() + 10
+        while shard_workers() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not shard_workers()
 
 
 class TestValidation:
@@ -322,22 +343,22 @@ class TestValidation:
 
 
 class TestShardSlicing:
-    def test_period_batches_matches_iter_periods(self, logical_stream):
-        batches = logical_stream.period_batches()
-        assert batches == [list(p) for p in logical_stream.iter_periods()]
-        assert sum(len(b) for b in batches) == len(logical_stream)
-
-    def test_period_batches_on_count_based_remainder(self):
+    def test_iter_periods_on_count_based_remainder(self):
         stream = make_stream([1, 2, 3, 4, 5, 6, 7], num_periods=3)
-        batches = stream.period_batches()
-        assert len(batches) == 3
-        assert batches[-1] == [5, 6, 7]  # last period absorbs the remainder
+        periods = [list(p) for p in stream.iter_periods()]
+        assert len(periods) == 3
+        assert periods[-1] == [5, 6, 7]  # last period absorbs the remainder
 
-    def test_period_batches_on_time_binned_stream(self):
+    def test_iter_periods_on_time_binned_stream(self):
         stream = TimeBinnedStream(
             events=[10, 11, 12, 13], boundaries=[1, 1, 3], name="tb"
         )
-        assert stream.period_batches() == [[10], [], [11, 12], [13]]
+        assert [list(p) for p in stream.iter_periods()] == [
+            [10],
+            [],
+            [11, 12],
+            [13],
+        ]
 
     def test_period_slices_agree_with_iter_periods(self, logical_stream):
         """period_slices is the single source of truth for period cuts."""
@@ -354,9 +375,3 @@ class TestShardSlicing:
             assert [stream.events[s:e] for s, e in slices] == [
                 list(p) for p in stream.iter_periods()
             ]
-
-    def test_array_batches_roundtrip_exactly(self, logical_stream):
-        """The zero-copy views carry the same values as the list batches."""
-        pytest.importorskip("numpy")
-        arrays = list(logical_stream.iter_period_arrays())
-        assert [a.tolist() for a in arrays] == logical_stream.period_batches()

@@ -172,30 +172,6 @@ def test_r007_only_applies_to_serve_coroutines():
         elsewhere.unlink()
 
 
-# ----------------------------------------------------------------- R008
-def test_r008_flags_leaks_and_attach_side_unlink():
-    diags = lint_fixture("r008_bad.py")
-    assert {d.rule for d in diags} == {"R008"}
-    assert lines_of(diags, "R008") == [12, 33, 37]
-    by_line = {d.line: d.message for d in diags}
-    assert "'leak_on_exception'" in by_line[12]
-    assert "exception edges included" in by_line[12]
-    assert "must not unlink" in by_line[33]
-    assert "'transfer_outside_try'" in by_line[37]
-
-
-def test_r008_controls_not_flagged():
-    # try/finally cleanup, protected transfer, ownership return, and a
-    # justified waiver all stay silent — including the creation that
-    # sits immediately *before* its try/finally.
-    diags = lint_fixture("r008_bad.py")
-    flagged = lines_of(diags, "R008")
-    assert 19 not in flagged  # clean_finally creation
-    assert 42 not in flagged  # transfer_inside_try
-    assert 48 not in flagged  # returned_to_caller
-    assert 54 not in flagged  # waived_creation
-
-
 # ----------------------------------------------------------------- R009
 def test_r009_flags_batched_path_skew():
     diags = lint_fixture("r009_bad.py")
@@ -226,7 +202,7 @@ def test_diagnostics_sorted_by_location():
     assert keys == sorted(keys)
     assert {d.rule for d in diags} == {
         "R001", "R002", "R003", "R005",
-        "R006", "R007", "R008", "R009",
+        "R006", "R007", "R009",
     }
 
 
@@ -256,9 +232,9 @@ def test_cli_rules_flag(capsys):
 
 
 def test_cli_rules_glob_selects_matching_rules(capsys):
-    assert main([str(FIXTURES), "--rules", "R00[89]"]) == 1
+    assert main([str(FIXTURES), "--rules", "R00[79]"]) == 1
     out = capsys.readouterr().out
-    assert "R008" in out and "R009" in out
+    assert "R007" in out and "R009" in out
     assert "R001" not in out and "R006" not in out
 
 
@@ -286,7 +262,7 @@ def test_cli_sarif_format(tmp_path, capsys):
     assert (
         main(
             [
-                str(FIXTURES / "r008_bad.py"),
+                str(FIXTURES / "serve" / "r007_bad.py"),
                 "--format",
                 "sarif",
                 "--output",
@@ -301,14 +277,14 @@ def test_cli_sarif_format(tmp_path, capsys):
     (run,) = sarif["runs"]
     assert run["tool"]["driver"]["name"] == "reprolint"
     rule_ids = [r["id"] for r in run["tool"]["driver"]["rules"]]
-    assert rule_ids == sorted(rule_ids) and "R008" in rule_ids
-    assert len(run["results"]) == 3
+    assert rule_ids == sorted(rule_ids) and "R007" in rule_ids
+    assert len(run["results"]) == 4
     first = run["results"][0]
-    assert first["ruleId"] == "R008"
+    assert first["ruleId"] == "R007"
     region = first["locations"][0]["physicalLocation"]["region"]
-    assert region["startLine"] == 12
+    assert region["startLine"] == 14
     # SARIF columns are 1-based; Diagnostic columns are 0-based offsets.
-    assert region["startColumn"] == 11
+    assert region["startColumn"] == 10
 
 
 def test_self_lint_tools_tree_is_clean():

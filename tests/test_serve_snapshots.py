@@ -9,13 +9,17 @@ round-trips through the v3 header).
 
 from __future__ import annotations
 
+import os
+import pathlib
 import random
+import stat
 
 import pytest
 
 from repro.core.config import LTCConfig
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.serialize import to_bytes
+from repro.serve import snapshots
 from repro.serve.oracle import canonical_json, oracle_top_k
 from repro.serve.snapshots import SnapshotStore
 
@@ -84,6 +88,29 @@ class TestCrashWindow:
         assert restored is not None
         assert to_bytes(restored) == good.read_bytes()
 
+    def test_corrupt_header_geometry_falls_back(self, tmp_path):
+        """A flipped num_buckets byte must not allocate a huge table."""
+        from repro.core.ltc import LTC
+
+        class GeometryGuard(LTC):
+            def __init__(self, config):
+                if config.num_buckets * config.bucket_width > 1 << 16:
+                    pytest.fail("allocated a table from a corrupt header")
+                super().__init__(config)
+
+        store = SnapshotStore(tmp_path, retain=3)
+        ltc = build_ltc(_cfg())
+        ltc.insert_many(list(range(40)))
+        good = store.save(ltc)
+        ltc.insert_many(list(range(40, 80)))
+        bad = store.save(ltc)
+        blob = bad.read_bytes()
+        # num_buckets is the uint32 right after the 4-byte magic.
+        bad.write_bytes(blob[:4] + (0x00FFFFFF).to_bytes(4, "little") + blob[8:])
+        restored = store.restore(cls=GeometryGuard)
+        assert restored is not None
+        assert to_bytes(restored) == good.read_bytes()
+
     def test_all_corrupt_restores_none(self, tmp_path):
         store = SnapshotStore(tmp_path, retain=3)
         (tmp_path / "snapshot-000000001.ltc").write_bytes(b"junk")
@@ -91,6 +118,122 @@ class TestCrashWindow:
 
     def test_empty_directory_restores_none(self, tmp_path):
         assert SnapshotStore(tmp_path).restore() is None
+
+
+class _FailingFs:
+    """Filesystem shim: records each step of ``save`` and fails one.
+
+    Steps are ``write`` (the tmp file; half the bytes land first),
+    ``fsync-file``, ``replace``, ``fsync-dir`` and ``unlink`` (pruning).
+    ``fail_at`` is the index of the step that raises ``OSError``.
+    """
+
+    def __init__(self, monkeypatch):
+        self.fail_at = None
+        self.steps = []
+        self.replaced = False
+        shim = self
+        real_open, real_fsync, real_replace = open, os.fsync, os.replace
+        real_unlink = pathlib.Path.unlink
+
+        class _File:
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def write(self, data):
+                half = len(data) // 2
+                self._fh.write(data[:half])
+                self._fh.flush()
+                shim.step("write")
+                return half + self._fh.write(data[half:])
+
+            def flush(self):
+                self._fh.flush()
+
+            def fileno(self):
+                return self._fh.fileno()
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            return _File(real_open(path, mode, *args, **kwargs))
+
+        def fake_fsync(fd):
+            is_dir = stat.S_ISDIR(os.fstat(fd).st_mode)
+            shim.step("fsync-dir" if is_dir else "fsync-file")
+            real_fsync(fd)
+
+        def fake_replace(src, dst):
+            shim.step("replace")
+            real_replace(src, dst)
+            shim.replaced = True
+
+        def fake_unlink(path, missing_ok=False):
+            shim.step("unlink")
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(snapshots, "open", fake_open, raising=False)
+        monkeypatch.setattr(os, "fsync", fake_fsync)
+        monkeypatch.setattr(os, "replace", fake_replace)
+        monkeypatch.setattr(pathlib.Path, "unlink", fake_unlink)
+
+    def arm(self, fail_at):
+        self.fail_at, self.steps, self.replaced = fail_at, [], False
+
+    def step(self, name):
+        self.steps.append(name)
+        if len(self.steps) - 1 == self.fail_at:
+            raise OSError(f"injected failure at {name}")
+
+
+class TestSaveFailures:
+    def test_each_failed_step_restores_newest_replaced(
+        self, tmp_path, monkeypatch
+    ):
+        """Fail every step of save in turn; restore the last committed.
+
+        A failed write, fsync or rename propagates; a failed prune unlink
+        is swallowed by design.  Either way a fresh restore returns the
+        newest snapshot whose rename completed.
+        """
+        ltc = build_ltc(_cfg())
+        store = SnapshotStore(tmp_path, retain=2)
+        for i in range(2):  # something for the prune to unlink
+            ltc.insert_many(list(range(i * 10, i * 10 + 10)))
+            store.save(ltc)
+        committed = to_bytes(ltc)
+        shim = _FailingFs(monkeypatch)
+        failed_steps = []
+        for fail_at in range(20):
+            ltc.insert_many(list(range(fail_at * 7, fail_at * 7 + 30)))
+            shim.arm(fail_at)
+            try:
+                store.save(ltc)
+            except OSError:
+                pass
+            steps, replaced = shim.steps, shim.replaced
+            shim.arm(None)
+            if replaced:
+                committed = to_bytes(ltc)
+            fresh = SnapshotStore(tmp_path, retain=2)
+            assert all(
+                not p.name.endswith(".tmp") for p in fresh.snapshot_paths()
+            )
+            restored = fresh.restore()
+            assert restored is not None
+            assert to_bytes(restored) == committed
+            if len(steps) <= fail_at:
+                break  # the injection point was never reached: all covered
+            failed_steps.append(steps[fail_at])
+        # The directory is fsynced after the rename, before any unlink.
+        assert steps[:4] == ["write", "fsync-file", "replace", "fsync-dir"]
+        assert set(steps[4:]) == {"unlink"}
+        assert failed_steps[:4] == ["write", "fsync-file", "replace", "fsync-dir"]
+        assert failed_steps[4:] == ["unlink"] * (len(steps) - 4)
 
 
 class TestRestoreContinue:

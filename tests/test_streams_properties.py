@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.streams.ground_truth import GroundTruth
+from repro.streams.io import TimeBinnedStream
 from repro.streams.model import PeriodicStream
 
 streams = st.builds(
@@ -65,3 +68,53 @@ class TestPartitionProperties:
         assert stats.num_events == len(stream)
         assert stats.num_distinct == len(set(stream.events))
         assert stats.num_periods == stream.num_periods
+
+
+def _oracle_periods(timestamps, num_periods):
+    """Bin each timestamp against the edges ``t0 + span*p/T``, p = 1..T-1."""
+    t0, t1 = timestamps[0], timestamps[-1]
+    span = max(t1 - t0, 1e-12)
+    edges = t0 + span * np.arange(1, num_periods) / num_periods
+    return [int(p) for p in np.digitize(timestamps, edges)]
+
+
+_items = st.integers(0, 5)
+_records = st.one_of(
+    # Few distinct times: many equal timestamps, runs of empty bins.
+    st.lists(st.tuples(st.integers(0, 6), _items), min_size=1, max_size=40),
+    st.lists(
+        st.tuples(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            _items,
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+).map(lambda records: sorted(records, key=lambda record: record[0]))
+
+
+class TestTimeBinnedOracle:
+    """``TimeBinnedStream.from_records`` against an ``np.digitize`` oracle."""
+
+    @given(_records, st.integers(1, 60))  # T often exceeds the event count
+    @example([(5, 1), (5, 2), (5, 1)], 4)  # all timestamps equal
+    @example([(0.0, 1), (0.1, 2), (10.0, 1)], 8)  # empty middle bins
+    @example([(1e6, 3)], 3)  # one event, more periods than events
+    @settings(max_examples=300, deadline=None)
+    def test_events_land_in_the_oracle_bin(self, records, num_periods):
+        stream = TimeBinnedStream.from_records(records, num_periods=num_periods)
+        expected = _oracle_periods([t for t, _ in records], num_periods)
+
+        assert stream.num_periods == num_periods
+        assert [stream.period_of(i) for i in range(len(records))] == expected
+        slices = stream.period_slices()
+        assert len(slices) == num_periods
+        from_slices = [p for p, (s, e) in enumerate(slices) for _ in range(s, e)]
+        assert from_slices == expected
+
+        truth = GroundTruth(stream)
+        oracle_bins = {}
+        for (_, item), period in zip(records, expected):
+            oracle_bins.setdefault(item, set()).add(period)
+        for item, bins in oracle_bins.items():
+            assert truth.persistency(item) == len(bins)

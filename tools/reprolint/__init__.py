@@ -5,7 +5,7 @@ actually lives by: replay-identical batched ingestion, the
 capture-at-construction observability pattern,
 determinism of the core structures, versioned binary checkpoints, the
 CellListener hooks contract, event-loop safety in the serving tier, and
-the shm transport's parent-owned segment lifecycle.  ``reprolint`` is a
+kernel batch parity.  ``reprolint`` is a
 two-pass static analysis — a cross-module symbol index and call graph
 (:mod:`tools.reprolint.symbols`), then rule families over per-function
 CFG/dataflow summaries (:mod:`tools.reprolint.cfg`,
@@ -45,9 +45,9 @@ Rules (details in each :mod:`tools.reprolint.rules` module):
   I/O, ``subprocess``, unbounded ``queue.get``) reachable from serve
   coroutines through the call graph; waive with
   ``# reprolint: blocking-ok — <why>``.
-* **R008** — shm lifecycle: segment creations pair with close/unlink on
-  all CFG paths including exception edges; attach-side handles never
-  unlink; waive with ``# reprolint: shm-owner — <why>``.
+* **R008** — retired: it checked the shared-memory batch ring's segment
+  lifecycle; the parallel pipeline now forks workers that inherit their
+  sites, so no segment exists.
 * **R009** — kernel parity: a class defining both ``insert`` and
   ``insert_many``/``update_many`` must touch the same state attributes
   in both (strict writes vs. strict∪may writes); waive with

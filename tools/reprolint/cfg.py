@@ -7,15 +7,12 @@ the exceptional exit.  ``build_cfg`` handles ``if``/``for``/``while``
 ``else``, ``finally``), ``return`` and ``raise``.
 
 Edges come in two classes.  *Normal* edges are ordinary fall-through and
-branch flow.  *Exceptional* edges model a statement raising: explicit
-``raise`` statements always get one, and when ``implicit_exceptions`` is
-set every statement containing a call also gets an edge to the nearest
-enclosing ``try`` (its statement node acts as the dispatch point fanning
-out to handlers and ``finally``) or to the exceptional exit when there
-is none.  R008 uses implicit edges to prove shm cleanup runs even when a
-statement between create and close raises; R006 leaves them off and
-analyses with ``exc_safe=True`` (the hooks contract is about the values
-the structure settles into, not mid-exception states).
+branch flow.  *Exceptional* edges model an explicit ``raise``: it gets an
+edge to the nearest enclosing ``try`` (its statement node acts as the
+dispatch point fanning out to handlers and ``finally``) or to the
+exceptional exit when there is none.  Calls that might raise get no
+edge; R006 analyses with ``exc_safe=True`` (the hooks contract is about
+the values the structure settles into, not mid-exception states).
 
 :func:`covered_by` is the shared dataflow core: a *greatest fixpoint*
 backward must-analysis computing, for each node, whether **every** path
@@ -61,9 +58,8 @@ class CFG:
 
 
 class _Builder:
-    def __init__(self, implicit_exceptions: bool) -> None:
+    def __init__(self) -> None:
         self.cfg = CFG()
-        self.implicit_exceptions = implicit_exceptions
         self._next_id = 0
         #: stack of (break_targets, continue_targets) collector lists
         self._loops: List[Tuple[List[int], List[int]]] = []
@@ -89,37 +85,6 @@ class _Builder:
 
     def _exc_target(self) -> int:
         return self._handlers[-1] if self._handlers else EXC_EXIT
-
-    @staticmethod
-    def _contains_call(stmt: ast.stmt) -> bool:
-        # Only expressions evaluated at this statement's own node count:
-        # a compound statement's nested bodies are separate nodes with
-        # their own edges, so a call in a try body must not hang an
-        # exceptional edge off the Try dispatch node (it would bypass
-        # the finally).
-        exprs: List[ast.expr]
-        if isinstance(stmt, (ast.If, ast.While)):
-            exprs = [stmt.test]
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            exprs = [stmt.iter]
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            exprs = [item.context_expr for item in stmt.items]
-        elif isinstance(stmt, ast.Try):
-            exprs = []
-        elif isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            exprs = list(stmt.decorator_list)
-        else:
-            return any(
-                isinstance(sub, (ast.Call, ast.Await))
-                for sub in ast.walk(stmt)
-            )
-        return any(
-            isinstance(sub, (ast.Call, ast.Await))
-            for expr in exprs
-            for sub in ast.walk(expr)
-        )
 
     def build(self, body: Sequence[ast.stmt]) -> CFG:
         frontier = self._sequence(body, entry_to=None)
@@ -148,8 +113,6 @@ class _Builder:
         """Add ``stmt``; returns (new frontier, this statement's node)."""
         nid = self._new_node(stmt)
         self._link(frontier, nid)
-        if self.implicit_exceptions and self._contains_call(stmt):
-            self._edge(nid, self._exc_target(), exc=True)
 
         if isinstance(stmt, ast.Return):
             self._edge(nid, EXIT)
@@ -233,12 +196,9 @@ class _Builder:
         return normal_tails, nid
 
 
-def build_cfg(
-    fn: "ast.FunctionDef | ast.AsyncFunctionDef",
-    implicit_exceptions: bool = False,
-) -> CFG:
+def build_cfg(fn: "ast.FunctionDef | ast.AsyncFunctionDef") -> CFG:
     """Build the CFG for ``fn``'s body."""
-    return _Builder(implicit_exceptions).build(fn.body)
+    return _Builder().build(fn.body)
 
 
 def covered_by(

@@ -7,7 +7,7 @@ what the JSON/SARIF formatters serialise.
 Waivers
 -------
 
-The dataflow rules (R006–R009) check invariants that have legitimate,
+The dataflow rules (R006, R007, R009) check invariants that have legitimate,
 *documented* exceptions — a restore path that rebuilds cells before any
 listener can attach, a snapshot write that is blocking by design.  Those
 sites carry an inline waiver comment::

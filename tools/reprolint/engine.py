@@ -4,7 +4,7 @@ Pass 1 parses every file under the given paths and builds one
 :class:`~tools.reprolint.symbols.SymbolIndex` — the cross-module class
 index, function table, import maps, attribute types, and call graph.
 Pass 2 runs every selected rule over the index; intra-file rules walk
-their trees, the dataflow rules (R006–R009) pull per-function CFG and
+their trees, the dataflow rules (R006, R007, R009) pull per-function CFG and
 write-set summaries on demand.
 
 ``lint_paths`` is the library entry point (the CLI in

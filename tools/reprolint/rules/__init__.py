@@ -34,8 +34,6 @@ SUMMARIES: Dict[str, str] = {
     "R006": "cell-state mutations in hooked kernels must be "
     "post-dominated by a CellListener notification",
     "R007": "no blocking calls reachable from serve-tier coroutines",
-    "R008": "shm segments pair create with close/unlink on all paths; "
-    "attach-side handles never unlink",
     "R009": "batched ingestion touches the same state attributes as the "
     "per-event path",
 }
@@ -52,7 +50,6 @@ def rule_checks() -> Dict[str, Callable[["SymbolIndex"], List[Diagnostic]]]:
         pairing,
         parity,
         serialization,
-        shm_lifecycle,
     )
 
     modules = (
@@ -62,7 +59,6 @@ def rule_checks() -> Dict[str, Callable[["SymbolIndex"], List[Diagnostic]]]:
         serialization,
         hooks,
         async_safety,
-        shm_lifecycle,
         parity,
     )
     return {m.RULE_ID: m.check for m in modules}

@@ -379,7 +379,7 @@ def _check_function(
     detached: Set[int] = set()
     _collect_detached(fn.node.body, listener_locals, detached)
 
-    cfg = build_cfg(fn.node, implicit_exceptions=False)
+    cfg = build_cfg(fn.node)
     coverage: Set[int] = set()
     mutations: List[Tuple[int, ast.stmt, str]] = []
     for nid, stmt in cfg.stmts.items():
