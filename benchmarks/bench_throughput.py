@@ -266,11 +266,18 @@ def test_throughput_columnar(benchmark):
     * **parity** — columnar must reach
       ``REPRO_COLUMNAR_PARITY_FLOOR`` (default 1.0) x FastLTC batched
       at the miss-heavy (w=128) point.
+
+    Two more points are recorded, not gated, at the geometries of the
+    e2e workloads: ``paper`` (w=85, d=8 on a ``network_like`` stream,
+    whole-period calls; the decrement-run regime) and ``serve-write``
+    (w=1024, d=8, Zipf-1.0 over 100k keys, 4096-event periods fed in
+    2048-event calls, as the server's ingest worker does).
     """
     from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
     from repro.core.fast_ltc import FastLTC
     from repro.core.ltc import LTC
+    from repro.streams.datasets import network_like
     from repro.streams.synthetic import zipf_stream
 
     stream = zipf_stream(
@@ -310,7 +317,68 @@ def test_throughput_columnar(benchmark):
                 )
         return results
 
+    # Recorded points: label -> (stream description, stream, num_buckets,
+    # events per call; None = one call per period).
+    paper_desc = {
+        "kind": "network_like", "num_events": 500_000, "num_distinct": 100_000,
+        "num_periods": 50,
+    }
+    serve_desc = {
+        "kind": "zipf", "skew": 1.0, "num_events": 122 * 4096,
+        "num_distinct": 100_000, "num_periods": 122, "seed": 42,
+    }
+    kernel_points = {
+        "paper": (
+            paper_desc,
+            network_like(num_events=500_000, num_distinct=100_000, num_periods=50),
+            85,
+            None,
+        ),
+        "serve-write": (
+            serve_desc,
+            zipf_stream(
+                num_events=122 * 4096, num_distinct=100_000, skew=1.0,
+                num_periods=122, seed=42,
+            ),
+            1024,
+            2048,
+        ),
+    }
+
+    def measure_calls(factory, point_stream, call, name):
+        # Fastest of two fresh runs, each period fed in ``call``-event
+        # insert_many calls and closed by end_period.
+        best = float("inf")
+        for _ in range(2):
+            summary = factory()
+            start = time.perf_counter()
+            for period in point_stream.iter_periods():
+                step = call or len(period)
+                for i in range(0, len(period), step):
+                    summary.insert_many(period[i : i + step])
+                summary.end_period()
+            best = min(best, time.perf_counter() - start)
+        return ThroughputResult(
+            name=name, events=len(point_stream), seconds=best, mode="batched"
+        )
+
+    def run_points():
+        results = {}
+        for label, (_, point_stream, buckets, call) in kernel_points.items():
+            config = LTCConfig(
+                num_buckets=buckets, bucket_width=8, alpha=1.0, beta=1.0,
+                items_per_period=point_stream.period_length,
+            )
+            results[label] = {
+                name: measure_calls(
+                    lambda: cls(config), point_stream, call, f"{name}-{label}"
+                )
+                for name, cls in (("FastLTC", FastLTC), ("ColumnarLTC", ColumnarLTC))
+            }
+        return results
+
     results = once(benchmark, run)
+    point_results = run_points()
     # Differential gate: outside the timed region, fresh instances at
     # the gated points.
     for label, buckets in gated.items():
@@ -326,6 +394,10 @@ def test_throughput_columnar(benchmark):
         label: point["ColumnarLTC"].ops / point["FastLTC"].ops
         for label, point in results.items()
     }
+    point_speedups = {
+        label: point["ColumnarLTC"].ops / point["FastLTC"].ops
+        for label, point in point_results.items()
+    }
     emit(
         "throughput",
         ["operating point", "engine", "Mops", "vs FastLTC"],
@@ -336,10 +408,13 @@ def test_throughput_columnar(benchmark):
                 f"{result.mops:.3f}",
                 f"{result.ops / point['FastLTC'].ops:.2f}x",
             )
-            for label, point in results.items()
+            for label, point in (*results.items(), *point_results.items())
             for name, result in point.items()
         ],
-        title="Kernel crossover curve (zipf-1.0, 50 periods, d=8)",
+        title=(
+            "Kernel crossover curve (zipf-1.0, 50 periods, d=8) and the "
+            "recorded paper / serve-write points"
+        ),
     )
     floor = float(os.environ.get("REPRO_COLUMNAR_SPEEDUP_FLOOR", "2.0"))
     parity_floor = float(
@@ -379,6 +454,19 @@ def test_throughput_columnar(benchmark):
                 for result in point.values()
             ],
             "speedups_vs_fast": speedups,
+            "recorded_points": [
+                {
+                    "label": label,
+                    "num_buckets": buckets,
+                    "bucket_width": 8,
+                    "stream": desc,
+                    "events_per_call": call or point_stream.period_length,
+                    "fast_mops": point_results[label]["FastLTC"].mops,
+                    "columnar_mops": point_results[label]["ColumnarLTC"].mops,
+                    "columnar_vs_fast": point_speedups[label],
+                }
+                for label, (desc, point_stream, buckets, call) in kernel_points.items()
+            ],
         },
     )
     assert speedups["w512"] >= floor, (

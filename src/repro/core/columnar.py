@@ -30,23 +30,28 @@ queue of its pending operations (events, plus the CLOCK sweeps of its
 slots at their exact arrival offsets), worked as one *lane* with a
 cursor and the position of its next pending miss, read from a per-chunk
 next-miss index.  One *round* flushes every lane's hits and sweeps up to
-its next miss in one bulk pass, then applies that miss on every lane at
+its next miss in one bulk pass, then applies misses on every lane at
 once: a batched ``argmin`` over the ``(lanes, d)`` row gather, the
 Significance Decrement and death test as column ops, and claim/evict/
-Long-tail Replacement only on the lanes that need them.  A decrement
-that leaves the incumbent alive changes no classification, so its lane
-just steps to its next miss; a claim or eviction flips exactly two
-keys' later events in its own queue, and only those lanes reclassify
-their pending slice and rebuild it in the index.  A round therefore
-costs its active lanes, the ops it applies, and the pending slices of
-the lanes whose key set changed — nothing rescans the other lanes'
-pending ops.  Within-bucket order is preserved, so cell state stays
-byte-identical to per-event replay.  Sweeps of clean buckets commute
-with every chunk operation and are applied in one bulk pass; the CLOCK
-accumulator/hand are finalised in closed form.  When too few lanes
-stay active for vectorization to pay (a collision storm on one bucket,
-or a lightly dirty chunk), the replay degrades to the scalar per-event
-loop, which remains the exact reference for the round kernel.
+Long-tail Replacement only on the lanes that need them.  On a full
+bucket the step takes a whole **run**: every miss before the next op
+that touches the least significant cell (a hit on it or its sweep),
+stopping at the miss that kills it.  The cell stays the row's first
+``argmin`` through the run, so k misses leave it at ``max(f - k, 0)``
+and ``max(p - k, 0)`` in closed form.  A decrement that leaves the
+incumbent alive changes no classification, so its lane just steps to
+its next miss; a claim or eviction flips exactly two keys' later events
+in its own queue, and only those lanes reclassify their pending slice
+and rebuild it in the index.  A round therefore costs its active lanes,
+the ops it applies, and the pending slices of the lanes whose key set
+changed — nothing rescans the other lanes' pending ops.
+Within-bucket order is preserved, so cell state stays byte-identical to
+per-event replay.  Sweeps of clean buckets commute with every chunk
+operation and are applied in one bulk pass; the CLOCK accumulator/hand
+are finalised in closed form.  When too few lanes stay active for
+vectorization to pay (a collision storm on one bucket, or a lightly
+dirty chunk), the replay degrades to the scalar per-event loop, which
+remains the exact reference for the round kernel.
 
 The batch is processed in fixed-size chunks so dirtiness is a per-chunk
 property — on hit-heavy streams almost every chunk is all-clean and runs
@@ -60,7 +65,6 @@ from __future__ import annotations
 
 from typing import (
     Any,
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -103,18 +107,9 @@ _INT64_MAX = (1 << 63) - 1
 _SCHEDULE_LIMIT = 1 << 62
 
 
-#: Flag byte -> pending flags it holds, and (per harvest bit) the byte
-#: with the oldest pending flag charged: the harvest flag when set, else
-#: the set flag (``LTC._decrement_smallest``).  With the Deviation
-#: Eliminator on, flag bytes only ever hold the two low bits.
-_FLAG_COUNT: Any = _np.array([0, 1, 1, 2], dtype=_np.int64)
-_CHARGE_OLDEST: Dict[int, Any] = {
-    hb: _np.array(
-        [bits & ~hb if bits & hb else bits & ~(3 ^ hb) for bits in range(4)],
-        dtype=_np.int64,
-    )
-    for hb in (1, 2)
-}
+#: Odd 64-bit multiplier (Fibonacci hashing): spreads every key bit into
+#: the high bits the run index sorts keys by.
+_KEY_MIX = _np.uint64(0x9E3779B97F4A7C15)
 
 
 def _ranges(lo: Any, lens: Any) -> Any:
@@ -135,6 +130,92 @@ def _next_miss(ops: Any, pos: Any, qend: Any) -> Any:
     never carries across a suffix boundary.
     """
     return _np.minimum.accumulate(_np.where(ops < 0, pos, qend)[::-1])[::-1]
+
+
+class _RunIndex:
+    """Where one chunk's decrement runs end, built the first round one pays.
+
+    A lane's run on its bucket's least significant cell ends at the
+    first later op that touches the cell: the next event carrying the
+    cell's key, or the cell's one sweep in the chunk.  Key-set changes
+    move neither, so both lookups are static: ``tags`` holds every event
+    as one sorted ``mixed-key high bits | op position`` word, and
+    ``sweep_at`` each slot's sweep position (``nops`` where none).
+    ``rank`` is a miss prefix, ``lane start + misses in [lane start,
+    p]``: it never decreases over the whole op array, so one
+    ``searchsorted`` finds a lane's j-th next miss.  A reclassification
+    drops it (``rank = None``) and the next search rebuilds it.
+    """
+
+    __slots__ = (
+        "opclass", "okey", "starts", "ends", "m",
+        "shift", "tags", "sweep_at", "rank",
+    )
+
+    def __init__(
+        self, opclass: Any, okey: Any, starts: Any, ends: Any, m: int
+    ) -> None:
+        self.opclass = opclass
+        self.okey = okey
+        self.starts = starts
+        self.ends = ends
+        self.m = m
+        self.tags: Any = None
+        self.rank: Any = None
+
+    def _mixed(self, keys: Any) -> Any:
+        """The keys' high mixed bits, as non-negative int64 below
+        ``2**(63 - shift)`` (so a tag fits an int64)."""
+        return (keys * _KEY_MIX >> _np.uint64(self.shift + 1)).view(_np.int64)
+
+    def _build(self) -> None:
+        np = _np
+        opclass, m = self.opclass, self.m
+        nops = len(opclass)
+        self.shift = nops.bit_length()
+        ev = (opclass < m).nonzero()[0]
+        tags = self._mixed(self.okey[ev]) << self.shift | ev
+        tags.sort()
+        self.tags = np.append(tags, _INT64_MAX)
+        sw = (opclass >= m).nonzero()[0]
+        self.sweep_at = np.full(m, nops, dtype=np.int64)
+        self.sweep_at[opclass[sw] - m] = sw
+
+    def extent(
+        self, at: Any, end: Any, slot: Any, kcol: Any, death: Any
+    ) -> Tuple[Any, Any]:
+        """Per lane: how many misses from ``at`` one step applies, and
+        the position of the last of them.
+
+        ``slot`` is the lane's least significant cell (its key in the
+        fingerprint column ``kcol``) and ``death`` the decrement that
+        kills it (0 reads as 1); the step stops there.
+        """
+        np = _np
+        if self.tags is None:
+            self._build()
+        rank = self.rank
+        if rank is None:
+            starts = self.starts
+            miss = self.opclass < 0
+            rank = miss.cumsum()
+            rank += (starts - rank[starts] + miss[starts]).repeat(
+                self.ends - starts
+            )
+            self.rank = rank
+        tags = self.tags
+        group = self._mixed(kcol[slot]) << self.shift
+        # The first event after ``at`` whose mixed bits match the key's.
+        # It may carry another key whose bits collide; ending the run
+        # there is early, never late, so still exact.  An event past the
+        # lane's end means the key has none left in the lane.
+        tag = tags[np.searchsorted(tags, group | at, side="right")]
+        touch = np.minimum(tag - group, end)
+        sweep = self.sweep_at[slot]
+        touch = np.minimum(touch, np.where(sweep > at, sweep, end))
+        r0 = rank[at]
+        k = np.minimum(rank[touch - 1] - r0 + 1, np.maximum(death, 1))
+        return k, np.searchsorted(rank, r0 + k - 1)
 
 
 class ColumnarLTC(FastLTC):
@@ -677,19 +758,26 @@ class ColumnarLTC(FastLTC):
         next-miss index ``nxt``.  A round flushes every lane's ops in
         ``[cursor, next miss)`` in one bulk pass — hits and sweeps never
         change a bucket's key set, so their classes stand — then applies
-        one miss per lane vectorized (:meth:`_apply_misses`).  Lanes whose
-        miss only decremented leave every class and ``nxt`` entry valid
-        and simply step to ``nxt[miss + 1]``.  A claim or eviction flips
-        exactly two keys' later events in its own queue — the installed
-        key's misses become hits on the slot, the evicted key's hits on
-        that slot become misses — so only those lanes reclassify their
-        pending slice and rebuild it in ``nxt``.  Nothing scans the other
-        lanes' pending ops, so a round costs the lanes it advances, the
-        ops it applies and the slices it reclassifies.  A lane whose
-        queue holds no further miss retires; its trailing hits and sweeps
-        flush in one pass at the end.  When fewer than
-        ``_SEG_MIN_ACTIVE`` lanes remain, they drain through the scalar
-        per-event machinery (which keeps metrics and listener
+        each lane's next miss vectorized (:meth:`_apply_misses`).  Where
+        runs can pay (the lanes hold two misses on average and most
+        cells survive a decrement), a full bucket's lane applies its
+        whole decrement run in that step, found through a
+        :class:`_RunIndex`.  The run's inner hits and sweeps (of other
+        cells) stay behind the cursor for the next round's flush, which
+        then skips the misses the run applied; a lane whose cell died
+        flushes them at once, before Long-tail Replacement reads its row.
+        Lanes whose last miss only decremented leave every class and
+        ``nxt`` entry valid and simply step to ``nxt[last miss + 1]``.
+        A claim or eviction flips exactly two keys' later events in its
+        own queue — the installed key's misses become hits on the slot,
+        the evicted key's hits on that slot become misses — so only those
+        lanes reclassify their pending slice and rebuild it in ``nxt``.
+        Nothing scans the other lanes' pending ops, so a round costs the
+        lanes it advances, the ops it applies and the slices it
+        reclassifies.  A lane whose queue holds no further miss retires;
+        its trailing hits and sweeps flush in one pass at the end.  When
+        fewer than ``_SEG_MIN_ACTIVE`` lanes remain, they drain through
+        the scalar per-event machinery (which keeps metrics and listener
         notifications exact).
         """
         np = _np
@@ -711,20 +799,38 @@ class ColumnarLTC(FastLTC):
         nm = head[live]
         end = ends[live]
         bk = qbucket[live]
+        runs = None
+        if (
+            self._policy != "space-saving"
+            and np.count_nonzero(opclass < 0) >= 2 * len(nm)
+        ):
+            # The lanes hold two pending misses or more on average, so
+            # runs can pay (seldom on a wide table).
+            runs = _RunIndex(opclass, okey, starts, ends, self.total_cells)
+        # Once a round has taken runs, cursors may trail misses it already
+        # applied; the flushes then skip ops of class < 0.
+        trailing = False
         while len(nm) >= _SEG_MIN_ACTIVE:
             gap = nm - cur
             if np.count_nonzero(gap):
-                self._flush_ops(opclass[_ranges(cur, gap)])
-            rows, slots = self._apply_misses(
-                seq, start, offset[nm], okey[nm], bk
+                self._flush_ops(opclass[_ranges(cur, gap)], trailing)
+            rows, slots, last = self._apply_misses(
+                seq, start, offset, okey, opclass, nm, end, bk, runs
             )
+            if last is None:
+                last = nm
+            else:
+                trailing = True
+            cur = nm + 1
             if len(rows):
                 # Key set changed: in each such lane the installed key's
                 # pending misses become hits on the slot and the evicted
                 # key's hits on that slot become misses.  Rewrite the
-                # lane's pending slice and its part of the next-miss index.
-                head = nm[rows]
+                # lane's pending slice and its part of the next-miss index
+                # (the run index's miss prefix is rebuilt when next used).
+                head = last[rows]
                 lo = head + 1
+                cur[rows] = lo
                 hi = end[rows]
                 rl = hi - lo
                 idx = _ranges(lo, rl)
@@ -737,8 +843,9 @@ class ColumnarLTC(FastLTC):
                     )
                     opclass[idx] = cls
                     nxt[idx] = _next_miss(cls, idx, hi.repeat(rl))
-            cur = nm + 1
-            nm = nxt[cur]
+                    if runs is not None:
+                        runs.rank = None
+            nm = nxt[last + 1]
             done = nm >= end
             if np.count_nonzero(done):
                 tail_lo.append(cur[done])
@@ -751,8 +858,13 @@ class ColumnarLTC(FastLTC):
         lo = np.concatenate(tail_lo)
         idx = _ranges(lo, np.concatenate(tail_hi) - lo)
         if len(idx):
-            self._flush_ops(opclass[idx])
+            self._flush_ops(opclass[idx], trailing)
         if len(cur):
+            if trailing:
+                gap = nm - cur
+                if np.count_nonzero(gap):
+                    self._flush_ops(opclass[_ranges(cur, gap)], True)
+                cur = nm
             self._drain_lanes(seq, start, offset, opclass, cur, end)
 
     def _drain_lanes(
@@ -824,13 +936,19 @@ class ColumnarLTC(FastLTC):
                 if self._cell_listener is not None:
                     self._cell_listener.cell_touched(slot)
 
-    def _flush_ops(self, ops: Any) -> None:
-        """Bulk-apply a set of op classes holding hits and sweeps (no misses).
+    def _flush_ops(self, ops: Any, applied_misses: bool = False) -> None:
+        """Bulk-apply a set of op classes holding hits and sweeps.
 
         Hits commute with hits (frequency adds and identical set-bit OR)
         and with sweeps (disjoint cell state), so one unbuffered add and
-        one sweep pass apply the whole set exactly.
+        one sweep pass apply the whole set exactly.  With
+        ``applied_misses`` the set may also hold misses a decrement run
+        already applied; they are skipped.
         """
+        if applied_misses:
+            ops = ops[ops >= 0]
+            if not len(ops):
+                return
         m = self.total_cells
         sw = ops >= m
         if _np.count_nonzero(sw):
@@ -847,37 +965,51 @@ class ColumnarLTC(FastLTC):
             self._cell_listener.cells_touched(touched.tolist())
 
     def _apply_misses(
-        self, seq: Sequence[int], start: int, koff: Any, kval: Any, ebk: Any
-    ) -> Tuple[Any, Any]:
-        """Apply one miss per lane (all buckets ``ebk`` distinct), vectorized.
+        self,
+        seq: Sequence[int],
+        start: int,
+        offset: Any,
+        okey: Any,
+        opclass: Any,
+        at: Any,
+        end: Any,
+        ebk: Any,
+        runs: Optional[_RunIndex],
+    ) -> Tuple[Any, Any, Any]:
+        """Apply each lane's next miss (all buckets ``ebk`` distinct), vectorized.
 
         Mirrors ``FastLTC._place_miss`` lane for lane: a lane whose bucket
         has a free cell claims the first one; the rest go through
-        Significance Decrementing (:meth:`_decrement_lanes`).  ``koff`` /
-        ``kval`` are the misses' chunk offsets and uint64 keys.  Returns
-        the ascending lanes whose bucket's **key set** changed (claim or
-        eviction) and the slot each changed — the only lanes whose pending
-        classes need revisiting.
+        Significance Decrementing (:meth:`_decrement_lanes`), which with
+        a run index takes a whole run per lane.  ``at`` / ``end`` are the
+        lanes' miss positions and queue ends in the chunk's op arrays.
+        Returns the ascending lanes whose bucket's **key set** changed
+        (claim or eviction), the slot each changed — the only lanes whose
+        pending classes need revisiting — and per lane the position of
+        the last miss applied (``None`` when each lane applied only
+        ``at``).
         """
         np = _np
         if np.count_nonzero(self._occ) == self.total_cells:
             # Full table (the steady state): every lane decrements.
-            return self._decrement_lanes(seq, start, koff, kval, ebk)
+            return self._decrement_lanes(
+                seq, start, offset, okey, opclass, at, end, ebk, runs
+            )
         d = self._d
         rows_o = self._occ2.take(ebk, axis=0)
         has_empty = ~rows_o.all(axis=1)
         crow = has_empty.nonzero()[0]
         # First free cell, as in the scalar scan.
         cslot = ebk[crow] * d + (~rows_o[crow]).argmax(axis=1)
-        coff = koff[crow]
+        cat = at[crow]
         self._freqs[cslot] = 1
         self._counters[cslot] = 0
         self._flags[cslot] = self._set_bit
         self._occ[cslot] = True
-        self._kcol[cslot] = kval[crow]
+        self._kcol[cslot] = okey[cat]
         keys = self._keys
         slot_of = self._slot_of
-        for s, k in zip(cslot.tolist(), coff.tolist()):
+        for s, k in zip(cslot.tolist(), offset[cat].tolist()):
             item = seq[start + k]
             keys[s] = item
             slot_of[item] = s
@@ -885,25 +1017,49 @@ class ColumnarLTC(FastLTC):
             self._cell_listener.cells_touched(cslot.tolist())
         frow = (~has_empty).nonzero()[0]
         if not len(frow):
-            return crow, cslot
-        drow, dslot = self._decrement_lanes(
-            seq, start, koff[frow], kval[frow], ebk[frow]
+            return crow, cslot, None
+        drow, dslot, flast = self._decrement_lanes(
+            seq, start, offset, okey, opclass, at[frow], end[frow], ebk[frow], runs
         )
+        last = None
+        if flast is not None:
+            last = at.copy()
+            last[frow] = flast
         rows = np.concatenate((crow, frow[drow]))
         slots = np.concatenate((cslot, dslot))
         order = rows.argsort()
-        return rows[order], slots[order]
+        return rows[order], slots[order], last
 
     def _decrement_lanes(
-        self, seq: Sequence[int], start: int, koff: Any, kval: Any, fbk: Any
-    ) -> Tuple[Any, Any]:
-        """Significance Decrementing on full buckets, one miss per lane.
+        self,
+        seq: Sequence[int],
+        start: int,
+        offset: Any,
+        okey: Any,
+        opclass: Any,
+        at: Any,
+        end: Any,
+        fbk: Any,
+        runs: Optional[_RunIndex],
+    ) -> Tuple[Any, Any, Any]:
+        """Significance Decrementing on full buckets, one run per lane.
 
         The common lane only decrements its bucket's least significant
-        cell: gather, ``argmin``, decrement, death test.  Lanes whose cell
-        dies go on to eviction (with Long-tail Replacement when enabled).
-        Distinct buckets make every slot array duplicate-free, so plain
-        fancy writes are exact.  Returns the evicting lanes and slots.
+        cell: gather, ``argmin``, decrement, death test.  With a run index
+        the step applies every miss from ``at`` up to the first op that
+        touches that cell, stopping at the miss that kills it.  This is
+        exact: within the run the cell stays its row's first ``argmin``
+        (its score only falls, the others' only rise, and cells before it
+        were strictly larger), so each miss would pick it again, and the
+        run's hits and sweeps of other cells commute with its decrements.
+        After k steps the cell holds ``max(f - k, 0)`` and ``max(p - k,
+        0)``.  Lanes whose cell dies go on to eviction (with Long-tail
+        Replacement when enabled), installing the key of the miss that
+        killed it.  Distinct buckets make every slot array duplicate-free,
+        so plain fancy writes are exact.  The run search runs only when
+        at least half the cells survive their first decrement.  Returns
+        the evicting lanes and slots, and per lane the position of the
+        last miss applied (``None`` when the round took no run search).
         """
         np = _np
         d = self._d
@@ -926,41 +1082,68 @@ class ColumnarLTC(FastLTC):
                 self._m_evictions.inc(len(slot))
             freqs[slot] += 1
             flags[slot] = set_bit
-            self._install(seq, start, slot, koff, kval, slot)
-            return np.arange(len(slot)), slot
-        if metered:
-            self._m_decrements.inc(len(slot))
+            self._install(seq, start, slot, offset[at], okey[at], slot)
+            return np.arange(len(slot)), slot, None
         fj = freqs[slot]
         cj = counters[slot]
-        has_c = cj > 0
-        has_f = fj > 0
-        nc = cj - has_c
-        nf = fj - has_f
+        k: Any = 1
+        last = None
+        nc = np.maximum(cj - 1, 0)
+        nf = np.maximum(fj - 1, 0)
+        dead = alpha * nf + beta * nc <= 0
+        if runs is not None and 2 * np.count_nonzero(dead) <= len(slot):
+            # At least half the cells survive their first decrement, so a
+            # run search can pay (a young table's fresh cells die at once).
+            # The decrement that kills the cell, where alpha*f + beta*p
+            # reaches 0:
+            if not beta:
+                death = fj
+            elif not alpha:
+                death = cj
+            else:
+                death = np.maximum(fj, cj)
+            k, last = runs.extent(at, end, slot, self._kcol, death)
+            nc = np.maximum(cj - k, 0)
+            nf = np.maximum(fj - k, 0)
+            dead = alpha * nf + beta * nc <= 0
+        if metered:
+            self._m_decrements.inc(len(slot) if last is None else int(k.sum()))
         counters[slot] = nc
         freqs[slot] = nf
-        # Counter empty: charge the oldest pending flag when the flags
-        # cover the whole pre-decrement frequency.
-        bits = flags[slot]
-        covered = (has_f > has_c) & (_FLAG_COUNT.take(bits) >= fj)
-        if np.count_nonzero(covered):
-            flags[slot] = np.where(
-                covered, _CHARGE_OLDEST[self._harvest_bit].take(bits), bits
-            )
-        drow = (alpha * nf + beta * nc <= 0).nonzero()[0]
+        # A step that starts with an empty counter charges the oldest
+        # pending flag when the flags (at most two) cover the frequency.
+        # At frequency 1 that step empties the cell, which then dies and
+        # is rewritten; so the only charge that lasts is at frequency 2:
+        # a run's last step ending at f = 1 after p emptied, with both
+        # flags pending.  It leaves only the set flag.
+        charged = ((nf == 1) & (cj < k)).nonzero()[0]
+        if len(charged):
+            cslot = slot[charged]
+            flags[cslot[flags[cslot] == 3]] = set_bit
+        drow = dead.nonzero()[0]
         if len(drow):
             dslot = slot[drow]
+            dat = at[drow]
+            dlast = dat
+            if last is not None:
+                # A run's inner hits and sweeps (of other cells) wait for
+                # the lane's next flush, except where the cell dies:
+                # Long-tail Replacement reads the row after them.
+                dlast = last[drow]
+                inner = np.maximum(dlast - dat - 1, 0)
+                if np.count_nonzero(inner):
+                    self._flush_ops(opclass[_ranges(dat + 1, inner)], True)
             if metered:
                 self._m_evictions.inc(len(drow))
             if self._ltr and d > 1:
                 if metered:
                     self._m_longtail.inc(len(drow))
-                # Second-smallest per row with the evicted cell masked
-                # out; only that cell changed since the gather, so the
-                # pre-decrement rows are exact for the rest.
+                # Second-smallest per row with the evicted cell masked out.
                 sub = np.arange(len(drow))
                 jm = jmin[drow]
-                masked_f = rows_f.take(drow, axis=0)
-                masked_c = rows_c.take(drow, axis=0)
+                dbk = fbk[drow]
+                masked_f = self._freqs2.take(dbk, axis=0)
+                masked_c = self._counters2.take(dbk, axis=0)
                 masked_f[sub, jm] = _INT64_MAX
                 masked_c[sub, jm] = _INT64_MAX
                 # Row minima through argmin, several times cheaper than a
@@ -975,11 +1158,11 @@ class ColumnarLTC(FastLTC):
             freqs[dslot] = f0
             counters[dslot] = c0
             flags[dslot] = set_bit
-            self._install(seq, start, dslot, koff[drow], kval[drow], slot)
-            return drow, dslot
+            self._install(seq, start, dslot, offset[dlast], okey[dlast], slot)
+            return drow, dslot, last
         if listener is not None:
             listener.cells_touched(slot.tolist())
-        return drow, drow  # no evictions: both empty
+        return drow, drow, last  # no evictions: both empty
 
     def _install(
         self,

@@ -5,7 +5,10 @@ One request per connection, and every response is ``Connection:
 close``, which keeps shutdown exact.  The request head is read in one
 ``readuntil`` bounded by the stream's 64 KiB limit (a longer head, or
 one not ended by CRLF CRLF, is a 400).  A body over 16 MiB is refused
-with a 413 before any of it is read.  A reply ends with a half-close
+with a 413 before any of it is read, and so is an ingest whose
+``counts`` add up to more events than such a body could carry.  While
+the ingest queue holds 4 Mi events, ``POST /ingest`` is answered 503
+with ``Retry-After: 1``.  A reply ends with a half-close
 (``write_eof``) right after its last byte, so a client reading to EOF
 sees it end before the loop runs the ingest step its POST has queued;
 the later ``close()`` would only land after that step (DESIGN.md
@@ -86,9 +89,23 @@ _INGEST_CHUNK = 4096
 #: Largest request body read; a longer Content-Length is answered 413.
 _MAX_BODY = 16 * 1024 * 1024
 
+#: Most events one ``POST /ingest`` may carry: what a maximal plain body
+#: holds (two bytes per event, as in ``1,``).  A request whose ``counts``
+#: add up to more is answered 413 before anything is expanded.
+_MAX_EVENTS = _MAX_BODY // 2
+
+#: Events the ingest queue may hold before ``POST /ingest`` is refused
+#: with 503 and ``Retry-After`` (4 Mi, far above a healthy backlog).
+_MAX_QUEUED = 4 * 1024 * 1024
+
 #: Queue item: a batch of events, or ``None`` = drain-and-exit sentinel.
 _Batch = Optional[List[int]]
 Response = Tuple[int, str, bytes]
+
+#: The ingest queue is full: the one reply sent with ``Retry-After``.
+_QUEUE_FULL: Response = (
+    503, _JSON, canonical_json({"error": "ingest queue full, retry later"})
+)
 
 
 class OracleMismatch(AssertionError):
@@ -360,6 +377,12 @@ class ServingApp:
             set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
         ):
             return self._bad_request("counts must be non-negative integers")
+        if counts is not None and sum(counts) > _MAX_EVENTS:
+            # Checked before expand_counts: a few bytes of counts would
+            # otherwise expand to an unbounded list.
+            return 413, _JSON, canonical_json({"error": "too many events"})
+        if self.queued >= _MAX_QUEUED:
+            return _QUEUE_FULL
         queued = self.submit(items, counts)
         return 200, _JSON, canonical_json(
             {"queued": queued, "pending": self.queued}
@@ -461,7 +484,8 @@ class ServingApp:
             f"HTTP/1.1 {status} {reason}\r\n"
             f"Content-Type: {ctype}\r\n"
             f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
+            + ("Retry-After: 1\r\n" if response is _QUEUE_FULL else "")
+            + "Connection: close\r\n\r\n"
         ).encode("latin-1")
         writer.write(head + payload)
         # Half-close here, not at close(): the transport closes its socket

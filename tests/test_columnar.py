@@ -12,13 +12,14 @@ exercised explicitly.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.columnar import ColumnarLTC
+from repro.core.columnar import ColumnarLTC, _RunIndex
 from repro.core.config import LTCConfig
 from repro.core.fast_ltc import FastLTC
 from repro.core.kernels import KERNELS, build_ltc
@@ -310,13 +311,20 @@ class TestPaperGeometry:
     )
     def test_matches_fast_and_reference_with_counters(self, policy, monkeypatch):
         lanes = []
+        multi = []
         drained = []
         decrement_lanes = ColumnarLTC._decrement_lanes
         drain_lanes = ColumnarLTC._drain_lanes
 
-        def spy_decrement(self, seq, start, koff, kval, fbk):
-            lanes.append(len(fbk))
-            return decrement_lanes(self, seq, start, koff, kval, fbk)
+        def spy_decrement(self, seq, start, offset, okey, opclass, at, *rest):
+            lanes.append(len(at))
+            drow, dslot, last = decrement_lanes(
+                self, seq, start, offset, okey, opclass, at, *rest
+            )
+            # A lane whose last applied miss lies past its first took a
+            # run of two or more misses in this one round.
+            multi.append(last is not None and bool((last > at).any()))
+            return drow, dslot, last
 
         def spy_drain(self, seq, start, offset, opclass, cur, end):
             drained.append(len(cur))
@@ -346,6 +354,8 @@ class TestPaperGeometry:
             for ltc in built.values():
                 ltc.end_period()
         assert max(lanes) >= 16 and any(drained)
+        # Space-Saving evicts on every miss, so it has no runs.
+        assert any(multi) == (policy != "space-saving")
         counted = (
             "ltc_significance_decrements_total",
             "ltc_evictions_total",
@@ -367,6 +377,273 @@ class TestPaperGeometry:
             assert_identical(built[name], built["col"])
             assert counters(name) == counters("col")
         assert to_bytes(built["fast"]) == to_bytes(built["col"])
+
+
+#: Buckets in the crafted-table tests: exactly ``_SEG_MIN_ACTIVE`` lanes,
+#: so every crafted batch runs through the round loop, not the drain.
+RUN_LANES = 16
+
+
+def crafted_pair(config, rows):
+    """A FastLTC and a ColumnarLTC holding the same crafted cells.
+
+    ``rows[b]`` lists bucket ``b``'s cells as ``(key, f, p, flags)``.
+    ``_reindex`` (the restore hook) rebuilds each kernel's derived state
+    from the written cells.
+    """
+    built = []
+    for cls in (FastLTC, ColumnarLTC):
+        ltc = cls(config)
+        d = config.bucket_width
+        for b, row in enumerate(rows):
+            for j, (key, f, p, flags) in enumerate(row):
+                ltc._keys[b * d + j] = key
+                ltc._freqs[b * d + j] = f
+                ltc._counters[b * d + j] = p
+                ltc._flags[b * d + j] = flags
+        ltc._reindex()
+        built.append(ltc)
+    return built
+
+
+def round_robin(per_bucket):
+    """Interleave per-bucket event lists (bucket 0's first, bucket 1's
+    first, ...), keeping each bucket's own order."""
+    longest = max(len(events) for events in per_bucket)
+    return [
+        events[r] for r in range(longest) for events in per_bucket
+        if r < len(events)
+    ]
+
+
+@pytest.fixture
+def run_lengths(monkeypatch):
+    """Every per-lane step length the round kernel's run search returns."""
+    seen = []
+    extent = _RunIndex.extent
+
+    def spy(self, *args):
+        k, last = extent(self, *args)
+        seen.extend(k.tolist())
+        return k, last
+
+    monkeypatch.setattr(_RunIndex, "extent", spy)
+    return seen
+
+
+class TestDecrementRuns:
+    """Pinned boundaries of the columnar round's decrement runs.
+
+    Each test crafts a full table of ``RUN_LANES`` buckets, an incumbent
+    ``A`` and the least significant cell ``B`` per bucket (plus fresh
+    colliding keys ``X``), and sends one batch in which every bucket
+    plays the same script.  FastLTC replays it per event; the columnar
+    round applies each lane's run in one step, so a run boundary the
+    kernel ignored would leave ``B`` (or its replacement) different.
+    """
+
+    def _setup(self, *, width=2, fresh=6, **cfg):
+        defaults = dict(
+            num_buckets=RUN_LANES, bucket_width=width, alpha=1.0, beta=1.0,
+            items_per_period=1 << 20,
+        )
+        defaults.update(cfg)
+        config = LTCConfig(**defaults)
+        probe = ColumnarLTC(config)
+        keys = [colliding_keys(probe, b, width + fresh) for b in range(RUN_LANES)]
+        return config, keys
+
+    def _assert_same(self, fast, col):
+        assert_identical(fast, col)
+        assert to_bytes(fast) == to_bytes(col)
+
+    def test_run_ends_at_hit_on_cell(self, run_lengths):
+        config, keys = self._setup()
+        fast, col = crafted_pair(
+            config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
+        )
+        # X1 X2 B X3 X4 X5: the hit on B ends the first run at two misses.
+        # Taken as one run, five misses would kill B (f = 5).
+        batch = round_robin([[k[2], k[3], k[1], k[4], k[5], k[6]] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        assert col.estimate(keys[0][1]) == (1, 0)
+        assert max(run_lengths) == 3
+
+    def test_run_ends_at_cell_sweep(self, run_lengths):
+        # 32 cells, one sweep per arrival: slot j is swept after arrival j,
+        # so B's sweep (slot 2b + 1, harvest flag pending) lands between
+        # its bucket's first and second miss (arrivals b and 16 + b).
+        config, keys = self._setup(items_per_period=2 * RUN_LANES)
+        fast, col = crafted_pair(
+            config, [[(k[0], 20, 0, 2), (k[1], 8, 0, 2)] for k in keys]
+        )
+        batch = round_robin([k[2:8] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        # 8 - 1, the sweep's p = 1 absorbs the second miss, 4 more: f = 2.
+        assert col.estimate(keys[0][1]) == (2, 0)
+        assert max(run_lengths) >= 4
+
+    def test_death_mid_run_longtail_reads_inner_hit(self, run_lengths):
+        config, keys = self._setup(replacement_policy="longtail")
+        fast, col = crafted_pair(
+            config, [[(k[0], 10, 0, 0), (k[1], 3, 0, 0)] for k in keys]
+        )
+        # X1 A X2 X3 X4: the run kills B at X3; Long-tail Replacement must
+        # see A's hit from inside the run (f2 = 11, so X3 starts at 10).
+        batch = round_robin([[k[2], k[0], k[3], k[4], k[5]] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        assert col.estimate(keys[0][0]) == (11, 0)
+        assert col.estimate(keys[0][4]) == (9, 0)
+        assert 3 in run_lengths
+
+    def test_flag_charge_when_p_empties_mid_run(self, run_lengths):
+        config, keys = self._setup()
+        # B: f = 4, p = 1, both flags pending.  Three misses: p empties at
+        # the first, and the third starts at f = 2 with two pending flags
+        # covering it, so it charges the oldest (the harvest flag).
+        fast, col = crafted_pair(
+            config, [[(k[0], 20, 0, 0), (k[1], 4, 1, 3)] for k in keys]
+        )
+        # X1 A X2 A X3: the hits on A (enough events for the round loop)
+        # sit inside B's run without ending it.
+        batch = round_robin([[k[2], k[0], k[3], k[0], k[4]] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        assert col.estimate(keys[0][1]) == (1, 0)
+        assert int(col._flags[1]) == col._set_bit
+        assert max(run_lengths) == 3
+
+    @pytest.mark.parametrize(
+        "alpha, beta, b_cell",
+        [
+            # alpha = 0: only p counts, so B dies at its third miss
+            # although f is still 6.
+            (0.0, 1.0, (9, 3, 0)),
+            # beta = 0: only f counts, so B dies at its third miss
+            # although p is still 6.
+            (1.0, 0.0, (3, 9, 0)),
+        ],
+        ids=["alpha0", "beta0"],
+    )
+    def test_single_weight_death_step(self, run_lengths, alpha, beta, b_cell):
+        config, keys = self._setup(alpha=alpha, beta=beta, replacement_policy="one")
+        fast, col = crafted_pair(
+            config, [[(k[0], 10, 10, 0), (k[1], *b_cell)] for k in keys]
+        )
+        batch = round_robin([k[2:7] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        # X3 replaced B; X4 and X5 then replaced each fresh cell in turn.
+        assert col.estimate(keys[0][1]) == (0, 0)
+        assert col.estimate(keys[0][6]) == (1, 0)
+        assert 3 in run_lengths
+
+    def test_space_saving_takes_no_runs(self, run_lengths):
+        config, keys = self._setup(replacement_policy="space-saving")
+        fast, col = crafted_pair(
+            config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
+        )
+        batch = round_robin([[k[2], k[3], k[1], k[4], k[5], k[6]] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        assert run_lengths == []
+
+    def test_single_cell_buckets(self, run_lengths):
+        config, keys = self._setup(width=1, fresh=7)
+        fast, col = crafted_pair(config, [[(k[0], 6, 0, 0)] for k in keys])
+        # X1 X2 A X3 .. X7: a run of two, the hit, then a run that kills A
+        # (f = 5) at X7 — d = 1 has no Long-tail Replacement.
+        batch = round_robin([[k[1], k[2], k[0]] + k[3:8] for k in keys])
+        fast.insert_many(batch)
+        col.insert_many(batch)
+        self._assert_same(fast, col)
+        assert col.estimate(keys[0][7]) == (1, 0)
+        assert max(run_lengths) >= 2
+
+
+class TestRoundKernelDifferential:
+    """Random configurations wide enough (w >= 16 lanes) for the round
+    loop, with both weights, every replacement policy, the period and
+    the batch split drawn at random; cells, CLOCK state and the four
+    kernel counters (values and ``int`` type) must equal FastLTC's."""
+
+    @given(
+        w=st.integers(16, 128),
+        d=st.sampled_from([1, 2, 4, 8]),
+        weights=st.sampled_from(
+            [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (3.0, 0.25)]
+        ),
+        policy=st.sampled_from(["longtail", "one", "space-saving"]),
+        period_factor=st.sampled_from([1, 3]),
+        batch=st.sampled_from([None, 600, 2500]),
+        spread=st.sampled_from([12, 24]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_fast(
+        self, w, d, weights, policy, period_factor, batch, spread, seed
+    ):
+        rounds = []
+        apply_misses = ColumnarLTC._apply_misses
+
+        def spy(self, seq, start, offset, okey, opclass, at, *rest):
+            rounds.append(len(at))
+            return apply_misses(self, seq, start, offset, okey, opclass, at, *rest)
+
+        alpha, beta = weights
+        # Periods of at least 1024 events keep each call's dirty tail
+        # above the segmented replay's entry size.
+        period = max(1024, w * d * period_factor)
+        config = LTCConfig(
+            num_buckets=w, bucket_width=d, alpha=alpha, beta=beta,
+            items_per_period=period, replacement_policy=policy,
+        )
+        events = bursty_churn(5 * period, spread * w * d, seed)
+        registries = {}
+        built = {}
+        try:
+            for name, cls in (("fast", FastLTC), ("col", ColumnarLTC)):
+                registries[name] = obs.enable(MetricsRegistry())
+                built[name] = cls(config)
+        finally:
+            obs.disable()
+        with mock.patch.object(ColumnarLTC, "_apply_misses", spy):
+            for start in range(0, len(events), period):
+                chunk = events[start : start + period]
+                built["fast"].insert_many(chunk)
+                step = batch or len(chunk)
+                for i in range(0, len(chunk), step):
+                    built["col"].insert_many(chunk[i : i + step])
+                for ltc in built.values():
+                    ltc.end_period()
+        assert rounds, "no round of the segmented replay ran"
+        assert_identical(built["fast"], built["col"])
+
+        def counters(name):
+            values = {
+                m["name"]: m.get("value")
+                for m in registries[name].snapshot()["metrics"]
+            }
+            return {
+                key: (type(values[key]), values[key])
+                for key in (
+                    "ltc_significance_decrements_total",
+                    "ltc_evictions_total",
+                    "ltc_longtail_replacements_total",
+                    "ltc_harvests_total",
+                )
+            }
+
+        assert counters("fast") == counters("col")
 
 
 class TestFallbacks:

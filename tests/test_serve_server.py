@@ -26,6 +26,7 @@ import pytest
 from repro import obs
 from repro.core.config import LTCConfig
 from repro.core.kernels import build_ltc
+from repro.serve import server
 from repro.serve.server import ServingApp, run_app
 from repro.serve.snapshots import SnapshotStore
 
@@ -377,6 +378,65 @@ class TestEndpoints:
         status, _, payload = app.respond("POST", "/ingest", body)
         assert status == 200
         assert json.loads(payload)["queued"] == 3
+
+    def test_counts_beyond_a_maximal_body_are_413(self, monkeypatch):
+        # A 44-byte body {"items":[1,2],"counts":[30000000,30000000]} used
+        # to expand and queue 60M events.  No request may carry more events
+        # than a maximal 16 MiB plain body (two bytes an event), and the
+        # check must come before anything is expanded.
+        cap = 16 * 1024 * 1024 // 2
+        expanded = []
+        monkeypatch.setattr(
+            server, "expand_counts",
+            lambda items, counts: expanded.append(len(items)) or [],
+        )
+        app = ServingApp(build_ltc(_cfg()))
+        body = json.dumps({"items": [1, 2], "counts": [cap, 1]}).encode()
+        status, _, payload = app.respond("POST", "/ingest", body)
+        assert status == 413, payload
+        assert app.queued == 0 and not expanded
+
+    def test_full_queue_is_503_with_retry_after(self, monkeypatch):
+        # The ingest queue used to grow without bound.  With the worker
+        # not started, fill it to the bound: the next POST is refused with
+        # Retry-After and queues nothing; once the worker drains it, the
+        # same POST is accepted.  The other 503s carry no Retry-After.
+        monkeypatch.setattr(server, "_MAX_QUEUED", 1000)
+
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            listener = await asyncio.start_server(app.handle, "127.0.0.1", 0)
+            port = listener.sockets[0].getsockname()[1]
+            body = json.dumps({"items": list(range(10))}).encode()
+            post = (
+                b"POST /ingest HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body
+            )
+            try:
+                app.submit([7] * 1000)
+                head = (await _raw(port, post)).partition(b"\r\n\r\n")[0]
+                assert int(head.split()[1]) == 503
+                assert b"\r\nRetry-After: 1" in head
+                assert app.queued == 1000
+                for request in (
+                    b"GET /metrics HTTP/1.1\r\n\r\n",
+                    b"POST /snapshot HTTP/1.1\r\n\r\n",
+                ):
+                    head = (await _raw(port, request)).partition(b"\r\n\r\n")[0]
+                    assert int(head.split()[1]) == 503
+                    assert b"Retry-After" not in head
+                app.start()
+                await app._queue.join()
+                assert app.queued == 0
+                head = (await _raw(port, post)).partition(b"\r\n\r\n")[0]
+                assert int(head.split()[1]) == 200
+                await app.shutdown()
+                assert app.ingested == 1010
+            finally:
+                listener.close()
+                await listener.wait_closed()
+
+        asyncio.run(scenario())
 
     def test_metrics_endpoint_exposes_serve_counters(self):
         async def scenario():
