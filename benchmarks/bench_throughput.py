@@ -70,12 +70,12 @@ def test_throughput_frequent(benchmark, bench_caida):
     stream, _ = bench_caida
     budget = MemoryBudget(kb(8))
     factories = dict(default_algorithms_frequent(budget, stream, 100))
-    # The engineering variant with the O(1) hit path (same behaviour,
+    # The production kernel with the O(1) hit path (same behaviour,
     # differentially tested) — included to show the Python-level headroom.
-    from repro.core.fast_ltc import FastLTC
+    from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
 
-    factories["FastLTC"] = lambda: FastLTC(
+    factories["ColumnarLTC"] = lambda: ColumnarLTC(
         LTCConfig(
             num_buckets=budget.ltc_buckets(8),
             bucket_width=8,
@@ -110,10 +110,10 @@ def test_throughput_frequent(benchmark, bench_caida):
     assert ltc > results["Count"].mops
     # CM and LTC are the same speed class in Python; allow 2x noise.
     assert ltc * 2.0 > results["CM"].mops
-    # The indexed variant is in the same speed class as the reference
-    # (its edge shows on hit-heavy streams; see tests/test_fast_ltc.py —
+    # The indexed kernel, driven per event, is in the same speed class as
+    # the reference (its edge shows on hit-heavy streams and in batches;
     # here the claim is only "never materially slower").
-    assert results["FastLTC"].mops >= ltc * 0.6
+    assert results["ColumnarLTC"].mops >= ltc * 0.6
 
 
 def test_throughput_batched(benchmark):
@@ -127,11 +127,13 @@ def test_throughput_batched(benchmark):
     PRs can track the perf trajectory.
 
     Gate (also the CI throughput smoke): batched must never be slower
-    than per-event, and ``FastLTC.insert_many`` must be at least 2x
-    per-event ``FastLTC.insert``.
+    than per-event, and ``ColumnarLTC.insert_many`` must run at least
+    3.9x per-event ``LTC.insert``: the old bar of 2x per-event
+    ``FastLTC.insert``, which ran 1.97x ``LTC.insert`` in the last
+    committed run of this bench.
     """
+    from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
-    from repro.core.fast_ltc import FastLTC
     from repro.core.ltc import LTC
     from repro.sketches.count_min import CountMinSketch
     from repro.sketches.count_sketch import CountSketch
@@ -148,7 +150,10 @@ def test_throughput_batched(benchmark):
         beta=1.0,
         items_per_period=stream.period_length,
     )
-    summaries = {"LTC": lambda: LTC(config), "FastLTC": lambda: FastLTC(config)}
+    summaries = {
+        "LTC": lambda: LTC(config),
+        "ColumnarLTC": lambda: ColumnarLTC(config),
+    }
     sketches = {
         "CM": lambda: CountMinSketch(width=2_048, rows=3),
         "CU": lambda: CUSketch(width=2_048, rows=3),
@@ -231,8 +236,16 @@ def test_throughput_batched(benchmark):
     # The batched path exists purely as an acceleration: never slower.
     for name, speedup in speedups.items():
         assert speedup >= 1.0, f"{name} batched slower than per-event"
-    # And the headline claim: the FastLTC batch path is >= 2x per-event.
-    assert speedups["FastLTC"] >= 2.0
+    # And the headline claim: the old bar, FastLTC.insert_many >= 2.0x
+    # FastLTC.insert, restated over LTC.insert, which FastLTC.insert
+    # outran 1.97x (1.254 / 0.638 Mops): 2.0 x 1.97 = 3.9.  The columnar
+    # kernel's own per-event path is too fast for a 2.0x ratio over
+    # itself (DESIGN.md §11.6), so that ratio is held to the 1.0 floor.
+    columnar = results["ColumnarLTC"][1].ops / results["LTC"][0].ops
+    assert columnar >= 3.9, (
+        f"ColumnarLTC batched is {columnar:.2f}x LTC per-event, below the "
+        "3.9x floor"
+    )
     # CU's conservative update is order-dependent, so its batch path runs
     # the sort-and-segment fixpoint kernel rather than a one-shot fold —
     # still worth a large factor over the per-event loop.
@@ -244,28 +257,28 @@ def test_throughput_batched(benchmark):
 
 
 def test_throughput_columnar(benchmark):
-    """Columnar segmented kernel vs the scalar kernels.
+    """The columnar kernel's crossover curve, gated against the reference.
 
     The workload is period-realistic: 50 CLOCK periods over 500k Zipf-1.0
     events, driven through whole-period ``insert_many`` + ``end_period``.
-    A kernel-crossover curve over w in {64, 128, 256, 512, 1024} records
-    where the columnar kernel wins: at the wide points each period's
-    CLOCK sweep amortises into array slices, and since the segmented
-    replay (DESIGN §11.2) the miss-heavy w=128 point holds *parity* with
-    FastLTC instead of losing 3x.  Only the deeply contended w=64 point
-    (clean fraction ~0.18) still favours the scalar path.
+    A kernel-crossover curve over w in {16, 32, 64, 128, 256, 512, 1024}
+    records the columnar kernel's rate: at the wide points each period's
+    CLOCK sweep amortises into array slices, while the narrow, deeply
+    contended points (clean fraction ~0.18 at w=64) spend their time in
+    the segmented replay and the scalar loop.  The reference LTC, driven
+    through its own batched loop, is measured at the two gated points.
 
     Gates (also the CI throughput smoke):
 
-    * **differential** — cells and top-k identical to FastLTC at the
-      gated operating points (always enforced; the deep grid lives in
-      ``tests/test_columnar.py``);
-    * **speedup** — columnar must beat FastLTC batched by
-      ``REPRO_COLUMNAR_SPEEDUP_FLOOR`` (default 2.0) at the wide
+    * **differential** — cells and top-k identical to the reference LTC
+      at the gated operating points (always enforced; the deep grid
+      lives in ``tests/test_columnar.py``);
+    * **speedup** — columnar must beat the reference batched by
+      ``REPRO_COLUMNAR_SPEEDUP_FLOOR`` (default 6.7) at the wide
       (w=512) point;
-    * **parity** — columnar must reach
-      ``REPRO_COLUMNAR_PARITY_FLOOR`` (default 1.0) x FastLTC batched
-      at the miss-heavy (w=128) point.
+    * **parity** — columnar must reach ``REPRO_COLUMNAR_PARITY_FLOOR``
+      (default 3.6) x the reference batched at the miss-heavy (w=128)
+      point.
 
     Two more points are recorded, not gated, at the geometries of the
     e2e workloads: ``paper`` (w=85, d=8 on a ``network_like`` stream,
@@ -275,7 +288,6 @@ def test_throughput_columnar(benchmark):
     """
     from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
-    from repro.core.fast_ltc import FastLTC
     from repro.core.ltc import LTC
     from repro.streams.datasets import network_like
     from repro.streams.synthetic import zipf_stream
@@ -284,7 +296,10 @@ def test_throughput_columnar(benchmark):
         num_events=500_000, num_distinct=1_000, skew=1.0, num_periods=50,
         seed=42,
     )
-    curve = {"w64": 64, "w128": 128, "w256": 256, "w512": 512, "w1024": 1024}
+    curve = {
+        "w16": 16, "w32": 32, "w64": 64, "w128": 128, "w256": 256,
+        "w512": 512, "w1024": 1024,
+    }
     gated = {"w512": 512, "w128": 128}
 
     def config_for(buckets: int) -> LTCConfig:
@@ -301,10 +316,6 @@ def test_throughput_columnar(benchmark):
         for label, buckets in curve.items():
             config = config_for(buckets)
             results[label] = {
-                "FastLTC": measure_throughput(
-                    lambda: FastLTC(config), stream, name=f"FastLTC-{label}",
-                    repeats=2, batched=True,
-                ),
                 "ColumnarLTC": measure_throughput(
                     lambda: ColumnarLTC(config), stream,
                     name=f"ColumnarLTC-{label}", repeats=2, batched=True,
@@ -369,12 +380,10 @@ def test_throughput_columnar(benchmark):
                 num_buckets=buckets, bucket_width=8, alpha=1.0, beta=1.0,
                 items_per_period=point_stream.period_length,
             )
-            results[label] = {
-                name: measure_calls(
-                    lambda: cls(config), point_stream, call, f"{name}-{label}"
-                )
-                for name, cls in (("FastLTC", FastLTC), ("ColumnarLTC", ColumnarLTC))
-            }
+            results[label] = measure_calls(
+                lambda: ColumnarLTC(config), point_stream, call,
+                f"ColumnarLTC-{label}",
+            )
         return results
 
     results = once(benchmark, run)
@@ -383,32 +392,31 @@ def test_throughput_columnar(benchmark):
     # the gated points.
     for label, buckets in gated.items():
         config = config_for(buckets)
-        fast, col = FastLTC(config), ColumnarLTC(config)
-        stream.run(fast, batched=True)
+        ref, col = LTC(config), ColumnarLTC(config)
+        stream.run(ref, batched=True)
         stream.run(col, batched=True)
-        assert list(fast.cells()) == list(col.cells()), (
-            f"columnar diverged from FastLTC at {label}"
+        assert list(ref.cells()) == list(col.cells()), (
+            f"columnar diverged from the reference LTC at {label}"
         )
-        assert fast.top_k(100) == col.top_k(100)
+        assert ref.top_k(100) == col.top_k(100)
     speedups = {
-        label: point["ColumnarLTC"].ops / point["FastLTC"].ops
-        for label, point in results.items()
-    }
-    point_speedups = {
-        label: point["ColumnarLTC"].ops / point["FastLTC"].ops
-        for label, point in point_results.items()
+        label: results[label]["ColumnarLTC"].ops / results[label]["LTC"].ops
+        for label in gated
     }
     emit(
         "throughput",
-        ["operating point", "engine", "Mops", "vs FastLTC"],
+        ["operating point", "engine", "Mops", "vs LTC"],
         [
             (
                 label,
                 name,
                 f"{result.mops:.3f}",
-                f"{result.ops / point['FastLTC'].ops:.2f}x",
+                f"{result.ops / point['LTC'].ops:.2f}x" if "LTC" in point else "-",
             )
-            for label, point in (*results.items(), *point_results.items())
+            for label, point in (
+                *results.items(),
+                *((label, {"ColumnarLTC": r}) for label, r in point_results.items()),
+            )
             for name, result in point.items()
         ],
         title=(
@@ -416,9 +424,9 @@ def test_throughput_columnar(benchmark):
             "recorded paper / serve-write points"
         ),
     )
-    floor = float(os.environ.get("REPRO_COLUMNAR_SPEEDUP_FLOOR", "2.0"))
+    floor = float(os.environ.get("REPRO_COLUMNAR_SPEEDUP_FLOOR", "6.7"))
     parity_floor = float(
-        os.environ.get("REPRO_COLUMNAR_PARITY_FLOOR", "1.0")
+        os.environ.get("REPRO_COLUMNAR_PARITY_FLOOR", "3.6")
     )
     update_bench_json(
         "columnar",
@@ -442,9 +450,7 @@ def test_throughput_columnar(benchmark):
             "crossover": [
                 {
                     "num_buckets": buckets,
-                    "fast_mops": results[label]["FastLTC"].mops,
                     "columnar_mops": results[label]["ColumnarLTC"].mops,
-                    "columnar_vs_fast": speedups[label],
                 }
                 for label, buckets in curve.items()
             ],
@@ -453,7 +459,7 @@ def test_throughput_columnar(benchmark):
                 for point in results.values()
                 for result in point.values()
             ],
-            "speedups_vs_fast": speedups,
+            "speedups_vs_reference": speedups,
             "recorded_points": [
                 {
                     "label": label,
@@ -461,21 +467,19 @@ def test_throughput_columnar(benchmark):
                     "bucket_width": 8,
                     "stream": desc,
                     "events_per_call": call or point_stream.period_length,
-                    "fast_mops": point_results[label]["FastLTC"].mops,
-                    "columnar_mops": point_results[label]["ColumnarLTC"].mops,
-                    "columnar_vs_fast": point_speedups[label],
+                    "columnar_mops": point_results[label].mops,
                 }
                 for label, (desc, point_stream, buckets, call) in kernel_points.items()
             ],
         },
     )
     assert speedups["w512"] >= floor, (
-        f"columnar speedup {speedups['w512']:.2f}x over FastLTC is below "
-        f"the {floor:.2f}x floor at the gated point"
+        f"columnar speedup {speedups['w512']:.2f}x over the reference LTC "
+        f"is below the {floor:.2f}x floor at the gated point"
     )
     assert speedups["w128"] >= parity_floor, (
-        f"columnar {speedups['w128']:.2f}x vs FastLTC is below the "
-        f"{parity_floor:.2f}x parity floor at the miss-heavy point"
+        f"columnar {speedups['w128']:.2f}x vs the reference LTC is below "
+        f"the {parity_floor:.2f}x floor at the miss-heavy point"
     )
 
 
@@ -619,8 +623,8 @@ def test_throughput_obs(benchmark):
     """Observability overhead: the ingest hot paths with metrics on/off.
 
     The same Zipf workload as the batched bench is driven through the
-    reference per-event path (``LTC.insert``) and the indexed batched
-    path (``FastLTC.insert_many``), once with observability disabled
+    reference per-event path (``LTC.insert``) and the production batched
+    path (``ColumnarLTC.insert_many``), once with observability disabled
     (the default null-registry state) and once with a live registry
     installed.  The ``obs`` section of ``BENCH_throughput.json`` records
     both numbers and their ratio per engine, and the instrumented run's
@@ -640,8 +644,8 @@ def test_throughput_obs(benchmark):
       the recorded numbers, so CI leaves it off.
     """
     from repro import obs
+    from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
-    from repro.core.fast_ltc import FastLTC
     from repro.core.ltc import LTC
     from repro.streams.synthetic import zipf_stream
 
@@ -657,7 +661,7 @@ def test_throughput_obs(benchmark):
     )
     cases = [
         ("LTC", lambda: LTC(config), False),
-        ("FastLTC", lambda: FastLTC(config), True),
+        ("ColumnarLTC", lambda: ColumnarLTC(config), True),
     ]
     snapshot_path = BENCH_JSON.parent / "BENCH_obs_metrics.json"
 
@@ -694,7 +698,10 @@ def test_throughput_obs(benchmark):
                 recorded[(entry["name"], entry["mode"])] = entry["mops"]
         except ValueError:
             pass
-    baseline_keys = {"LTC": ("LTC", "per-event"), "FastLTC": ("FastLTC", "batched")}
+    baseline_keys = {
+        "LTC": ("LTC", "per-event"),
+        "ColumnarLTC": ("ColumnarLTC", "batched"),
+    }
     disabled_vs_recorded = {
         name: recorded[key] / results[name][0].mops
         for name, key in baseline_keys.items()
@@ -737,11 +744,11 @@ def test_throughput_obs(benchmark):
     # for `repro-ltc stats BENCH_obs_metrics.json`.
     from repro.obs.export import write_json_snapshot
 
-    write_json_snapshot(results["FastLTC"][2], snapshot_path)
+    write_json_snapshot(results["ColumnarLTC"][2], snapshot_path)
     # Counters must reflect the instrumented passes (3 repeats x 100k).
     inserts = next(
         m["value"]
-        for m in results["FastLTC"][2]["metrics"]
+        for m in results["ColumnarLTC"][2]["metrics"]
         if m["name"] == "ltc_inserts_total"
     )
     assert inserts == 3 * len(stream)

@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar"],
+        choices=["reference", "columnar"],
         default=None,
         help=(
             "pin the LTC kernel for the sweep; columnar also prints "

@@ -20,7 +20,6 @@ Quick start::
 """
 
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.ltc import LTC
 from repro.core.windowed import WindowedLTC
 from repro.combined.two_structure import TwoStructureSignificant
@@ -45,7 +44,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "LTC",
-    "FastLTC",
     "LTCConfig",
     "WindowedLTC",
     "SpaceSaving",

@@ -62,11 +62,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar"],
+        choices=["reference", "columnar"],
         default="reference",
         help="LTC implementation to build (repro.core.kernels): the "
-        "paper-faithful reference, the hash-indexed fast kernel, or the "
-        "numpy columnar kernel — all observably identical",
+        "paper-faithful reference or the numpy columnar kernel — "
+        "observably identical",
     )
     parser.add_argument(
         "--batched",
@@ -129,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--kernel",
-        choices=["reference", "fast", "columnar"],
+        choices=["reference", "columnar"],
         default="columnar",
         help="LTC kernel to serve (columnar default: fastest ingest)",
     )

@@ -15,7 +15,6 @@ from repro.core.config import LTCConfig
 from repro.core.clock import ClockPointer
 from repro.core.cell import CellView
 from repro.core.columnar import ColumnarLTC
-from repro.core.fast_ltc import FastLTC
 from repro.core.kernels import build_ltc
 from repro.core.keyed import KeyedSummary
 from repro.core.ltc import LTC
@@ -25,7 +24,6 @@ from repro.core.windowed import WindowedLTC
 
 __all__ = [
     "LTC",
-    "FastLTC",
     "ColumnarLTC",
     "build_ltc",
     "LTCConfig",

@@ -1,12 +1,14 @@
-"""ColumnarLTC: struct-of-arrays LTC kernel with a vectorized batch path.
+"""ColumnarLTC: the production LTC kernel, struct-of-arrays with a
+vectorized batch path.
 
-:class:`repro.core.fast_ltc.FastLTC` removes the bucket scan from the hit
-path but still pays one interpreted iteration per arrival.  This kernel
-removes the per-arrival loop itself: the cell state lives in numpy
-**columns** (``int64`` frequency / persistency / flag arrays plus a
-``uint64`` fingerprint column and a boolean occupancy column), a whole
-batch is hashed and probed with array expressions, and the CLOCK sweep is
-applied as at most two contiguous array slices per harvest.
+The reference :class:`repro.core.ltc.LTC` scans a bucket's d cells per
+arrival and loops over a batch one event at a time.  This kernel keeps
+the cell state in numpy **columns** (``int64`` frequency / persistency /
+flag arrays plus one ``uint64`` key column, where an empty cell holds the
+checkpoint format's :data:`~repro.core.serialize.EMPTY_KEY`), finds a
+key's cell through an item→slot dict, hashes and probes a whole batch
+with array expressions, and applies the CLOCK sweep as at most two
+contiguous array slices per harvest.
 
 Replay identity with the per-event path rests on a commutation argument,
 valid exactly when the Deviation Eliminator is on (``set`` and ``harvest``
@@ -55,10 +57,12 @@ remains the exact reference for the round kernel.
 
 The batch is processed in fixed-size chunks so dirtiness is a per-chunk
 property — on hit-heavy streams almost every chunk is all-clean and runs
-entirely in numpy.  With the Deviation Eliminator off, or once a key
-outside the uint64 domain arrives, the class degrades to plain FastLTC
-behaviour; the differential suite in ``tests/test_columnar.py`` pins
-cell-level equality against FastLTC and the reference LTC either way.
+entirely in numpy.  With the Deviation Eliminator off, or for a batch
+holding a key the column cannot (outside ``[0, MAX_KEY]``), the whole
+batch replays through the same scalar loop; once such a key is stored,
+the instance drops its key column and stays scalar until ``clear`` or a
+restore.  The differential suite in ``tests/test_columnar.py`` pins
+cell-level equality against the reference LTC either way.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ import numpy as _np
 
 from repro.core.cell import CellView
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
+from repro.core.ltc import LTC
+from repro.core.serialize import EMPTY_KEY, MAX_KEY
 from repro.hashing.family import splitmix64, splitmix64_array
 from repro.summaries.base import ItemReport, as_items, expand_counts
 
@@ -110,6 +115,8 @@ _SCHEDULE_LIMIT = 1 << 62
 #: Odd 64-bit multiplier (Fibonacci hashing): spreads every key bit into
 #: the high bits the run index sorts keys by.
 _KEY_MIX = _np.uint64(0x9E3779B97F4A7C15)
+
+_EMPTY = _np.uint64(EMPTY_KEY)
 
 
 def _ranges(lo: Any, lens: Any) -> Any:
@@ -188,7 +195,7 @@ class _RunIndex:
         the position of the last of them.
 
         ``slot`` is the lane's least significant cell (its key in the
-        fingerprint column ``kcol``) and ``death`` the decrement that
+        key column ``kcol``) and ``death`` the decrement that
         kills it (0 reads as 1); the step stops there.
         """
         np = _np
@@ -218,26 +225,25 @@ class _RunIndex:
         return k, np.searchsorted(rank, r0 + k - 1)
 
 
-class ColumnarLTC(FastLTC):
+class ColumnarLTC(LTC):
     """LTC with numpy column storage and a vectorized ``insert_many``.
 
-    Observable behaviour is identical to :class:`FastLTC` (and therefore
-    to the reference :class:`repro.core.ltc.LTC`); the columns are pure
-    acceleration, checked by the differential suite and, under
-    ``REPRO_SANITIZE=1``, by the column-agreement invariant in
+    Observable behaviour is identical to the reference
+    :class:`repro.core.ltc.LTC`; the item→slot index and the columns are
+    pure acceleration, checked by the differential suite and, under
+    ``REPRO_SANITIZE=1``, by the index and column-agreement invariants in
     :func:`repro.sanitize.check_ltc`.
     """
 
     def __init__(self, config: LTCConfig) -> None:
         super().__init__(config)
-        self._vec = True
         self._columnize()
 
     # ------------------------------------------------------------- columns
     # reprolint: detached — rebinds columns to numpy storage with identical values
     def _columnize(self) -> None:
         """Adopt numpy column storage for the row arrays and build the
-        fingerprint/occupancy mirror of the key list."""
+        item→slot index and the key column from the key list."""
         self._freqs = _np.array(self._freqs, dtype=_np.int64)
         self._counters = _np.array(self._counters, dtype=_np.int64)
         self._flags = _np.frombuffer(bytes(self._flags), dtype=_np.uint8).astype(
@@ -245,7 +251,9 @@ class ColumnarLTC(FastLTC):
         )
         # Memoryviews over the same buffers: scalar indexed read/write is
         # ~2x cheaper than through the ndarray protocol, which is what the
-        # per-event insert() short-circuit and the queue drain ride on.
+        # scalar paths (per-event insert, scalar replay, queue drain) ride
+        # on.  They stay valid for the instance's life, the key column's
+        # loss included.
         self._freq_mv = memoryview(self._freqs)
         self._counter_mv = memoryview(self._counters)
         self._flag_mv = memoryview(self._flags)
@@ -253,81 +261,59 @@ class ColumnarLTC(FastLTC):
         # argmin eviction (reshape is cheap but not free per miss round).
         self._freqs2 = self._freqs.reshape(self._w, self._d)
         self._counters2 = self._counters.reshape(self._w, self._d)
-        self._rebuild_key_columns()
+        self._reindex()
 
-    def _rebuild_key_columns(self) -> None:
-        m = self.total_cells
-        self._kcol = _np.zeros(m, dtype=_np.uint64)
-        self._occ = _np.zeros(m, dtype=bool)
-        # Per-bucket (w, d) views share memory with the flat columns; the
-        # batch probe gathers whole bucket rows through them.
+    def _reindex(self) -> None:
+        """Rebuild the item→slot index and the key column from the key
+        list (construction, ``clear`` and the restore path).
+
+        The serializer fills the row arrays element-wise (which works on
+        numpy columns), then calls this hook to refresh the derived state.
+        """
+        keys = self._keys
+        self._slot_of = {key: j for j, key in enumerate(keys) if key is not None}
+        self._vec = True
+        self._kcol = _np.full(len(keys), _EMPTY, dtype=_np.uint64)
+        # Per-bucket (w, d) view sharing memory with the flat column; the
+        # batch probe gathers whole bucket rows through it.
         self._kcol2 = self._kcol.reshape(self._w, self._d)
-        self._occ2 = self._occ.reshape(self._w, self._d)
-        for j, key in enumerate(self._keys):
+        for j, key in enumerate(keys):
             if key is not None:
-                self._occ[j] = True
-                try:
-                    self._kcol[j] = key
-                except (OverflowError, TypeError, ValueError):
-                    self._disable_vectorization()
-                    return
+                self._store_key(j, key)
 
-    # reprolint: detached — drops view aliases only; the backing cell arrays are untouched
-    def _disable_vectorization(self) -> None:
-        # A key outside the uint64 domain cannot live in the fingerprint
-        # column (and masking it would alias another key), so the instance
-        # permanently falls back to the scalar FastLTC paths.  clear()
-        # re-enables vectorization on the fresh table.
+    def _store_key(self, slot: int, item: int) -> None:
+        """Mirror a newly stored key into the key column.
+
+        A key the column cannot hold (outside ``[0, MAX_KEY]``: the empty
+        value would read as a free cell, and anything else does not fit
+        a uint64) drops the column instead.  Only the key column goes:
+        every later batch replays through the scalar loop until
+        ``clear`` or a restore rebuilds it, while the value columns and
+        their memoryviews stay live.
+        """
+        if not self._vec:
+            return
+        try:
+            if 0 <= item <= MAX_KEY:
+                self._kcol[slot] = item
+                return
+        except TypeError:
+            pass
         self._vec = False
         self._kcol = None
-        self._occ = None
         self._kcol2 = None
-        self._occ2 = None
-        self._freq_mv = None
-        self._counter_mv = None
-        self._flag_mv = None
-        self._freqs2 = None
-        self._counters2 = None
-
-    def _sync_bucket(self, base: int) -> None:
-        """Refresh the key columns for one bucket after a scalar miss."""
-        kcol = self._kcol
-        occ = self._occ
-        for j in range(base, base + self._d):
-            key = self._keys[j]
-            if key is None:
-                occ[j] = False
-                kcol[j] = 0
-            else:
-                occ[j] = True
-                try:
-                    kcol[j] = key
-                except (OverflowError, TypeError, ValueError):
-                    self._disable_vectorization()
-                    return
 
     # ----------------------------------------------------------- insertion
     def insert(self, item: int) -> None:
         """Single arrival, short-circuited past the ndarray protocol.
 
         Matches :meth:`repro.core.ltc.LTC.insert` observable-state-for-
-        state; the hit path goes through int64 memoryviews (cheap scalar
-        indexing) and the CLOCK advance is inlined so per-event mode costs
-        no more than :class:`FastLTC` despite the column mirror.
+        state; :meth:`_place` goes through int64 memoryviews (cheap scalar
+        indexing) and the CLOCK advance is inlined.
         """
-        if not self._vec:
-            super().insert(item)
-            return
         if self._obs is not None:
             self._m_inserts.inc()
-        slot = self._slot_of.get(item)
-        if slot is not None:
-            self._freq_mv[slot] += 1
-            self._flag_mv[slot] |= self._set_bit
-            if self._cell_listener is not None:
-                self._cell_listener.cell_touched(slot)
-        else:
-            self._scalar_miss(item)
+        self._place(item)
         clock = self._clock
         acc = clock._acc + clock.num_cells
         n = clock.items_per_period
@@ -338,172 +324,140 @@ class ColumnarLTC(FastLTC):
         clock._acc = acc - steps * n
         self._harvest_segments(steps)
 
+    def _place(self, item: int) -> None:
+        """The lossy-table update (per-event and timed inserts): an index
+        hit, or else :meth:`_scalar_miss`."""
+        slot = self._slot_of.get(item)
+        if slot is None:
+            self._scalar_miss(item)
+            return
+        self._freq_mv[slot] += 1
+        self._flag_mv[slot] |= self._set_bit
+        if self._cell_listener is not None:
+            self._cell_listener.cell_touched(slot)
+
     def _scalar_miss(self, item: int) -> bool:
         """One miss through the memoryview columns (no CLOCK advance).
 
-        Mirrors ``FastLTC._place_miss`` line for line — same float
-        scoring, same tie-breaking, same flag reconciliation — but reads
-        and writes the int64 columns through memoryviews and syncs only
-        the single touched fingerprint slot, instead of re-deriving the
-        whole bucket.  Serves both the per-event ``insert`` short-circuit
-        and the segmented replay's queue drain.  Returns ``True`` when
-        the bucket's key set changed (claim or eviction), ``False`` for a
-        Significance Decrement the incumbent survived — the drain uses
-        this to know when cached hit slots go stale.
+        The only scalar miss path.  Mirrors ``LTC._place`` cases 2–3 line
+        for line — same float scoring, same tie-breaking, same flag
+        reconciliation — but reads and writes the int64 columns through
+        memoryviews and keeps the index and the key column in step.
+        Serves the per-event paths, the scalar replay and the segmented
+        replay's queue drain.  Returns ``True`` when the bucket's key set
+        changed (claim or eviction), ``False`` for a Significance
+        Decrement the incumbent survived — the drain uses this to know
+        when cached hit slots go stale.
         """
-        if not self._vec:
-            # A prior oversized key dropped the column mirror mid-stream
-            # (callers may hold stale memoryviews over the still-live
-            # numpy buffers); finish through the FastLTC path.
-            self._place_miss(item)
-            return True
         d = self._d
         base = (splitmix64(item ^ self._seed) % self._w) * d
         keys = self._keys
         fmv = self._freq_mv
         cmv = self._counter_mv
         flmv = self._flag_mv
-        listener = self._cell_listener
-        empty = -1
         for j in range(base, base + d):
-            if keys[j] is None:
-                empty = j
+            if keys[j] is None:  # Free cell: claim it.
+                fmv[j] = 1
+                cmv[j] = 0
                 break
-        if empty >= 0:  # Free cell: claim it.
-            keys[empty] = item
-            fmv[empty] = 1
-            cmv[empty] = 0
-            flmv[empty] = self._set_bit
-            self._slot_of[item] = empty
-            self._occ[empty] = True
-            try:
-                self._kcol[empty] = item
-            except (OverflowError, TypeError, ValueError):
-                self._disable_vectorization()
-            if listener is not None:
-                listener.cell_touched(empty)
-            return True
-        alpha, beta = self._alpha, self._beta
-        metered = self._obs is not None
-        jmin = base
-        smin = alpha * fmv[base] + beta * cmv[base]
-        for j in range(base + 1, base + d):
-            s = alpha * fmv[j] + beta * cmv[j]
-            if s < smin:
-                smin, jmin = s, j
-        if self._policy == "space-saving":
+        else:
+            alpha, beta = self._alpha, self._beta
+            metered = self._obs is not None
+            j = base
+            smin = alpha * fmv[base] + beta * cmv[base]
+            for i in range(base + 1, base + d):
+                s = alpha * fmv[i] + beta * cmv[i]
+                if s < smin:
+                    smin, j = s, i
+            if self._policy == "space-saving":
+                fmv[j] += 1
+            else:
+                if metered:
+                    self._m_decrements.inc()
+                fj = fmv[j]
+                if cmv[j] > 0:
+                    cmv[j] -= 1
+                elif fj > 0:
+                    # Charge the decrement to the oldest pending flag when
+                    # the counter is empty and the flags cover the whole
+                    # frequency (see LTC._decrement_smallest).
+                    bits = flmv[j]
+                    if (bits & 1) + (bits >> 1 & 1) >= fj:
+                        if bits & self._harvest_bit:
+                            flmv[j] = bits & ~self._harvest_bit & 0xFF
+                        else:
+                            flmv[j] = bits & ~self._set_bit & 0xFF
+                if fj > 0:
+                    fj -= 1
+                    fmv[j] = fj
+                if alpha * fj + beta * cmv[j] > 0:
+                    if self._cell_listener is not None:
+                        self._cell_listener.cell_touched(j)
+                    return False
+                if self._ltr and d > 1:
+                    f2 = c2 = None
+                    for i in range(base, base + d):
+                        if i == j:
+                            continue
+                        fv = fmv[i]
+                        if f2 is None or fv < f2:
+                            f2 = fv
+                        cv = cmv[i]
+                        if c2 is None or cv < c2:
+                            c2 = cv
+                    assert f2 is not None and c2 is not None
+                    fmv[j] = f0 = max(f2 - 1, 1)
+                    cmv[j] = min(max(c2 - 1, 0), f0 - 1)
+                    if metered:
+                        self._m_longtail.inc()
+                else:
+                    fmv[j] = 1
+                    cmv[j] = 0
             if metered:
                 self._m_evictions.inc()
-            old = keys[jmin]
-            if old is not None:
-                del self._slot_of[old]
-            keys[jmin] = item
-            fmv[jmin] += 1
-            flmv[jmin] = self._set_bit
-            self._slot_of[item] = jmin
-            try:
-                self._kcol[jmin] = item
-            except (OverflowError, TypeError, ValueError):
-                self._disable_vectorization()
-            if listener is not None:
-                listener.cell_touched(jmin)
-            return True
-        if metered:
-            self._m_decrements.inc()
-        fj = fmv[jmin]
-        if cmv[jmin] > 0:
-            cmv[jmin] -= 1
-        elif fj > 0:
-            # Charge the decrement to the oldest pending flag when the
-            # counter is empty and the flags cover the whole frequency
-            # (see LTC._decrement_smallest).
-            bits = flmv[jmin]
-            if (bits & 1) + (bits >> 1 & 1) >= fj:
-                if bits & self._harvest_bit:
-                    flmv[jmin] = bits & ~self._harvest_bit & 0xFF
-                else:
-                    flmv[jmin] = bits & ~self._set_bit & 0xFF
-        if fj > 0:
-            fj -= 1
-            fmv[jmin] = fj
-        if alpha * fj + beta * cmv[jmin] > 0:
-            if listener is not None:
-                listener.cell_touched(jmin)
-            return False
-        if self._ltr and d > 1:
-            f2 = c2 = None
-            for j in range(base, base + d):
-                if j == jmin:
-                    continue
-                fv = fmv[j]
-                if f2 is None or fv < f2:
-                    f2 = fv
-                cv = cmv[j]
-                if c2 is None or cv < c2:
-                    c2 = cv
-            assert f2 is not None and c2 is not None
-            f0 = max(f2 - 1, 1)
-            c0 = min(max(c2 - 1, 0), f0 - 1)
-            if metered:
-                self._m_longtail.inc()
-        else:
-            f0, c0 = 1, 0
-        if metered:
-            self._m_evictions.inc()
-        old = keys[jmin]
-        if old is not None:
-            del self._slot_of[old]
-        keys[jmin] = item
-        fmv[jmin] = f0
-        cmv[jmin] = c0
-        flmv[jmin] = self._set_bit
-        self._slot_of[item] = jmin
-        try:
-            self._kcol[jmin] = item
-        except (OverflowError, TypeError, ValueError):
-            self._disable_vectorization()
-        if listener is not None:
-            listener.cell_touched(jmin)
+            del self._slot_of[keys[j]]
+        keys[j] = item
+        flmv[j] = self._set_bit
+        self._slot_of[item] = j
+        self._store_key(j, item)
+        if self._cell_listener is not None:
+            self._cell_listener.cell_touched(j)
         return True
-
-    def _place_miss(self, item: int) -> None:
-        super()._place_miss(item)
-        if self._vec:
-            base = (splitmix64(item ^ self._seed) % self._w) * self._d
-            self._sync_bucket(base)
 
     def insert_many(
         self, items: Iterable[int], counts: Optional[Sequence[int]] = None
     ) -> None:
         """Batched arrivals through the columnar kernel.
 
-        Replay-identical to :meth:`FastLTC.insert_many` (same cells, same
+        Replay-identical to per-event :meth:`insert` (same cells, same
         CLOCK state, same metrics); see the module docstring for the
-        commutation argument.  Falls back to the scalar path with the
-        Deviation Eliminator off (set and harvest flags share a bit and
-        stop commuting), or when the batch contains keys outside the
-        uint64 domain.
+        commutation argument.  The whole batch replays through
+        :meth:`_replay_scalar` instead with the Deviation Eliminator off
+        (set and harvest flags share a bit and stop commuting), without
+        a key column, or when the batch holds a key the column cannot.
         """
         items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
-        if not self._vec or not self._de:
-            super().insert_many(items)
-            return
         seq: Sequence[int] = (
             items if isinstance(items, (list, tuple)) else list(items)
         )
-        try:
-            arr = _np.asarray(seq, dtype=_np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            super().insert_many(seq)
-            return
         total = len(seq)
         if self._m_batch is not None:
             self._m_batch.observe(total)
         if self._obs is not None:
             self._m_inserts.inc(total)
-        if total == 0:
+        arr = None
+        if self._vec and self._de and total:
+            try:
+                arr = _np.asarray(seq, dtype=_np.uint64)
+            except (OverflowError, TypeError, ValueError):
+                pass
+            else:
+                if arr.max() == _EMPTY:
+                    arr = None
+        if arr is None:
+            self._replay_scalar(seq, 0, total, range(total))
             return
         hashed = splitmix64_array(arr ^ _np.uint64(self._seed))
         w = self._w
@@ -568,7 +522,7 @@ class ColumnarLTC(FastLTC):
         instead of materialising a per-event cell-index matrix.  Returns
         the per-event ``(span, d)`` equality matrix and the hit mask.
         """
-        eq = (self._kcol2[b] == karr[:, None]) & self._occ2[b]
+        eq = self._kcol2[b] == karr[:, None]
         return eq, eq.any(axis=1)
 
     def _apply_hit_slots(self, slots: Any) -> None:
@@ -605,14 +559,19 @@ class ColumnarLTC(FastLTC):
             self._replay_scalar(seq, start, span, dirty.tolist())
 
     def _replay_scalar(
-        self, seq: Sequence[int], start: int, span: int, dirty: List[int]
+        self, seq: Sequence[int], start: int, span: int, dirty: Sequence[int]
     ) -> None:
-        """Per-event dirty-tail replay (the segmented kernel's reference).
+        """Per-event replay of a span's events at offsets ``dirty``.
 
-        Events replay one-by-one in stream order, the CLOCK advanced to
-        each event's exact arrival offset (inlined on_arrivals arithmetic
-        and hit path, as in FastLTC.insert_many) — hits and misses
-        through the memoryview columns.
+        The one scalar batch loop: the segmented kernel's reference on a
+        chunk's dirty tail, and the whole batch (``dirty = range(span)``)
+        when the vectorized path cannot run.  Events replay one by one in
+        stream order, hits and misses through the memoryview columns.  The
+        CLOCK advances in closed form up to ``fire``, the offset of the
+        arrival that takes the next sweep step, and takes the steps there,
+        so each lands at the exact arrival the per-event path would take
+        it; the other arrivals of the span (clean hits, already applied)
+        only move the CLOCK.
         """
         listener = self._cell_listener
         get = self._slot_of.get
@@ -624,15 +583,18 @@ class ColumnarLTC(FastLTC):
         n = clock.items_per_period
         m = clock.num_cells
         acc = clock._acc
+        # Arrivals before offset ``prev`` are in ``acc``.
         prev = 0
+        fire = (n - 1 - acc) // m
         for k in dirty:
-            gap = k - prev
-            if gap:
-                acc += gap * m
+            if k > fire:
+                # Arrivals before this event took sweep steps.
+                acc += (k - prev) * m
                 steps = acc // n
-                if steps:
-                    acc -= steps * n
-                    self._harvest_segments(steps)
+                acc -= steps * n
+                self._harvest_segments(steps)
+                prev = k
+                fire = k + (n - 1 - acc) // m
             item = seq[start + k]
             slot = get(item)
             if slot is not None:
@@ -642,18 +604,18 @@ class ColumnarLTC(FastLTC):
                     listener.cell_touched(slot)
             else:
                 miss(item)
-            acc += m
-            steps = acc // n
-            if steps:
+            if k == fire:
+                acc += (k + 1 - prev) * m
+                steps = acc // n
                 acc -= steps * n
                 self._harvest_segments(steps)
-            prev = k + 1
-        if span > prev:
-            acc += (span - prev) * m
-            steps = acc // n
-            if steps:
-                acc -= steps * n
-                self._harvest_segments(steps)
+                prev = k + 1
+                fire = prev + (n - 1 - acc) // m
+        acc += (span - prev) * m
+        steps = acc // n
+        if steps:
+            acc -= steps * n
+            self._harvest_segments(steps)
         clock._acc = acc
 
     def _replay_segmented(
@@ -887,7 +849,7 @@ class ColumnarLTC(FastLTC):
         flmv = self._flag_mv
         set_bit = self._set_bit
         miss = self._scalar_miss
-        harvest = self._drain_harvest
+        harvest = self._harvest
         listener = self._cell_listener
         cls_l = opclass.tolist()
         off_l = offset.tolist()
@@ -919,12 +881,10 @@ class ColumnarLTC(FastLTC):
                     else:
                         miss(item)
 
-    def _drain_harvest(self, slot: int) -> None:
-        """CLOCK scan of one cell through the memoryview columns.
-
-        Mirrors ``LTC._harvest`` minus the pointer bookkeeping — the
-        segmented replay schedules sweeps itself.
-        """
+    def _harvest(self, slot: int) -> None:
+        """CLOCK scan of one cell (``LTC._harvest``) through the
+        memoryview columns: the scalar sweeps, ``end_period``'s included,
+        and the queue drain, which schedules its sweeps itself."""
         flmv = self._flag_mv
         bits = flmv[slot]
         if bits & self._harvest_bit:
@@ -978,7 +938,7 @@ class ColumnarLTC(FastLTC):
     ) -> Tuple[Any, Any, Any]:
         """Apply each lane's next miss (all buckets ``ebk`` distinct), vectorized.
 
-        Mirrors ``FastLTC._place_miss`` lane for lane: a lane whose bucket
+        Mirrors :meth:`_scalar_miss` lane for lane: a lane whose bucket
         has a free cell claims the first one; the rest go through
         Significance Decrementing (:meth:`_decrement_lanes`), which with
         a run index takes a whole run per lane.  ``at`` / ``end`` are the
@@ -990,22 +950,22 @@ class ColumnarLTC(FastLTC):
         ``at``).
         """
         np = _np
-        if np.count_nonzero(self._occ) == self.total_cells:
-            # Full table (the steady state): every lane decrements.
+        if len(self._slot_of) == self.total_cells:
+            # Full table (the steady state): every lane decrements.  The
+            # index holds one entry per occupied cell.
             return self._decrement_lanes(
                 seq, start, offset, okey, opclass, at, end, ebk, runs
             )
         d = self._d
-        rows_o = self._occ2.take(ebk, axis=0)
-        has_empty = ~rows_o.all(axis=1)
+        rows_e = self._kcol2.take(ebk, axis=0) == _EMPTY
+        has_empty = rows_e.any(axis=1)
         crow = has_empty.nonzero()[0]
         # First free cell, as in the scalar scan.
-        cslot = ebk[crow] * d + (~rows_o[crow]).argmax(axis=1)
+        cslot = ebk[crow] * d + rows_e[crow].argmax(axis=1)
         cat = at[crow]
         self._freqs[cslot] = 1
         self._counters[cslot] = 0
         self._flags[cslot] = self._set_bit
-        self._occ[cslot] = True
         self._kcol[cslot] = okey[cat]
         keys = self._keys
         slot_of = self._slot_of
@@ -1268,8 +1228,11 @@ class ColumnarLTC(FastLTC):
     # callers — breaking e.g. ``json.dumps`` of a report.  Coerce back to
     # Python scalars at the public read boundary.
     def estimate(self, item: int) -> Tuple[int, int]:
-        f, p = super().estimate(item)
-        return int(f), int(p)
+        """Estimated ``(frequency, persistency)`` of ``item`` via the index."""
+        slot = self._slot_of.get(item)
+        if slot is None:
+            return 0, 0
+        return self._freq_mv[slot], self._counter_mv[slot]
 
     def query(self, item: int) -> float:
         return float(super().query(item))
@@ -1286,19 +1249,11 @@ class ColumnarLTC(FastLTC):
                 frequency=int(cv.frequency), persistency=int(cv.persistency)
             )
 
+    def _tracked(self, item: int) -> bool:
+        return item in self._slot_of
+
     # ------------------------------------------------------------- lifecycle
     def clear(self) -> None:
         """Reset the structure (re-enabling vectorization) to fresh state."""
         super().clear()
-        self._vec = True
         self._columnize()
-
-    def _reindex(self) -> None:
-        """Rebuild the item→slot index and the key columns (restore path).
-
-        The serializer fills the row arrays element-wise (which works on
-        numpy columns), then calls this hook to refresh the derived state.
-        """
-        super()._reindex()
-        if self._vec:
-            self._rebuild_key_columns()

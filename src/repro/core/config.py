@@ -40,10 +40,9 @@ class LTCConfig:
             checkpoints and merges like an unsanitized one.
         kernel: Which LTC implementation :func:`repro.core.kernels.build_ltc`
             constructs for this config: ``"reference"`` (the paper-faithful
-            :class:`repro.core.ltc.LTC`), ``"fast"`` (the hash-indexed
-            :class:`repro.core.fast_ltc.FastLTC`) or ``"columnar"`` (the
+            :class:`repro.core.ltc.LTC`) or ``"columnar"`` (the production
             numpy struct-of-arrays :class:`repro.core.columnar.ColumnarLTC`).
-            All kernels are observably identical (differential-tested);
+            Both kernels are observably identical (differential-tested);
             excluded from config equality/merge compatibility for the same
             reason as ``sanitize``.
     """
@@ -77,8 +76,8 @@ class LTCConfig:
             raise ValueError(
                 "replacement_policy must be 'longtail', 'one' or 'space-saving'"
             )
-        if self.kernel not in ("reference", "fast", "columnar"):
-            raise ValueError("kernel must be 'reference', 'fast' or 'columnar'")
+        if self.kernel not in ("reference", "columnar"):
+            raise ValueError("kernel must be 'reference' or 'columnar'")
         # Normalize the seed to its 64-bit image at construction time.
         # Hashing already reduces modulo 2**64 (splitmix64 masks its
         # input), but the binary checkpoint header stores the masked

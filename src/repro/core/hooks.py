@@ -24,8 +24,8 @@ Contract (relied on by :class:`repro.serve.index.ServingIndex`):
   is attached — the disabled cost is one ``is None`` test per mutation
   site, mirroring the observability discipline (DESIGN.md §9).
 
-Supported structures: the three LTC kernels
-(:class:`~repro.core.ltc.LTC`, :class:`~repro.core.fast_ltc.FastLTC`,
+Supported structures: the two LTC kernels
+(:class:`~repro.core.ltc.LTC` and
 :class:`~repro.core.columnar.ColumnarLTC`).  Other summaries do not
 emit notifications.
 """
@@ -43,12 +43,12 @@ from typing import Iterable, Protocol
 # explicit ``# reprolint: detached`` waiver).  Keep them in sync with the
 # kernels: adding a cell-state column without listing it here silently
 # exempts it from the check; listing a derived attribute (``_slot_of``,
-# ``_occ``, ``_kcol``, flag bytes) would demand notifications for writes
+# ``_kcol``, flag bytes) would demand notifications for writes
 # the serving index never observes.
 
 #: Classes whose cells a :class:`CellListener` may observe.  Subclasses
 #: of these inherit the contract.
-HOOKED_STRUCTURES = ("LTC", "FastLTC", "ColumnarLTC")
+HOOKED_STRUCTURES = ("LTC", "ColumnarLTC")
 
 #: Attributes holding observable cell state: the key column and the
 #: frequency/persistency counters, including the columnar kernel's numpy

@@ -1,15 +1,14 @@
 """Kernel selection: build the LTC implementation a config asks for.
 
-Three interchangeable kernels implement the same observable structure
+Two interchangeable kernels implement the same observable structure
 (differential-tested cell-for-cell against each other):
 
 * ``"reference"`` — :class:`repro.core.ltc.LTC`, the paper-faithful
   implementation whose per-cell layout matches the 12-byte accounting;
   accuracy experiments use this one.
-* ``"fast"`` — :class:`repro.core.fast_ltc.FastLTC`, hash-indexed O(1)
-  hit path.
-* ``"columnar"`` — :class:`repro.core.columnar.ColumnarLTC`, numpy
-  struct-of-arrays storage with a vectorized batch path.
+* ``"columnar"`` — :class:`repro.core.columnar.ColumnarLTC`, the
+  production kernel: numpy struct-of-arrays storage, an item→slot index
+  for the scalar paths and a vectorized batch path.
 
 Call sites that build an LTC from a config (CLI, experiment factories,
 distributed coordinators/workers) go through :func:`build_ltc` so the
@@ -22,12 +21,10 @@ from typing import Dict, Type
 
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.ltc import LTC
 
 KERNELS: Dict[str, Type[LTC]] = {
     "reference": LTC,
-    "fast": FastLTC,
     "columnar": ColumnarLTC,
 }
 

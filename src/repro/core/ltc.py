@@ -451,8 +451,8 @@ class LTC(StreamSummary):
     def _reindex(self) -> None:
         """Rebuild any derived lookup state from the cell arrays.
 
-        No-op for the reference class; :class:`repro.core.fast_ltc.FastLTC`
-        rebuilds its item→slot index here.  Called by the serializer after
+        No-op for the reference class; :class:`repro.core.columnar.ColumnarLTC`
+        rebuilds its item→slot index and key column here.  Called by the serializer after
         restoring cells.
         """
 

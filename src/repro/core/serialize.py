@@ -28,12 +28,17 @@ Binary format versions:
   write format.  Reading a v2 image converts the float fraction to
   ticks, rounding to the nearest tick.
 
+A cell record stores its key as a uint64, and an empty cell as
+:data:`EMPTY_KEY`, so a checkpoint holds keys in ``[0, MAX_KEY]`` only:
+:func:`to_bytes` refuses any other key with a ``ValueError`` before it
+produces a byte.  The columnar kernel's key column uses the same two
+values.
+
 Both restore paths accept a ``cls=`` parameter (default
 :class:`repro.core.ltc.LTC`) so engineering subclasses such as
-:class:`repro.core.fast_ltc.FastLTC` can be revived as themselves; after
-the cells are filled the subclass hook ``_reindex()`` rebuilds any
-derived lookup state (FastLTC's item→slot index, ColumnarLTC's column
-arrays).
+:class:`repro.core.columnar.ColumnarLTC` can be revived as themselves;
+after the cells are filled the subclass hook ``_reindex()`` rebuilds any
+derived lookup state (ColumnarLTC's item→slot index and key column).
 """
 
 from __future__ import annotations
@@ -49,7 +54,11 @@ from repro.core.ltc import LTC
 _MAGIC_V1 = b"LTC1"
 _MAGIC_V2 = b"LTC2"
 _MAGIC_V3 = b"LTC3"
-_EMPTY_KEY = 0xFFFFFFFFFFFFFFFF
+#: The key field of an empty cell's record (and of an empty cell in the
+#: columnar kernel's key column), so no stored item may take it.
+EMPTY_KEY = 0xFFFF_FFFF_FFFF_FFFF
+#: The highest key a checkpoint can store.
+MAX_KEY = EMPTY_KEY - 1
 _HEADER_V1 = struct.Struct("<4sIIddIBBBxIIIqQ")
 # v2 appends: facc (double), has_timestamp (byte), last_timestamp (double).
 _HEADER_V2 = struct.Struct("<4sIIddIBBBxIIIqQdBd")
@@ -150,7 +159,12 @@ def _restore_dynamic(
 
 
 def to_bytes(ltc: LTC) -> bytes:
-    """Serialise an LTC to a compact binary image (v3 format)."""
+    """Serialise an LTC to a compact binary image (v3 format).
+
+    Raises ``ValueError`` naming the first cell whose key lies outside
+    ``[0, MAX_KEY]`` (the empty-cell value included), before any byte of
+    the image exists.
+    """
     cfg = ltc.config
     policy_code = _POLICY_CODES[cfg.replacement_policy]
     ts = ltc._last_timestamp
@@ -177,8 +191,15 @@ def to_bytes(ltc: LTC) -> bytes:
     )
     cells = bytearray()
     for j, key in enumerate(ltc._keys):
+        if key is None:
+            key = EMPTY_KEY
+        elif not 0 <= key <= MAX_KEY:
+            raise ValueError(
+                f"cell {j} holds key {key!r}, outside the checkpoint's "
+                f"key range [0, {MAX_KEY}]"
+            )
         cells += _CELL.pack(
-            _EMPTY_KEY if key is None else int(key),
+            int(key),
             int(ltc._freqs[j]),
             int(ltc._counters[j]),
             int(ltc._flags[j]),
@@ -259,7 +280,7 @@ def from_bytes(blob: bytes, cls: Type[LTC] = LTC) -> LTC:
     for j in range(ltc.total_cells):
         key, freq, counter, flags = _CELL.unpack_from(blob, offset)
         offset += _CELL.size
-        ltc._keys[j] = None if key == _EMPTY_KEY else key
+        ltc._keys[j] = None if key == EMPTY_KEY else key
         ltc._freqs[j] = freq
         ltc._counters[j] = counter
         ltc._flags[j] = flags

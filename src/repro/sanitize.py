@@ -191,27 +191,23 @@ def _check_ltc_index(ltc: "LTC") -> None:
 
 
 def _check_ltc_columns(ltc: "LTC") -> None:
-    # ColumnarLTC mirrors the key list into fingerprint/occupancy columns
-    # for vectorized probing; the mirror must agree with the row state.
+    # ColumnarLTC mirrors the key list into one key column for vectorized
+    # probing (the empty value for a free cell); the mirror must agree
+    # with the row state.
     kcol = getattr(ltc, "_kcol", None)
-    occ = getattr(ltc, "_occ", None)
-    if kcol is None or occ is None:
+    if kcol is None:
         return
+    # Imported here: repro.core imports this module.
+    from repro.core.serialize import EMPTY_KEY
+
     for j, key in enumerate(ltc._keys):
-        occupied = bool(occ[j])
-        if occupied != (key is not None):
+        held = int(kcol[j])
+        if held != (EMPTY_KEY if key is None else key):
             _fail(
                 ltc,
                 "columns_match_cells",
-                f"occupancy column says {occupied} at cell {j}, key list "
-                f"holds {key!r}",
-            )
-        if occupied and int(kcol[j]) != key:
-            _fail(
-                ltc,
-                "columns_match_cells",
-                f"fingerprint column holds {int(kcol[j])} at cell {j}, key "
-                f"list holds {key!r}",
+                f"key column holds {held} at cell {j}, key list holds "
+                f"{key!r}",
             )
 
 
@@ -219,8 +215,8 @@ def check_ltc(ltc: "LTC", cells: Optional[Iterable[int]] = None) -> None:
     """Validate the structural invariants of an LTC (or subclass).
 
     ``cells`` restricts the scan to the given slot indices; the default
-    checks the whole table, the CLOCK state, (for FastLTC) the item→slot
-    index, and (for ColumnarLTC) the fingerprint/occupancy columns.  The
+    checks the whole table, the CLOCK state, and (for ColumnarLTC) the
+    item→slot index and the key column.  The
     ``persistency <= frequency`` check counts un-harvested flags as
     pending persistency credit, so a decrement that strands excess credit
     is caught at the mutation site — before the harvest that would

@@ -59,6 +59,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro import obs
 from repro.core.ltc import LTC
+from repro.core.serialize import MAX_KEY
 from repro.serve.index import Report, ServingIndex
 from repro.serve.oracle import (
     canonical_json,
@@ -369,10 +370,14 @@ class ServingApp:
         ):
             return self._bad_request("counts must parallel items")
         # Exact types, not isinstance: JSON booleans decode to bool, an
-        # int subclass, and must not be queued as keys 1 and 0.  Both
-        # checks are C-level passes over the decoded lists.
+        # int subclass, and must not be queued as keys 1 and 0.  Every
+        # check is a C-level pass over the decoded lists.
         if not set(map(type, items)) <= {int}:
             return self._bad_request("items must be integers")
+        # Keys a checkpoint cannot store would fail every later snapshot
+        # (the shutdown one included), or restore as an empty cell.
+        if items and (min(items) < 0 or max(items) > MAX_KEY):
+            return self._bad_request(f"items must lie in [0, {MAX_KEY}]")
         if counts is not None and not (
             set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
         ):

@@ -110,7 +110,7 @@ class PeriodicStream:
 
         With ``batched=True`` each whole-period slice is handed to
         ``summary.insert_many(items)`` instead — the amortised fast path
-        for summaries that override it (LTC, FastLTC, and via the
+        for summaries that override it (LTC, ColumnarLTC, and via the
         :class:`~repro.summaries.base.StreamSummary` default every other
         summary).  Both modes produce identical summary state; batched
         mode only changes the per-arrival interpreter overhead.

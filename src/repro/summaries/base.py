@@ -76,7 +76,7 @@ class StreamSummary(abc.ABC):
         consecutive arrivals of ``items[i]`` (see :func:`expand_counts`).
         Semantically identical to calling :meth:`insert` per expanded
         item; the default is a plain loop with the method lookup hoisted.
-        Summaries with a cheaper amortised batch path (LTC, FastLTC, and
+        Summaries with a cheaper amortised batch path (LTC, ColumnarLTC, and
         every comparison baseline) override this — differential tests pin
         every override cell-for-cell equal to the one-at-a-time reference.
         """

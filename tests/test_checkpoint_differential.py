@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.ltc import LTC
 from repro.core.serialize import from_bytes, from_state, to_bytes, to_state
 
@@ -81,9 +81,12 @@ class TestTimedModeSplit:
         identical(straight, resumed)
 
     @pytest.mark.parametrize("roundtrip", ROUNDTRIPS)
-    @pytest.mark.parametrize("cls", [LTC, FastLTC], ids=["LTC", "FastLTC"])
+    @pytest.mark.parametrize(
+        "cls", [LTC, ColumnarLTC], ids=["LTC", "columnar"]
+    )
     def test_split_with_period_boundaries(self, roundtrip, cls):
-        """Timed arrivals interleaved with explicit end_period calls."""
+        """Timed arrivals interleaved with explicit end_period calls; the
+        uninterrupted run is the reference LTC."""
         rng = random.Random(31)
         now = 0.0
         timed = []
@@ -103,7 +106,7 @@ class TestTimedModeSplit:
             num_buckets=2, bucket_width=4, alpha=1.0, beta=2.0,
             items_per_period=1,
         )
-        straight = cls(config)
+        straight = LTC(config)
         drive(straight, timed)
 
         split = 157
@@ -150,21 +153,25 @@ class TestCountBasedSplit:
 
         identical(straight, resumed)
 
-    def test_fast_ltc_split_continues_on_fast_path(self):
-        """A restored FastLTC keeps batching through its rebuilt index."""
+    def test_columnar_split_continues_on_vector_path(self):
+        """A restored ColumnarLTC keeps batching through its rebuilt index
+        and key column, equal to an uninterrupted reference run."""
         rng = random.Random(8)
         events = [rng.randrange(200) for _ in range(4_000)]
         config = LTCConfig(
             num_buckets=8, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=400,
         )
-        straight = FastLTC(config)
+        straight = LTC(config)
         straight.insert_many(events)
 
-        prefix = FastLTC(config)
+        prefix = ColumnarLTC(config)
         prefix.insert_many(events[:1_700])
-        resumed = from_bytes(to_bytes(prefix), cls=FastLTC)
+        resumed = from_bytes(to_bytes(prefix), cls=ColumnarLTC)
+        assert resumed._vec
         resumed.insert_many(events[1_700:])
 
         identical(straight, resumed)
-        assert resumed._slot_of == straight._slot_of
+        assert resumed._slot_of == {
+            key: j for j, key in enumerate(straight._keys) if key is not None
+        }

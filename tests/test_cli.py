@@ -131,6 +131,14 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "invalid choice: 'auto'" in err
 
+    @pytest.mark.parametrize("command", ["compare", "serve"])
+    def test_kernel_fast_is_an_argparse_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--kernel", "fast"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'fast'" in err
+
 
 class TestMetricsOut:
     def test_demo_writes_snapshot_and_disables_after(self, tmp_path, capsys):

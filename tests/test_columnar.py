@@ -1,12 +1,12 @@
-"""ColumnarLTC ≡ FastLTC ≡ LTC differential tests.
+"""ColumnarLTC ≡ LTC differential tests.
 
 The columnar kernel reorders work inside ``insert_many`` (clean hits are
 bincount-aggregated, CLOCK harvests run as array slices), so these tests
 pin the commutation argument empirically: every observable — cells, CLOCK
 phase, parity, estimates, top-k — must match a per-event replay exactly,
 across policies, DE on/off, batch fragmentation, and period boundaries.
-The scalar delegations (Deviation Eliminator off, oversized keys) are
-exercised explicitly.
+The whole-batch scalar replay (Deviation Eliminator off, keys the key
+column cannot hold) and the per-event paths are exercised explicitly.
 """
 
 from __future__ import annotations
@@ -21,22 +21,22 @@ from hypothesis import strategies as st
 from repro import obs
 from repro.core.columnar import ColumnarLTC, _RunIndex
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.core.merge import merge
-from repro.core.serialize import from_bytes, to_bytes
+from repro.core.serialize import EMPTY_KEY, from_bytes, to_bytes
 from repro.hashing.family import splitmix64
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
 
-def run_trio(events, num_periods, *, batch=None, **cfg):
-    """Drive LTC / FastLTC / ColumnarLTC over the same stream.
+def run_pair(events, num_periods, *, batch=None, per_event=False, **cfg):
+    """Drive LTC / ColumnarLTC over the same stream.
 
-    The reference copies ingest per event through ``PeriodicStream.run``;
+    The reference copy ingests per event through ``PeriodicStream.run``;
     the columnar copy ingests through ``insert_many`` in batches of
     ``batch`` (whole periods when ``None``) with ``end_period`` at every
-    boundary — the exact call pattern whose reordering is under test.
+    boundary — the exact call pattern whose reordering is under test —
+    or, with ``per_event``, per event too.
     """
     num_periods = max(1, min(num_periods, len(events) or 1))
     defaults = dict(
@@ -48,11 +48,13 @@ def run_trio(events, num_periods, *, batch=None, **cfg):
     )
     defaults.update(cfg)
     config = LTCConfig(**defaults)
-    slow, fast, col = LTC(config), FastLTC(config), ColumnarLTC(config)
+    slow, col = LTC(config), ColumnarLTC(config)
     if events:
         stream = make_stream(events, num_periods=num_periods)
         stream.run(slow)
-        stream.run(fast, batched=True)
+        if per_event:
+            stream.run(col)
+            return slow, col
         for period in stream.iter_periods():
             if batch is None:
                 col.insert_many(period)
@@ -61,7 +63,7 @@ def run_trio(events, num_periods, *, batch=None, **cfg):
                     col.insert_many(period[i : i + batch])
             col.end_period()
         col.finalize()
-    return slow, fast, col
+    return slow, col
 
 
 def assert_identical(a: LTC, b: LTC) -> None:
@@ -81,14 +83,13 @@ class TestEquivalence:
     )
     @settings(max_examples=100, deadline=None)
     def test_identical_cells(self, events, periods, ltr, de):
-        slow, fast, col = run_trio(
+        slow, col = run_pair(
             events,
             periods,
             longtail_replacement=ltr,
             deviation_eliminator=de,
         )
         assert_identical(slow, col)
-        assert_identical(fast, col)
 
     @given(
         st.lists(st.integers(0, 40), max_size=300),
@@ -98,13 +99,13 @@ class TestEquivalence:
     def test_batch_fragmentation_immaterial(self, events, batch):
         """Splitting one period's arrivals across many insert_many calls
         cannot change the result."""
-        _, fast, col = run_trio(events, 3, batch=batch)
-        assert_identical(fast, col)
+        slow, col = run_pair(events, 3, batch=batch)
+        assert_identical(slow, col)
 
     @given(st.lists(st.integers(0, 40), max_size=300))
     @settings(max_examples=40, deadline=None)
     def test_identical_estimates(self, events):
-        slow, _, col = run_trio(events, 4)
+        slow, col = run_pair(events, 4)
         for item in set(events) | {99999}:
             assert slow.estimate(item) == col.estimate(item)
 
@@ -112,7 +113,7 @@ class TestEquivalence:
     def test_replacement_policies_identical(self, policy):
         rng = random.Random(11)
         events = [rng.randrange(400) for _ in range(4_000)]
-        slow, fast, col = run_trio(
+        slow, col = run_pair(
             events, 8, num_buckets=4, replacement_policy=policy
         )
         assert_identical(slow, col)
@@ -125,11 +126,11 @@ class TestEquivalence:
             beta=1.0,
             items_per_period=small_zipf.period_length,
         )
-        fast, col = FastLTC(config), ColumnarLTC(config)
-        small_zipf.run(fast, batched=True)
+        ref, col = LTC(config), ColumnarLTC(config)
+        small_zipf.run(ref, batched=True)
         small_zipf.run(col, batched=True)
-        assert_identical(fast, col)
-        assert fast.top_k(50) == col.top_k(50)
+        assert_identical(ref, col)
+        assert ref.top_k(50) == col.top_k(50)
 
     def test_mid_period_state_identical(self):
         """Equality must hold at arbitrary points, not just boundaries."""
@@ -138,19 +139,19 @@ class TestEquivalence:
             num_buckets=4, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=100,
         )
-        fast, col = FastLTC(config), ColumnarLTC(config)
+        ref, col = LTC(config), ColumnarLTC(config)
         cursor = 0
         while cursor < 1_000:
             step = rng.randrange(1, 90)
             chunk = [rng.randrange(150) for _ in range(step)]
-            fast.insert_many(chunk)
+            ref.insert_many(chunk)
             col.insert_many(chunk)
             cursor += step
-            assert_identical(fast, col)
+            assert_identical(ref, col)
             if rng.random() < 0.3:
-                fast.end_period()
+                ref.end_period()
                 col.end_period()
-                assert_identical(fast, col)
+                assert_identical(ref, col)
 
     def test_sanitized_run_identical(self):
         """The column invariant checks pass live on a churny stream."""
@@ -226,11 +227,10 @@ class TestAdversarialMissHeavy:
         dirty tail of claims and evictions."""
         rng = random.Random(seed)
         events = rng.sample(range(10 * n), n)
-        slow, fast, col = run_trio(
+        slow, col = run_pair(
             events, periods, num_buckets=2, longtail_replacement=ltr
         )
         assert_identical(slow, col)
-        assert_identical(fast, col)
 
     @pytest.mark.parametrize("policy", ["longtail", "one", "space-saving"])
     def test_single_bucket_collision_storm(self, policy):
@@ -240,15 +240,15 @@ class TestAdversarialMissHeavy:
             num_buckets=8, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=500, replacement_policy=policy,
         )
-        fast, col = FastLTC(config), ColumnarLTC(config)
+        ref, col = LTC(config), ColumnarLTC(config)
         probe = ColumnarLTC(config)
         keys = colliding_keys(probe, bucket=3, count=24)
         rng = random.Random(17)
         events = [rng.choice(keys) for _ in range(5_000)]
         stream = make_stream(events, num_periods=10)
-        stream.run(fast, batched=True)
+        stream.run(ref, batched=True)
         stream.run(col, batched=True)
-        assert_identical(fast, col)
+        assert_identical(ref, col)
         assert {cv.bucket for cv in col.cells() if not cv.empty} == {3}
 
     @given(
@@ -265,28 +265,27 @@ class TestAdversarialMissHeavy:
             num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=50,
         )
-        fast, col = FastLTC(config), ColumnarLTC(config)
-        fast.insert_many(poisoned)
+        ref, col = LTC(config), ColumnarLTC(config)
+        ref.insert_many(poisoned)
         col.insert_many(poisoned)
         assert not col._vec
-        assert_identical(fast, col)
+        assert_identical(ref, col)
         # The instance stays consistent for later (vector-eligible) batches.
-        fast.insert_many(events)
+        ref.insert_many(events)
         col.insert_many(events)
-        fast.end_period()
+        ref.end_period()
         col.end_period()
-        assert_identical(fast, col)
+        assert_identical(ref, col)
 
     def test_eviction_storm_against_reference(self):
         """Distinct keys cycling through a saturated table churn every
         cell repeatedly; pin against the reference LTC too."""
         rng = random.Random(31)
         events = [rng.randrange(100_000) for _ in range(3_000)]
-        slow, fast, col = run_trio(
+        slow, col = run_pair(
             events, 6, num_buckets=4, replacement_policy="space-saving"
         )
         assert_identical(slow, col)
-        assert_identical(fast, col)
 
 
 def bursty_churn(num_events, num_distinct, seed):
@@ -309,7 +308,7 @@ class TestPaperGeometry:
     @pytest.mark.parametrize(
         "policy", ["longtail", "one", "space-saving"],
     )
-    def test_matches_fast_and_reference_with_counters(self, policy, monkeypatch):
+    def test_matches_reference_with_counters(self, policy, monkeypatch):
         lanes = []
         multi = []
         drained = []
@@ -340,7 +339,7 @@ class TestPaperGeometry:
         built = {}
         registries = {}
         try:
-            for name, cls in (("ltc", LTC), ("fast", FastLTC), ("col", ColumnarLTC)):
+            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
                 registries[name] = obs.enable(MetricsRegistry())
                 built[name] = cls(config)
         finally:
@@ -349,7 +348,6 @@ class TestPaperGeometry:
             period = events[start : start + 3000]
             for item in period:
                 built["ltc"].insert(item)
-            built["fast"].insert_many(period)
             built["col"].insert_many(period)
             for ltc in built.values():
                 ltc.end_period()
@@ -373,10 +371,9 @@ class TestPaperGeometry:
             return {key: (type(values[key]), values[key]) for key in counted}
 
         assert counters("col")["ltc_evictions_total"][1] > 0
-        for name in ("ltc", "fast"):
-            assert_identical(built[name], built["col"])
-            assert counters(name) == counters("col")
-        assert to_bytes(built["fast"]) == to_bytes(built["col"])
+        assert_identical(built["ltc"], built["col"])
+        assert counters("ltc") == counters("col")
+        assert to_bytes(built["ltc"]) == to_bytes(built["col"])
 
 
 #: Buckets in the crafted-table tests: exactly ``_SEG_MIN_ACTIVE`` lanes,
@@ -385,14 +382,14 @@ RUN_LANES = 16
 
 
 def crafted_pair(config, rows):
-    """A FastLTC and a ColumnarLTC holding the same crafted cells.
+    """A reference LTC and a ColumnarLTC holding the same crafted cells.
 
     ``rows[b]`` lists bucket ``b``'s cells as ``(key, f, p, flags)``.
-    ``_reindex`` (the restore hook) rebuilds each kernel's derived state
-    from the written cells.
+    ``_reindex`` (the restore hook) rebuilds the columnar kernel's derived
+    state from the written cells.
     """
     built = []
-    for cls in (FastLTC, ColumnarLTC):
+    for cls in (LTC, ColumnarLTC):
         ltc = cls(config)
         d = config.bucket_width
         for b, row in enumerate(rows):
@@ -437,7 +434,7 @@ class TestDecrementRuns:
     Each test crafts a full table of ``RUN_LANES`` buckets, an incumbent
     ``A`` and the least significant cell ``B`` per bucket (plus fresh
     colliding keys ``X``), and sends one batch in which every bucket
-    plays the same script.  FastLTC replays it per event; the columnar
+    plays the same script.  The reference LTC replays it per event; the columnar
     round applies each lane's run in one step, so a run boundary the
     kernel ignored would leave ``B`` (or its replacement) different.
     """
@@ -453,21 +450,21 @@ class TestDecrementRuns:
         keys = [colliding_keys(probe, b, width + fresh) for b in range(RUN_LANES)]
         return config, keys
 
-    def _assert_same(self, fast, col):
-        assert_identical(fast, col)
-        assert to_bytes(fast) == to_bytes(col)
+    def _assert_same(self, ref, col):
+        assert_identical(ref, col)
+        assert to_bytes(ref) == to_bytes(col)
 
     def test_run_ends_at_hit_on_cell(self, run_lengths):
         config, keys = self._setup()
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
         )
         # X1 X2 B X3 X4 X5: the hit on B ends the first run at two misses.
         # Taken as one run, five misses would kill B (f = 5).
         batch = round_robin([[k[2], k[3], k[1], k[4], k[5], k[6]] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         assert col.estimate(keys[0][1]) == (1, 0)
         assert max(run_lengths) == 3
 
@@ -476,28 +473,28 @@ class TestDecrementRuns:
         # so B's sweep (slot 2b + 1, harvest flag pending) lands between
         # its bucket's first and second miss (arrivals b and 16 + b).
         config, keys = self._setup(items_per_period=2 * RUN_LANES)
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 2), (k[1], 8, 0, 2)] for k in keys]
         )
         batch = round_robin([k[2:8] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         # 8 - 1, the sweep's p = 1 absorbs the second miss, 4 more: f = 2.
         assert col.estimate(keys[0][1]) == (2, 0)
         assert max(run_lengths) >= 4
 
     def test_death_mid_run_longtail_reads_inner_hit(self, run_lengths):
         config, keys = self._setup(replacement_policy="longtail")
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 10, 0, 0), (k[1], 3, 0, 0)] for k in keys]
         )
         # X1 A X2 X3 X4: the run kills B at X3; Long-tail Replacement must
         # see A's hit from inside the run (f2 = 11, so X3 starts at 10).
         batch = round_robin([[k[2], k[0], k[3], k[4], k[5]] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         assert col.estimate(keys[0][0]) == (11, 0)
         assert col.estimate(keys[0][4]) == (9, 0)
         assert 3 in run_lengths
@@ -507,15 +504,15 @@ class TestDecrementRuns:
         # B: f = 4, p = 1, both flags pending.  Three misses: p empties at
         # the first, and the third starts at f = 2 with two pending flags
         # covering it, so it charges the oldest (the harvest flag).
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 4, 1, 3)] for k in keys]
         )
         # X1 A X2 A X3: the hits on A (enough events for the round loop)
         # sit inside B's run without ending it.
         batch = round_robin([[k[2], k[0], k[3], k[0], k[4]] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         assert col.estimate(keys[0][1]) == (1, 0)
         assert int(col._flags[1]) == col._set_bit
         assert max(run_lengths) == 3
@@ -534,13 +531,13 @@ class TestDecrementRuns:
     )
     def test_single_weight_death_step(self, run_lengths, alpha, beta, b_cell):
         config, keys = self._setup(alpha=alpha, beta=beta, replacement_policy="one")
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 10, 10, 0), (k[1], *b_cell)] for k in keys]
         )
         batch = round_robin([k[2:7] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         # X3 replaced B; X4 and X5 then replaced each fresh cell in turn.
         assert col.estimate(keys[0][1]) == (0, 0)
         assert col.estimate(keys[0][6]) == (1, 0)
@@ -548,24 +545,24 @@ class TestDecrementRuns:
 
     def test_space_saving_takes_no_runs(self, run_lengths):
         config, keys = self._setup(replacement_policy="space-saving")
-        fast, col = crafted_pair(
+        ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
         )
         batch = round_robin([[k[2], k[3], k[1], k[4], k[5], k[6]] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         assert run_lengths == []
 
     def test_single_cell_buckets(self, run_lengths):
         config, keys = self._setup(width=1, fresh=7)
-        fast, col = crafted_pair(config, [[(k[0], 6, 0, 0)] for k in keys])
+        ref, col = crafted_pair(config, [[(k[0], 6, 0, 0)] for k in keys])
         # X1 X2 A X3 .. X7: a run of two, the hit, then a run that kills A
         # (f = 5) at X7 — d = 1 has no Long-tail Replacement.
         batch = round_robin([[k[1], k[2], k[0]] + k[3:8] for k in keys])
-        fast.insert_many(batch)
+        ref.insert_many(batch)
         col.insert_many(batch)
-        self._assert_same(fast, col)
+        self._assert_same(ref, col)
         assert col.estimate(keys[0][7]) == (1, 0)
         assert max(run_lengths) >= 2
 
@@ -574,7 +571,8 @@ class TestRoundKernelDifferential:
     """Random configurations wide enough (w >= 16 lanes) for the round
     loop, with both weights, every replacement policy, the period and
     the batch split drawn at random; cells, CLOCK state and the four
-    kernel counters (values and ``int`` type) must equal FastLTC's."""
+    kernel counters (values and ``int`` type) must equal the reference
+    LTC's."""
 
     @given(
         w=st.integers(16, 128),
@@ -589,7 +587,7 @@ class TestRoundKernelDifferential:
         seed=st.integers(0, 2**32),
     )
     @settings(max_examples=30, deadline=None)
-    def test_matches_fast(
+    def test_matches_reference(
         self, w, d, weights, policy, period_factor, batch, spread, seed
     ):
         rounds = []
@@ -611,7 +609,7 @@ class TestRoundKernelDifferential:
         registries = {}
         built = {}
         try:
-            for name, cls in (("fast", FastLTC), ("col", ColumnarLTC)):
+            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
                 registries[name] = obs.enable(MetricsRegistry())
                 built[name] = cls(config)
         finally:
@@ -619,14 +617,14 @@ class TestRoundKernelDifferential:
         with mock.patch.object(ColumnarLTC, "_apply_misses", spy):
             for start in range(0, len(events), period):
                 chunk = events[start : start + period]
-                built["fast"].insert_many(chunk)
+                built["ltc"].insert_many(chunk)
                 step = batch or len(chunk)
                 for i in range(0, len(chunk), step):
                     built["col"].insert_many(chunk[i : i + step])
                 for ltc in built.values():
                     ltc.end_period()
         assert rounds, "no round of the segmented replay ran"
-        assert_identical(built["fast"], built["col"])
+        assert_identical(built["ltc"], built["col"])
 
         def counters(name):
             values = {
@@ -643,21 +641,21 @@ class TestRoundKernelDifferential:
                 )
             }
 
-        assert counters("fast") == counters("col")
+        assert counters("ltc") == counters("col")
 
 
 class TestFallbacks:
     def test_de_off_uses_scalar_path(self):
         """Without the Deviation Eliminator the harvest bit equals the
         set bit, so the batch reordering is unsound and the kernel must
-        delegate; results still match."""
-        _, fast, col = run_trio(
+        replay the whole batch scalar; results still match."""
+        slow, col = run_pair(
             [random.Random(2).randrange(50) for _ in range(800)],
             4,
             deviation_eliminator=False,
         )
         assert col._vec
-        assert_identical(fast, col)
+        assert_identical(slow, col)
 
     def test_oversized_key_disables_vectorization(self):
         """Keys outside uint64 fall back to scalar ingestion for good."""
@@ -665,16 +663,139 @@ class TestFallbacks:
             num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=20,
         )
-        fast, col = FastLTC(config), ColumnarLTC(config)
+        ref, col = LTC(config), ColumnarLTC(config)
         events = [1, 2, 1 << 80, 2, 1, 1 << 80, 3]
-        fast.insert_many(events)
+        ref.insert_many(events)
         col.insert_many(events)
         assert not col._vec
-        assert_identical(fast, col)
+        assert_identical(ref, col)
         # And it keeps working scalar afterwards.
-        fast.insert_many([4, 5, 4])
+        ref.insert_many([4, 5, 4])
         col.insert_many([4, 5, 4])
-        assert_identical(fast, col)
+        assert_identical(ref, col)
+
+
+class TestIndex:
+    """The item→slot index behind the scalar paths, driven per event."""
+
+    def test_index_consistency_after_heavy_churn(self):
+        rng = random.Random(17)
+        events = [rng.randrange(2_000) for _ in range(5_000)]
+        _, col = run_pair(
+            events, 10, per_event=True, num_buckets=4, bucket_width=2
+        )
+        # Every indexed slot really holds its item, and every occupied
+        # cell is indexed.
+        for item, slot in col._slot_of.items():
+            assert col._keys[slot] == item
+        occupied = {j for j, key in enumerate(col._keys) if key is not None}
+        assert occupied == set(col._slot_of.values())
+
+    @given(st.lists(st.integers(0, 25), max_size=200))
+    @settings(max_examples=40, deadline=None)
+    def test_space_saving_policy_identical(self, events):
+        slow, col = run_pair(
+            events, 2, per_event=True, replacement_policy="space-saving"
+        )
+        assert_identical(slow, col)
+
+    def test_contains_uses_index(self):
+        config = LTCConfig(
+            num_buckets=2, bucket_width=4, alpha=1.0, beta=0.0,
+            items_per_period=10,
+        )
+        col = ColumnarLTC(config)
+        col.insert(1)
+        assert 1 in col
+        assert 99 not in col
+
+    def test_clear_resets_index(self):
+        config = LTCConfig(
+            num_buckets=2, bucket_width=4, alpha=1.0, beta=0.0,
+            items_per_period=10,
+        )
+        col = ColumnarLTC(config)
+        col.insert(1)
+        col.clear()
+        assert 1 not in col
+        assert len(col._slot_of) == 0
+        col.insert(2)
+        assert col.estimate(2) == (1, 0)
+
+
+class TestDegradedMode:
+    """A key the key column cannot hold, stored after the round kernel
+    has run: the instance drops the column and replays scalar from then
+    on, still equal to the reference LTC in cells, CLOCK state, the four
+    kernel counters and the answers a listening ServingIndex serves."""
+
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-event"])
+    @pytest.mark.parametrize(
+        "bad", [-5, 1 << 70, EMPTY_KEY], ids=["negative", "2**70", "empty-key"]
+    )
+    def test_matches_reference(self, bad, batched):
+        from repro.serve.index import ServingIndex
+
+        config = LTCConfig(
+            num_buckets=32, bucket_width=4, alpha=1.0, beta=1.0,
+            items_per_period=1024,
+        )
+        registries = {}
+        built = {}
+        try:
+            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
+                registries[name] = obs.enable(MetricsRegistry())
+                built[name] = cls(config)
+        finally:
+            obs.disable()
+        ref, col = built["ltc"], built["col"]
+        indexes = {name: ServingIndex(ltc) for name, ltc in built.items()}
+        rounds = []
+        apply_misses = ColumnarLTC._apply_misses
+
+        def spy(self, *args):
+            rounds.append(1)
+            return apply_misses(self, *args)
+
+        events = bursty_churn(6 * 1024, 24 * 32 * 4, seed=7)
+        # Enough repeats to kill the incumbent of the key's bucket, so the
+        # key is stored mid-period.
+        poisoned = events[: 3 * 1024] + [bad] * 40 + events[3 * 1024 :]
+        with mock.patch.object(ColumnarLTC, "_apply_misses", spy):
+            for start in range(0, len(poisoned), 1024):
+                chunk = poisoned[start : start + 1024]
+                ref.insert_many(chunk)
+                if batched:
+                    if bad in chunk:
+                        # The round kernel ran before the bad key came.
+                        assert rounds and col._vec
+                    col.insert_many(chunk)
+                else:
+                    for item in chunk:
+                        col.insert(item)
+                ref.end_period()
+                col.end_period()
+        assert bad in col and not col._vec
+        assert_identical(ref, col)
+
+        def counters(name):
+            values = {
+                m["name"]: m.get("value")
+                for m in registries[name].snapshot()["metrics"]
+            }
+            return {
+                key: (type(values[key]), values[key])
+                for key in (
+                    "ltc_significance_decrements_total",
+                    "ltc_evictions_total",
+                    "ltc_longtail_replacements_total",
+                    "ltc_harvests_total",
+                )
+            }
+
+        assert counters("ltc") == counters("col")
+        assert indexes["ltc"].top_k(20) == indexes["col"].top_k(20)
+        assert indexes["col"].query(bad) == indexes["ltc"].query(bad)
 
 
 class TestLifecycle:
@@ -685,37 +806,38 @@ class TestLifecycle:
         )
         rng = random.Random(21)
         events = [rng.randrange(200) for _ in range(1_500)]
-        fast, col = FastLTC(config), ColumnarLTC(config)
+        ref, col = LTC(config), ColumnarLTC(config)
         stream = make_stream(events, num_periods=5)
-        stream.run(fast, batched=True)
+        stream.run(ref, batched=True)
         stream.run(col, batched=True)
-        return fast, col
+        return ref, col
 
     def test_checkpoint_roundtrip_continues_identically(self):
-        fast, col = self.make_pair()
+        ref, col = self.make_pair()
         restored = from_bytes(to_bytes(col), cls=ColumnarLTC)
         assert type(restored) is ColumnarLTC
         assert restored._vec
         tail = [random.Random(6).randrange(200) for _ in range(500)]
-        fast.insert_many(tail)
+        ref.insert_many(tail)
         restored.insert_many(tail)
-        assert_identical(fast, restored)
+        assert_identical(ref, restored)
 
-    def test_checkpoint_bytes_match_fast_ltc(self):
+    def test_checkpoint_bytes_match_reference(self):
         """Same logical structure → byte-identical checkpoint."""
-        fast, col = self.make_pair()
-        assert to_bytes(col) == to_bytes(fast)
+        ref, col = self.make_pair()
+        assert to_bytes(col) == to_bytes(ref)
 
     def test_clear_rebuilds_columns(self):
         _, col = self.make_pair()
         col.clear()
         assert col._vec
-        assert not col._occ.any()
+        assert (col._kcol == EMPTY_KEY).all()
+        assert col._slot_of == {}
         col.insert_many([1, 2, 1])
         assert col.estimate(1) == (2, 0)
 
     def test_merge_accepts_columnar_sites(self):
-        """Merging columnar sites equals merging equivalent fast sites."""
+        """Merging columnar sites equals merging equivalent reference sites."""
         config = LTCConfig(
             num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=10,
@@ -731,8 +853,8 @@ class TestLifecycle:
             return built
 
         via_col = merge(sites(ColumnarLTC), num_periods=1)
-        via_fast = merge(sites(FastLTC), num_periods=1)
-        assert list(via_col.cells()) == list(via_fast.cells())
+        via_ref = merge(sites(LTC), num_periods=1)
+        assert list(via_col.cells()) == list(via_ref.cells())
 
 
 class TestKernelSelection:
@@ -753,7 +875,7 @@ class TestKernelSelection:
 
     def test_auto_kernel_rejected(self):
         """``kernel="auto"`` was removed; the error names the survivors."""
-        assert set(KERNELS) == {"reference", "fast", "columnar"}
+        assert set(KERNELS) == {"reference", "columnar"}
         with pytest.raises(ValueError) as excinfo:
             LTCConfig(num_buckets=2, kernel="auto")
         message = str(excinfo.value)

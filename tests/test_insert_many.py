@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.clock import ClockPointer
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
+from repro.core.columnar import ColumnarLTC
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.sketches.count_min import CountMinSketch
@@ -103,8 +103,10 @@ def same_state(a: LTC, b: LTC) -> None:
     assert a._clock.scanned_in_period == b._clock.scanned_in_period
 
 
-@pytest.mark.parametrize("cls", [LTC, FastLTC], ids=["LTC", "FastLTC"])
+@pytest.mark.parametrize("cls", [LTC, ColumnarLTC], ids=["LTC", "ColumnarLTC"])
 class TestInsertManyEquivalence:
+    """``cls.insert_many`` against the reference LTC driven per event."""
+
     @given(
         cfg=CONFIG_STRATEGY,
         events=st.lists(st.integers(0, 25), max_size=300),
@@ -115,7 +117,7 @@ class TestInsertManyEquivalence:
         self, cls, cfg, events, boundaries
     ):
         config = LTCConfig(alpha=1.0, beta=1.0, **cfg)
-        one, many = cls(config), cls(config)
+        one, many = LTC(config), cls(config)
         for item in events:
             one.insert(item)
         for chunk in chunked(events, boundaries):
@@ -131,7 +133,7 @@ class TestInsertManyEquivalence:
     def test_with_period_boundaries(self, cls, cfg, events, periods):
         """insert_many interleaved with end_period matches the reference."""
         config = LTCConfig(alpha=1.0, beta=1.0, **cfg)
-        one, many = cls(config), cls(config)
+        one, many = LTC(config), cls(config)
         n = max(1, len(events) // periods)
         for start in range(0, len(events) or 1, n):
             block = events[start : start + n]
@@ -152,7 +154,7 @@ class TestInsertManyEquivalence:
             num_buckets=4, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=37,
         )
-        one, mixed = cls(config), cls(config)
+        one, mixed = LTC(config), cls(config)
         for item in events:
             one.insert(item)
         i = 0
@@ -171,7 +173,7 @@ class TestInsertManyEquivalence:
             num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=5,
         )
-        one, many = cls(config), cls(config)
+        one, many = LTC(config), cls(config)
         events = [1, 2, 1, 3, 1, 2, 4]
         for item in events:
             one.insert(item)
@@ -225,7 +227,7 @@ class TestNumpyBatchInput:
         same_state(from_array, from_list)
 
 
-class TestFastLTCIndexAfterBatch:
+class TestColumnarIndexAfterBatch:
     def test_index_consistent_after_batched_churn(self):
         rng = random.Random(19)
         events = [rng.randrange(2_000) for _ in range(5_000)]
@@ -233,12 +235,12 @@ class TestFastLTCIndexAfterBatch:
             num_buckets=4, bucket_width=2, alpha=1.0, beta=1.0,
             items_per_period=500,
         )
-        fast = FastLTC(config)
-        fast.insert_many(events)
-        for item, slot in fast._slot_of.items():
-            assert fast._keys[slot] == item
-        occupied = {j for j, key in enumerate(fast._keys) if key is not None}
-        assert occupied == set(fast._slot_of.values())
+        col = ColumnarLTC(config)
+        col.insert_many(events)
+        for item, slot in col._slot_of.items():
+            assert col._keys[slot] == item
+        occupied = {j for j, key in enumerate(col._keys) if key is not None}
+        assert occupied == set(col._slot_of.values())
 
 
 # --------------------------------------------------------------- sketches
@@ -337,13 +339,13 @@ class TestBatchedRun:
         cfg.update(overrides)
         return LTCConfig(**cfg)
 
-    @pytest.mark.parametrize("cls", [LTC, FastLTC], ids=["LTC", "FastLTC"])
+    @pytest.mark.parametrize("cls", [LTC, ColumnarLTC], ids=["LTC", "ColumnarLTC"])
     def test_batched_run_identical(self, cls):
         stream = zipf_stream(
             num_events=4_000, num_distinct=500, skew=1.0, num_periods=8, seed=13
         )
         config = self.ltc_config(stream)
-        one, many = cls(config), cls(config)
+        one, many = LTC(config), cls(config)
         stream.run(one)
         stream.run(many, batched=True)
         assert list(one.cells()) == list(many.cells())

@@ -10,8 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import LTCConfig
+from repro.core.kernels import KERNELS
 from repro.core.ltc import LTC
-from repro.core.serialize import from_bytes, from_state, to_bytes, to_state
+from repro.core.serialize import (
+    EMPTY_KEY,
+    MAX_KEY,
+    from_bytes,
+    from_state,
+    to_bytes,
+    to_state,
+)
 from tests.conftest import make_stream
 
 
@@ -196,46 +204,20 @@ class TestTimedStateRoundTrip:
 class TestSubclassRestore:
     """``cls=`` revives engineering subclasses with their index rebuilt."""
 
-    def fast_ltc(self):
-        from repro.core.fast_ltc import FastLTC
-
-        fast = FastLTC(
+    def reference_ltc(self):
+        ref = LTC(
             LTCConfig(
                 num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
                 items_per_period=5,
             )
         )
         stream = make_stream([1, 2, 1, 3, 1, 2, 4, 5, 1, 6], num_periods=2)
-        stream.run(fast)
-        return fast
+        stream.run(ref)
+        return ref
 
-    @pytest.mark.parametrize(
-        "roundtrip",
-        [
-            lambda l, cls: from_state(to_state(l), cls=cls),
-            lambda l, cls: from_bytes(to_bytes(l), cls=cls),
-        ],
-        ids=["state", "bytes"],
-    )
-    def test_fast_ltc_roundtrip(self, roundtrip):
-        from repro.core.fast_ltc import FastLTC
-
-        fast = self.fast_ltc()
-        restored = roundtrip(fast, FastLTC)
-        assert type(restored) is FastLTC
-        assert snapshots_equal(fast, restored)
-        assert restored._slot_of == fast._slot_of
-
-    def test_restored_fast_ltc_continues_identically(self):
-        from repro.core.fast_ltc import FastLTC
-
-        fast = self.fast_ltc()
-        restored = from_bytes(to_bytes(fast), cls=FastLTC)
-        for item in (1, 7, 1, 8, 2):
-            fast.insert(item)
-            restored.insert(item)
-        assert snapshots_equal(fast, restored)
-        assert restored._slot_of == fast._slot_of
+    @staticmethod
+    def index_of(ltc):
+        return {key: j for j, key in enumerate(ltc._keys) if key is not None}
 
     @pytest.mark.parametrize(
         "roundtrip",
@@ -248,24 +230,69 @@ class TestSubclassRestore:
     def test_columnar_ltc_roundtrip(self, roundtrip):
         from repro.core.columnar import ColumnarLTC
 
-        columnar = roundtrip(self.fast_ltc(), ColumnarLTC)
+        ref = self.reference_ltc()
+        columnar = roundtrip(ref, ColumnarLTC)
         assert type(columnar) is ColumnarLTC
-        assert snapshots_equal(self.fast_ltc(), columnar)
-        assert columnar._slot_of == self.fast_ltc()._slot_of
+        assert snapshots_equal(ref, columnar)
+        assert columnar._slot_of == self.index_of(ref)
 
     def test_restored_columnar_ltc_continues_identically(self):
         from repro.core.columnar import ColumnarLTC
 
-        fast = self.fast_ltc()
-        restored = from_bytes(to_bytes(fast), cls=ColumnarLTC)
+        ref = self.reference_ltc()
+        restored = from_bytes(to_bytes(ref), cls=ColumnarLTC)
         restored.insert_many([1, 7, 1, 8, 2])
         for item in (1, 7, 1, 8, 2):
-            fast.insert(item)
-        assert snapshots_equal(fast, restored)
+            ref.insert(item)
+        assert snapshots_equal(ref, restored)
+
+    def test_restored_columnar_ltc_continues_per_event(self):
+        from repro.core.columnar import ColumnarLTC
+
+        ref = self.reference_ltc()
+        restored = from_bytes(to_bytes(ref), cls=ColumnarLTC)
+        for item in (1, 7, 1, 8, 2):
+            ref.insert(item)
+            restored.insert(item)
+        assert snapshots_equal(ref, restored)
+        assert restored._slot_of == self.index_of(ref)
 
     def test_default_cls_is_reference_ltc(self):
-        restored = from_bytes(to_bytes(self.fast_ltc()))
+        restored = from_bytes(to_bytes(self.reference_ltc()))
         assert type(restored) is LTC
+
+
+class TestUnstorableKeys:
+    """A checkpoint stores keys in ``[0, MAX_KEY]``; ``to_bytes`` refuses
+    any other key up front instead of dropping it (the empty-cell value)
+    or failing inside ``struct`` (negative or past 64 bits)."""
+
+    @pytest.mark.parametrize(
+        "key", [-1, EMPTY_KEY, 1 << 70], ids=["negative", "empty-key", "2**70"]
+    )
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_to_bytes_refuses(self, tmp_path, kernel, key):
+        from repro.serve.snapshots import SnapshotStore
+
+        ltc = KERNELS[kernel](
+            LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
+        )
+        ltc.insert_many([key] * 3 + [5, 6])
+        assert ltc.estimate(key) == (3, 0)  # inserts accept any int
+        slot = ltc._keys.index(key)
+        with pytest.raises(ValueError, match=f"cell {slot} holds key {key}"):
+            to_bytes(ltc)
+        store = SnapshotStore(tmp_path, retain=2)
+        with pytest.raises(ValueError):
+            store.save(ltc)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_highest_storable_key_roundtrips(self):
+        ltc = LTC(LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16))
+        ltc.insert_many([MAX_KEY] * 3 + [0])
+        restored = from_bytes(to_bytes(ltc))
+        assert restored.estimate(MAX_KEY) == (3, 0)
+        assert restored.estimate(0) == (1, 0)
 
 
 class TestCorruptionRobustness:

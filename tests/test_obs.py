@@ -9,7 +9,7 @@ import pytest
 
 from repro import obs
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
+from repro.core.columnar import ColumnarLTC
 from repro.core.ltc import LTC
 from repro.obs.registry import MetricsRegistry, NullRegistry, _NULL_METRIC
 from tests.conftest import make_stream
@@ -220,7 +220,7 @@ class TestInstrumentedLTC:
         assert values["ltc_longtail_replacements_total"] > 0
         assert values["ltc_harvests_total"] > 0
 
-    def test_fast_ltc_batched_counts_match_reference(self):
+    def test_columnar_batched_counts_match_reference(self):
         events = [i % 9 for i in range(400)]
         reg_ref = obs.enable()
         self.drive(LTC, events)
@@ -229,18 +229,18 @@ class TestInstrumentedLTC:
             for m in reg_ref.snapshot()["metrics"]
             if m["type"] == "counter"
         }
-        reg_fast = obs.enable()
+        reg_col = obs.enable()
         config = LTCConfig(num_buckets=2, bucket_width=2, items_per_period=100)
-        fast = FastLTC(config)
+        col = ColumnarLTC(config)
         stream = make_stream(events, num_periods=4)
-        stream.run(fast, batched=True)
-        fast.finalize()
-        fastv = {
+        stream.run(col, batched=True)
+        col.finalize()
+        colv = {
             m["name"]: m["value"]
-            for m in reg_fast.snapshot()["metrics"]
+            for m in reg_col.snapshot()["metrics"]
             if m["type"] == "counter"
         }
-        assert fastv == ref
+        assert colv == ref
 
     def test_insert_timed_counts_inserts(self):
         reg = obs.enable()
@@ -263,7 +263,7 @@ class TestInstrumentedLTC:
         """The headline guarantee: enabling observability changes no
         report — cell for cell, for both engine classes."""
         events = [(i * 7) % 31 for i in range(1_000)]
-        for cls in (LTC, FastLTC):
+        for cls in (LTC, ColumnarLTC):
             obs.disable()
             plain = self.drive(cls, events)
             obs.enable()

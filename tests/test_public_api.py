@@ -31,6 +31,15 @@ class TestExports:
         for name in repro.__all__:
             assert getattr(repro, name, None) is not None, name
 
+    def test_fast_ltc_removed(self):
+        """FastLTC was folded into the columnar kernel, with no alias."""
+        assert not hasattr(repro, "FastLTC")
+        assert "FastLTC" not in repro.core.__all__
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.core.fast_ltc")
+        with pytest.raises(ValueError):
+            repro.LTCConfig(num_buckets=2, kernel="fast")
+
     @pytest.mark.parametrize("module_name", SUBPACKAGES)
     def test_subpackage_all_resolve(self, module_name):
         module = importlib.import_module(module_name)
@@ -51,7 +60,6 @@ class TestExports:
     def test_headline_classes_documented(self):
         for cls in (
             repro.LTC,
-            repro.FastLTC,
             repro.WindowedLTC,
             repro.SpaceSaving,
             repro.PIE,

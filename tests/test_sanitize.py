@@ -19,8 +19,8 @@ import random
 import pytest
 
 from repro import sanitize
+from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.ltc import LTC
 from repro.core.windowed import WindowedLTC
 from repro.sanitize import SanitizeError
@@ -82,7 +82,7 @@ def test_config_flag_installs_wrappers():
 def test_env_flag_installs_everywhere(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert "insert" in LTC(small_config()).__dict__
-    assert "insert" in FastLTC(small_config()).__dict__
+    assert "insert" in ColumnarLTC(small_config()).__dict__
     assert "insert" in WindowedLTC(num_buckets=2, window=4).__dict__
     assert "insert" in SpaceSaving(capacity=4).__dict__
     assert "offer" in TopKHeap(capacity=4).__dict__
@@ -150,15 +150,32 @@ def test_detects_clock_corruption():
     assert invariant_of(excinfo) == "clock_hand_in_range"
 
 
-def test_detects_fast_ltc_index_divergence():
-    fast = FastLTC(small_config())
+def test_detects_columnar_index_divergence():
+    col = ColumnarLTC(small_config())
     for item in [1, 2, 3, 1, 1]:
-        fast.insert(item)
-    sanitize.check_ltc(fast)  # healthy
-    fast._slot_of[1] = (fast._slot_of[1] + 1) % fast.total_cells
+        col.insert(item)
+    sanitize.check_ltc(col)  # healthy
+    col._slot_of[1] = (col._slot_of[1] + 1) % col.total_cells
     with pytest.raises(SanitizeError) as excinfo:
-        sanitize.check_ltc(fast)
+        sanitize.check_ltc(col)
     assert invariant_of(excinfo) == "index_matches_cells"
+
+
+@pytest.mark.parametrize("cell", ["occupied", "empty"])
+def test_detects_columnar_key_column_divergence(cell):
+    from repro.core.serialize import EMPTY_KEY
+
+    col = ColumnarLTC(small_config())
+    for item in [1, 2, 3, 1, 1]:
+        col.insert(item)
+    sanitize.check_ltc(col)  # healthy
+    if cell == "occupied":
+        col._kcol[col._slot_of[1]] = EMPTY_KEY
+    else:
+        col._kcol[col._keys.index(None)] = 1
+    with pytest.raises(SanitizeError) as excinfo:
+        sanitize.check_ltc(col)
+    assert invariant_of(excinfo) == "columns_match_cells"
 
 
 def test_detects_windowed_ring_escape():
@@ -305,8 +322,8 @@ def test_sanitized_run_is_bit_identical_to_plain_run():
 
 def test_sanitized_batched_run_matches_plain():
     events = [3, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5] * 4
-    plain = FastLTC(small_config(items_per_period=8))
-    checked = FastLTC(small_config(items_per_period=8, sanitize=True))
+    plain = ColumnarLTC(small_config(items_per_period=8))
+    checked = ColumnarLTC(small_config(items_per_period=8, sanitize=True))
     plain.insert_many(events)
     checked.insert_many(events)
     plain.finalize()

@@ -372,6 +372,32 @@ class TestEndpoints:
         assert field.encode() in payload
         assert app.queued == 0
 
+    @pytest.mark.parametrize(
+        "key", [-1, 2**64 - 1, 2**70], ids=["negative", "empty-key", "2**70"]
+    )
+    def test_ingest_rejects_keys_a_checkpoint_cannot_store(self, tmp_path, key):
+        # A negative key or one past 2**64 - 1 used to be queued, then
+        # failed every /snapshot (and the shutdown snapshot) with a
+        # struct.error; 2**64 - 1, the checkpoint's empty-cell key, was
+        # stored and then lost on restore.  All are client errors.
+        async def scenario():
+            app = ServingApp(
+                build_ltc(_cfg(kernel="columnar")),
+                snapshots=SnapshotStore(tmp_path, retain=2),
+            )
+            async with _Server(app) as srv:
+                body = json.dumps({"items": [key, 5, 6]}).encode()
+                status, payload = await _http(srv.port, "POST", "/ingest", body)
+                assert status == 400, payload
+                assert str(2**64 - 2).encode() in payload
+                stats = json.loads((await _http(srv.port, "GET", "/stats"))[1])
+                assert stats["queued"] == 0
+                status, _ = await _http(srv.port, "POST", "/snapshot")
+                assert status == 200
+            assert app.ltc._vec
+
+        asyncio.run(scenario())
+
     def test_ingest_accepts_zero_counts(self):
         app = ServingApp(build_ltc(_cfg()))
         body = json.dumps({"items": [4, 5, 6], "counts": [2, 0, 1]}).encode()

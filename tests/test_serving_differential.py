@@ -1,7 +1,7 @@
 """Acceptance differential: every served answer byte-equal to a full scan.
 
 The serving index answers from a dict + lazy heap; the oracle walks
-every cell.  For all three kernels, across evictions / Significance
+every cell.  For both kernels, across evictions / Significance
 Decrementing / Long-tail Replacement (tiny tables force all of them),
 with ingestion running concurrently on the asyncio loop, every
 ``top_k`` / point-query / ``significant`` response must be **byte**

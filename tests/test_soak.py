@@ -15,8 +15,8 @@ import random
 import pytest
 
 from repro.combined.two_structure import TwoStructureSignificant
+from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.core.fast_ltc import FastLTC
 from repro.core.ltc import LTC
 from repro.core.windowed import WindowedLTC
 from repro.membership.bloom import BloomFilter
@@ -37,7 +37,7 @@ def build_all():
         "LTC": LTC(
             LTCConfig(num_buckets=4, bucket_width=4, items_per_period=37)
         ),
-        "FastLTC": FastLTC(
+        "ColumnarLTC": ColumnarLTC(
             LTCConfig(num_buckets=4, bucket_width=4, items_per_period=37)
         ),
         "WindowedLTC": WindowedLTC(num_buckets=4, window=5, bucket_width=4),

@@ -27,8 +27,7 @@ What counts, statically:
 * Detached regions are exempt: the body of ``if <listener> is None:``,
   the ``else`` of an ``is not None`` guard, and everything after an
   ``is not None`` guard whose body terminates (the delegate-then-return
-  pattern in ``FastLTC.insert_many``) — those statements only run with
-  no listener attached.
+  pattern) — those statements only run with no listener attached.
 * All-paths analysis, not single post-dominator: greatest-fixpoint
   must-coverage over the CFG with the exceptional exit vacuously safe
   (the contract constrains settled states).
@@ -53,7 +52,7 @@ TAG = "detached"
 
 #: Fallback inventory, mirroring ``src/repro/core/hooks.py`` — used when
 #: the linted tree has no hooks module (rule fixtures).
-DEFAULT_HOOKED = ("LTC", "FastLTC", "ColumnarLTC")
+DEFAULT_HOOKED = ("LTC", "ColumnarLTC")
 DEFAULT_ATTRS = (
     "_keys",
     "_freqs",
