@@ -1,8 +1,9 @@
 """Serving tier: queries/sec under concurrent ingest, with identity gate.
 
-The serving index answers point queries from a dict and ``top_k`` /
-``significant`` from a ranked prefix of its lazy heap, kept per index
-epoch together with the server's rendered report fragments (DESIGN.md
+The serving index answers point queries from the kernel's own lookup
+and ``top_k`` / ``significant`` from a ranked prefix built by one numpy
+scan of the table's columns per table change, kept per index epoch
+together with the server's rendered report fragments (DESIGN.md
 §12.2); this bench measures what that read path is worth while the
 ingest worker keeps applying batches on the same event loop — the
 deployment shape of the ROADMAP's north star.  Three numbers per
@@ -11,12 +12,12 @@ endpoint:
 * **idle qps** — pure read-path speed, nothing ingesting: the table
   does not change between queries, so after the first ranked query a
   ``top_k`` / ``significant`` answer is a slice of the prefix and a
-  join of cached fragments, with no heap pops and no re-rendering;
+  join of cached fragments, with no scan and no re-rendering;
 * **qps under ingest** — queries interleaved with worker chunks, so
-  each query also pays the index repair for the ~2k events applied
-  since the previous one, and every ranked query starts a new epoch:
-  it pops, reads and renders its prefix afresh (this is the headline,
-  gated number);
+  the table changes between queries (~2k events applied since the
+  previous one), and every ranked query starts a new epoch: it scans
+  the columns, ranks and renders its prefix afresh (this is the
+  headline, gated number);
 * **full-scan qps** — the same answers computed by the oracle's table
   walk, for the O(k)-vs-O(m) contrast;
 * **POST /ingest over a socket** — p50 latency of ``_POSTS`` 2048-event

@@ -1,23 +1,21 @@
-"""Cell-mutation hooks: observe lossy-table changes without scanning.
+"""Cell-mutation hooks: observe lossy-table changes as they happen.
 
-The serving tier (:mod:`repro.serve`) answers ``top_k`` / point queries
-from a maintained inverted index instead of walking the whole table.  To
-keep that index honest it must learn about *every* cell mutation — hits,
-CLOCK harvests, Significance Decrementing, evictions, Long-tail
-Replacement reseeds — the moment they happen.  Rather than teach the
-kernels about indexes, each kernel notifies at most one attached
-:class:`CellListener` with the **slot id** of any cell whose key,
-frequency or persistency just changed; the listener reads the new cell
-state lazily from the structure's own arrays.
+The serving tier (:mod:`repro.serve`) keeps ranked answers for as long
+as the table does not change.  To know when they go stale it must learn
+about *every* cell mutation — hits, CLOCK harvests, Significance
+Decrementing, evictions, Long-tail Replacement reseeds.  Rather than
+teach the kernels about indexes, each kernel notifies at most one
+attached :class:`CellListener` with the **slot id** of any cell whose
+key, frequency or persistency just changed.
 
-Contract (relied on by :class:`repro.serve.index.ServingIndex`):
+Contract (relied on by :class:`repro.serve.index.ServingIndex`, which
+only needs to know *that* the table changed: it marks itself stale and
+rescans the columns at its next ranked query, without a per-slot diff):
 
 * a notification fires *after* the mutation is applied, in the same
   call — by the time the listener runs, the cell arrays already show
   the new state;
 * key replacement (eviction + newcomer) is just a touch of the slot;
-  the listener diffs against its own mirror of the key column to learn
-  which item left;
 * ``cells_reset`` fires when the whole table is invalidated at once
   (:meth:`repro.core.ltc.LTC.clear`);
 * notifications are O(1) per mutated slot and fire only when a listener

@@ -426,9 +426,8 @@ class LTC(StreamSummary):
 
         ``key`` is ``None`` for an empty cell.  The counts are plain
         Python ints regardless of kernel (the columnar kernel stores
-        numpy scalars); this is the read path the serving index uses
-        when a :class:`repro.core.hooks.CellListener` notification
-        names a slot.
+        numpy scalars); this is the per-cell read path of the serving
+        tier's full-scan oracle (:mod:`repro.serve.oracle`).
         """
         return self._keys[slot], int(self._freqs[slot]), int(self._counters[slot])
 

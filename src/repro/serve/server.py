@@ -1,10 +1,11 @@
-"""Asyncio HTTP service: concurrent ingest + O(1)/O(k) queries.
+"""Asyncio HTTP service: concurrent ingest + point and ranked queries.
 
 Stdlib only — a minimal HTTP/1.1 layer over ``asyncio.start_server``.
 One request per connection, and every response is ``Connection:
 close``, which keeps shutdown exact.  The request head is read in one
 ``readuntil`` bounded by the stream's 64 KiB limit (a longer head, or
-one not ended by CRLF CRLF, is a 400).  A body over 16 MiB is refused
+one not ended by CRLF CRLF, is a 400, and so is a body the client's EOF
+cuts short of its ``Content-Length``).  A body over 16 MiB is refused
 with a 413 before any of it is read, and so is an ingest whose
 ``counts`` add up to more events than such a body could carry.  While
 the ingest queue holds 4 Mi events, ``POST /ingest`` is answered 503
@@ -33,8 +34,8 @@ a join; the fragments, like the prefix, number at most ``m``.
 
 Endpoints:
 
-* ``GET  /top_k?k=10``          — k most significant items (index heap);
-* ``GET  /query/<item>``        — point significance (index dict probe);
+* ``GET  /top_k?k=10``          — k most significant items (ranked prefix);
+* ``GET  /query/<item>``        — point significance (kernel lookup);
 * ``GET  /significant?threshold=x`` — all items ≥ threshold, ranked;
 * ``POST /ingest``              — JSON ``{"items": [...], "counts": [...]}``;
 * ``POST /snapshot``            — checkpoint now (also rotates);
@@ -53,6 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
+import re
 import signal
 from typing import Any, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -98,6 +100,12 @@ _MAX_EVENTS = _MAX_BODY // 2
 #: Events the ingest queue may hold before ``POST /ingest`` is refused
 #: with 503 and ``Retry-After`` (4 Mi, far above a healthy backlog).
 _MAX_QUEUED = 4 * 1024 * 1024
+
+#: The integers a route accepts, in ASCII digits only, as
+#: :func:`_content_length` reads a length: ``int()`` would also take
+#: ``_``, a ``+`` sign, whitespace and Unicode digits.
+_ITEM = re.compile(r"-?[0-9]+")
+_COUNT = re.compile(r"[0-9]+")
 
 #: Queue item: a batch of events, or ``None`` = drain-and-exit sentinel.
 _Batch = Optional[List[int]]
@@ -244,23 +252,26 @@ class ServingApp:
     def respond(self, method: str, target: str, body: bytes = b"") -> Response:
         """Answer one request synchronously (single consistent state)."""
         self._m_requests.inc()
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)
+        except ValueError:  # e.g. an unclosed "[" of an IPv6 authority
+            return self._bad_request("malformed request target")
         path = parts.path
         query = parse_qs(parts.query)
         if path == "/top_k":
             if method != "GET":
                 return self._method_not_allowed()
-            k = self._int_param(query, "k", 10)
-            if k is None or k < 0:
+            raw = query.get("k")
+            k = _strict_int(raw[0], _COUNT) if raw else 10
+            if k is None:
                 return self._bad_request("k must be a non-negative integer")
             served = self._ranked_json({"k": k}, self.index.top_k(k))
             return self._answer(served, lambda: oracle_top_k(self.ltc, k))
         if path.startswith("/query/"):
             if method != "GET":
                 return self._method_not_allowed()
-            try:
-                item = int(path[len("/query/") :])
-            except ValueError:
+            item = _strict_int(path[len("/query/") :], _ITEM)
+            if item is None:
                 return self._bad_request("item must be an integer")
             tracked, sig, f, p = self.index.query(item)
             served = canonical_json(query_payload(item, tracked, sig, f, p))
@@ -311,8 +322,8 @@ class ServingApp:
             "batches": self.batches,
             "periods": self.periods,
             "tracked": self.index.tracked(),
-            "repairs": self.index.repairs,
-            "heap_size": self.index.heap_size(),
+            "repairs": self.index.epoch,
+            "heap_size": self.index.held(),
             "snapshots_written": self.snapshots_written,
             "oracle_checks": self.oracle_checks,
         }
@@ -359,7 +370,7 @@ class ServingApp:
     def _ingest(self, body: bytes) -> Response:
         try:
             doc = json.loads(body.decode())
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, RecursionError):  # RecursionError: deep nesting
             return self._bad_request("body must be JSON")
         if not isinstance(doc, dict) or not isinstance(doc.get("items"), list):
             return self._bad_request('body must be {"items": [...]}')
@@ -394,23 +405,11 @@ class ServingApp:
         )
 
     @staticmethod
-    def _int_param(
-        query: Dict[str, List[str]], name: str, default: int
-    ) -> Optional[int]:
-        raw = query.get(name)
-        if not raw:
-            return default
-        try:
-            return int(raw[0])
-        except ValueError:
-            return None
-
-    @staticmethod
     def _float_param(
         query: Dict[str, List[str]], name: str
     ) -> Optional[float]:
         raw = query.get(name)
-        if not raw:
+        if not raw or "_" in raw[0] or not raw[0].isascii():
             return None
         try:
             return float(raw[0])
@@ -463,7 +462,13 @@ class ServingApp:
                     (413, _JSON, canonical_json({"error": "body too large"})),
                 )
                 return
-            body = await reader.readexactly(length) if length else b""
+            try:
+                body = await reader.readexactly(length) if length else b""
+            except asyncio.IncompleteReadError:
+                await self._write(
+                    writer, self._bad_request("body shorter than Content-Length")
+                )
+                return
             try:
                 response = self.respond(method, target, body)
             except OracleMismatch:
@@ -471,9 +476,9 @@ class ServingApp:
             except Exception as exc:  # route bugs become 500s, not hangups
                 response = 500, _JSON, canonical_json({"error": str(exc)})
             await self._write(writer, response)
-        except (asyncio.IncompleteReadError, OSError):
-            # The peer went away: EOF inside the body, a reset, or (ENOTCONN)
-            # a half-close after it had already closed its end.
+        except OSError:
+            # The peer went away: a reset, or (ENOTCONN) a half-close
+            # after it had already closed its end.
             pass
         finally:
             try:
@@ -499,6 +504,17 @@ class ServingApp:
         # out the whole batch (DESIGN.md §12.4).
         writer.write_eof()
         await writer.drain()
+
+
+def _strict_int(raw: str, pattern: "re.Pattern[str]") -> Optional[int]:
+    """``raw`` as an int if ``pattern`` matches all of it, else ``None``
+    (also past ``int()``'s 4300-digit limit)."""
+    if pattern.fullmatch(raw) is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        return None
 
 
 def _content_length(fields: List[str]) -> Optional[int]:

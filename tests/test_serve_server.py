@@ -335,6 +335,56 @@ class TestEndpoints:
         json.loads(payload)
 
     @pytest.mark.parametrize(
+        "target",
+        [
+            "/query/5_000",
+            "/query/+5000",
+            "/query/\u0665",
+            "/query/ 5",
+            "/query/--5",
+            "/query/" + "9" * 5000,
+            "/top_k?k=1_0",
+            "/top_k?k=+3",
+            "/top_k?k=%2B3",
+            "/top_k?k=-0",
+            "/top_k?k=\u0663",
+            "/top_k?k=%D9%A3",
+            "/top_k?k=3%20",
+            "/significant?threshold=1_0",
+            "/significant?threshold=\u0663",
+            "/significant?threshold=%D9%A3.5",
+        ],
+    )
+    def test_route_numbers_are_ascii_digits(self, target):
+        # int() and float() take underscores, signs, surrounding
+        # whitespace and Unicode digits, and parse_qs turns "+" into a
+        # space; all of these used to answer 200.
+        app = ServingApp(build_ltc(_cfg()))
+        app.ltc.insert_many(list(range(10)))
+        status, _, payload = app.respond("GET", target)
+        assert status == 400
+        assert "error" in json.loads(payload)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "/query/-5",
+            "/query/007",
+            "/query/18446744073709551616",
+            "/top_k?k=0",
+            "/top_k?k=0012",
+            "/top_k?k=1000000000000000000",
+            "/significant?threshold=-2.5",
+            "/significant?threshold=1e3",
+        ],
+    )
+    def test_route_numbers_in_ascii_digits_are_served(self, target):
+        app = ServingApp(build_ltc(_cfg()), check_oracle=True)
+        app.ltc.insert_many(list(range(10)))
+        status, _, _ = app.respond("GET", target)
+        assert status == 200
+
+    @pytest.mark.parametrize(
         "doc",
         [
             {"items": [True, False, 1]},

@@ -1,9 +1,10 @@
 """Acceptance differential: every served answer byte-equal to a full scan.
 
-The serving index answers from a dict + lazy heap; the oracle walks
-every cell.  For both kernels, across evictions / Significance
-Decrementing / Long-tail Replacement (tiny tables force all of them),
-with ingestion running concurrently on the asyncio loop, every
+The serving index answers from a numpy scan of the table's columns
+and the kernel's own point lookups; the oracle walks every cell.  For
+both kernels, across evictions / Significance Decrementing / Long-tail
+Replacement (tiny tables force all of them), with ingestion running
+concurrently on the asyncio loop, every
 ``top_k`` / point-query / ``significant`` response must be **byte**
 equal to the oracle's canonical encoding — values, ordering and
 tie-breaking included.
@@ -198,17 +199,21 @@ class TestConcurrentIngest:
         asyncio.run(scenario())
 
     def test_oracle_mismatch_detected_after_new_epoch(self):
-        # A corrupt mirror is read only when an epoch's prefix is built:
-        # corrupt it, force a new epoch through an unrelated slot, and
-        # the rebuilt answer must trip the gate.
+        # A corrupt scan input is read only when an epoch starts: hand the
+        # index a copy of the table whose top cell over-reports its
+        # frequency, force a new epoch through an unrelated slot, and the
+        # rebuilt answer must trip the gate.
+        from repro.core.serialize import from_bytes, to_bytes
         from repro.serve.server import OracleMismatch
 
         async def scenario() -> None:
             app = await self._settled_app()
             index = app.index
             top_item = index.top_k(1)[0][0]
-            victim = index._slot_of.pop(top_item)
-            index._mirror[victim] = None  # lie: claim the cell is empty
+            twin = from_bytes(to_bytes(app.ltc), cls=type(app.ltc))
+            victim = twin._keys.index(top_item)
+            twin._freqs[victim] += 1  # lie about f in the scan's input
+            index._ltc = twin
             epoch = index.epoch
             index.cell_touched((victim + 1) % app.ltc.total_cells)
             with pytest.raises(OracleMismatch):

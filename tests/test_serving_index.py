@@ -1,11 +1,12 @@
-"""ServingIndex mechanics: laziness, invalidation, compaction, lifecycle.
+"""ServingIndex mechanics: laziness, invalidation, epochs, ties, lifecycle.
 
 The byte-equality of served answers is pinned by
 ``tests/test_serving_differential.py``; here we test the index's own
-machinery — that it repairs lazily (no work on the ingest path), dedupes
-dirty slots, survives item relocation between repairs, bounds its heap,
-starts a new epoch (and drops its ranked prefix) on every table change,
-and detaches cleanly.
+machinery — that it scans lazily (no work on the ingest path, one scan
+per table change however many ranked queries follow, none for point
+queries), starts a new epoch (and drops its ranked prefix) on every
+table change, bounds the reports it holds, breaks significance ties on
+the Python keys exactly as the oracle does, and detaches cleanly.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from repro.core.serialize import from_bytes, to_bytes
 from repro.serve.index import ServingIndex
 from repro.serve.oracle import (
     canonical_json,
+    oracle_query,
     oracle_significant,
     oracle_top_k,
+    query_payload,
     reports_payload,
 )
 from repro.serve.server import ServingApp
@@ -50,19 +53,9 @@ class TestLaziness:
         ltc = build_ltc(_cfg())
         idx = ServingIndex(ltc)
         ltc.insert_many(list(range(100)))
-        assert idx.repairs == 0
+        assert idx.epoch == 0
         idx.top_k(3)
-        assert idx.repairs == 1
-
-    def test_duplicate_touches_queue_once(self):
-        ltc = build_ltc(_cfg())
-        idx = ServingIndex(ltc)
-        idx.top_k(1)  # drain the adoption pass
-        before = len(idx._pending)
-        for _ in range(50):
-            ltc.insert(7)
-        # one slot mutated 50 times queues exactly one repair entry
-        assert len(idx._pending) - before == 1
+        assert idx.epoch == 1
 
     def test_query_without_mutations_skips_repair(self):
         ltc = build_ltc(_cfg())
@@ -70,7 +63,38 @@ class TestLaziness:
         idx.top_k(1)
         idx.top_k(1)
         idx.query(3)
-        assert idx.repairs == 1
+        assert idx.epoch == 1
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_ranked_queries_in_one_epoch_scan_once(self, kernel):
+        ltc = build_ltc(_cfg(num_buckets=8, kernel=kernel))
+        idx = ServingIndex(ltc)
+        ltc.insert_many([i % 13 for i in range(70)] + [3, 5, 3])
+        idx.top_k(1)
+        idx.significant(4.0)
+        idx.top_k(3)
+        idx.significant(0.0)
+        idx.top_k(10**18)
+        idx.significant(-1.0)
+        idx.tracked()
+        assert idx.epoch == 1
+        ltc.insert_many([3, 3])
+        for k in (1, 5, 0, 100):
+            idx.top_k(k)
+        assert idx.epoch == 2
+
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_point_queries_never_scan(self, kernel):
+        ltc = build_ltc(_cfg(num_buckets=8, kernel=kernel))
+        idx = ServingIndex(ltc)
+        for step in range(20):
+            ltc.insert_many([(step * 7 + i) % 23 for i in range(9)])
+            for item in range(25):
+                served = query_payload(item, *idx.query(item))
+                assert canonical_json(served) == canonical_json(
+                    oracle_query(ltc, item)
+                )
+        assert idx.epoch == 0
 
 
 class TestInvalidation:
@@ -91,8 +115,8 @@ class TestInvalidation:
 
     def test_relocated_item_not_dropped_by_stale_diff(self):
         # An item that leaves slot A and reappears in slot A again (or
-        # elsewhere) between two repairs must stay resolvable: the diff
-        # only deletes a dict entry still pointing at the touched slot.
+        # elsewhere) between two queries must stay resolvable: point
+        # queries read the kernel, not anything kept from an earlier epoch.
         ltc = build_ltc(_cfg(num_buckets=1, bucket_width=2,
                              replacement_policy="space-saving"))
         idx = ServingIndex(ltc)
@@ -153,14 +177,12 @@ class TestEpochs:
         ltc.insert_many([i % 10 for i in range(40)])
         first = idx.top_k(5)
         epoch = idx.epoch
-        reads = []
-        ltc.cell_state = lambda slot: reads.append(slot)  # must stay unused
         assert idx.top_k(5) == first
         assert idx.top_k(3) == first[:3]
-        # Above the prefix's last entry, so the heap head is below it too.
+        # Above the prefix's last entry, so nothing is left to rank.
         t = first[-1][1] + 0.5
         assert idx.significant(t) == [r for r in first if r[1] >= t]
-        assert reads == [] and idx.epoch == epoch
+        assert idx.epoch == epoch
 
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_attach_to_restored_table(self, kernel):
@@ -221,65 +243,61 @@ class TestEpochs:
 
 
 class TestHeapBounds:
-    def test_compaction_bounds_heap(self):
-        ltc = build_ltc(_cfg(num_buckets=1, bucket_width=1))
-        idx = ServingIndex(ltc)
-        # Hammer one cell with alternating evictions; every repair pushes
-        # a fresh entry, so without compaction the heap grows forever.
-        for i in range(3000):
-            ltc.insert(i)
-            if i % 2 == 0:
-                idx.top_k(1)
-        assert idx.heap_size() <= max(64, 4 * ltc.total_cells) + 1
-
-    def test_compaction_bound_counts_ranked_prefix(self):
-        # A deep query each step parks every live entry in the ranked
-        # prefix; they still count, so the bound holds for heap + prefix.
-        ltc = build_ltc(_cfg(num_buckets=2, bucket_width=2))
-        idx = ServingIndex(ltc)
-        m = ltc.total_cells
-        for i in range(3000):
-            ltc.insert(i % 37)
-            idx.top_k(m)
-            assert len(idx._ranked) == idx.tracked()
-            assert idx.heap_size() == len(idx._heap) + len(idx._ranked)
-            assert idx.heap_size() <= max(64, 4 * m)
+    """``/stats`` ``heap_size``: the ranked reports held, at most one per
+    tracked item whatever ``k`` or threshold a caller asks for."""
 
     def test_stats_heap_size_counts_ranked_prefix(self):
         app = ServingApp(build_ltc(_cfg(num_buckets=8)))
-        app.ltc.insert_many([i % 10 for i in range(40)])
-        before = app.stats()["heap_size"]
+        app.ltc.insert_many([i % 10 for i in range(40)] + [3, 7])
+        assert app.stats()["heap_size"] == 0  # scanned, nothing ranked yet
         status, _, _ = app.respond("GET", "/top_k?k=5")
         assert status == 200
-        assert len(app.index._ranked) == 5
-        assert app.stats()["heap_size"] == before == app.index.heap_size()
+        stats = app.stats()
+        assert 5 <= stats["heap_size"] == app.index.held() <= stats["tracked"]
 
     def test_huge_k_bounded_by_table(self):
         ltc = build_ltc(_cfg())
         idx = ServingIndex(ltc)
         ltc.insert_many(list(range(100)))
         reports = idx.top_k(10**18)
-        assert len(idx._ranked) == len(reports) == idx.tracked()
-        assert len(idx._ranked) <= ltc.total_cells
+        assert len(reports) == idx.held() == idx.tracked() <= ltc.total_cells
+        assert idx.significant(float("-inf")) == reports
+        assert idx.held() == idx.tracked()
 
-    def test_stale_entries_skipped_on_pop(self):
-        ltc = build_ltc(_cfg(num_buckets=1, bucket_width=1))
+
+#: Keys the uint64 key column orders wrongly or cannot hold at all.
+ODD_KEYS = (-5, 2**63 + 1, 2**70)
+
+
+class TestTieBreak:
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    def test_equal_significance_ranks_by_python_key(self, kernel):
+        # Every key arrives once (f=1, p=0), so all tie; top_k cuts the
+        # tie group at every k.  On the columnar kernel the negative key
+        # drops the key column (degraded mode).
+        ltc = build_ltc(_cfg(num_buckets=32, bucket_width=4, kernel=kernel))
         idx = ServingIndex(ltc)
-        for i in range(10):
-            ltc.insert(i)
-            idx.top_k(1)  # repair each step -> stale entries accumulate
-        reports = idx.top_k(5)
-        assert len(reports) == 1  # one cell => one live item
+        ltc.insert_many([2**70, 7, 2**63 + 1, 0, -5, 2**64 - 2])
+        assert all(key in ltc for key in ODD_KEYS)
+        assert getattr(ltc, "_kcol", None) is None
+        _assert_oracle_equal(idx, ltc, ks=range(8), thresholds=(0.0, 1.0, 1.5))
+        assert [r[0] for r in idx.top_k(6)] == [-5, 0, 7, 2**63 + 1, 2**64 - 2, 2**70]
+        # A deeper tier above the tie group: cuts inside the group still
+        # follow the oracle after a new epoch.
+        ltc.insert_many([2**70, 11, 11])
+        _assert_oracle_equal(idx, ltc, ks=range(9), thresholds=(1.0, 2.0))
+        assert [r[0] for r in idx.top_k(3)] == [11, 2**70, -5]
 
 
 class TestLifecycle:
     def test_close_detaches(self):
         ltc = build_ltc(_cfg())
         idx = ServingIndex(ltc)
-        idx.top_k(1)  # drain the adoption pass
+        idx.top_k(1)  # adopt the table
         idx.close()
         ltc.insert_many(list(range(32)))
-        assert idx._pending == []  # no notifications after detach
+        idx.top_k(1)
+        assert idx.epoch == 1  # no notifications after detach
 
     def test_adopts_existing_state(self):
         ltc = build_ltc(_cfg())
