@@ -18,11 +18,10 @@ the remaining replay loops do.
 
 ``--kernel`` pins the LTC implementation for the sweep (the line-up
 default otherwise).  For ``--kernel columnar`` the script additionally
-instruments the four ingest phases — probe / clean-hit / dirty-replay /
-harvest — and prints an exclusive-time breakdown, which is how the
-segmented-replay work was sized: a chunk is probed once, its clean
-prefix aggregates in bulk, the dirty tail runs the peeling kernel, and
-the CLOCK harvest closes the chunk.
+instruments the three steps of a batch — converting and range-checking
+the keys, the compiled kernel call, and publishing the replaced keys to
+the key list, index and listener — and prints an exclusive-time
+breakdown.
 """
 
 from __future__ import annotations
@@ -35,25 +34,23 @@ import time
 from typing import Any, Callable, Dict, List, Tuple
 
 
-#: Columnar ingest phases, in chunk order: (label, method names).  The
-#: harvest phase covers both CLOCK paths: slice sweeps
-#: (``_harvest_segments``) and the segmented replay's scheduled sweeps
-#: (``_sweep_slots``, nested inside dirty-replay).
+#: Columnar batch steps, in call order: (label, method names).  The
+#: kernel step is ``insert_many``'s own time: the compiled loop and the
+#: CLOCK state copied in and out around it.
 _PHASES: "List[Tuple[str, Tuple[str, ...]]]" = [
-    ("probe", ("_probe_chunk",)),
-    ("clean-hit", ("_apply_hit_slots",)),
-    ("dirty-replay", ("_replay_dirty",)),
-    ("harvest", ("_harvest_segments", "_sweep_slots")),
+    ("keys", ("_key_array",)),
+    ("kernel", ("insert_many",)),
+    ("publish", ("_publish",)),
 ]
 
 
 class PhaseTimer:
     """Exclusive wall-time accumulator for nested phase methods.
 
-    ``_replay_dirty`` calls ``_harvest_segments`` and ``_sweep_slots``
-    for the sweeps it schedules itself, so naive per-method totals would
-    double-count: a stack tracks the running child time and each phase
-    records only the time not already attributed to a nested phase.
+    ``insert_many`` calls the other phases' methods, so naive per-method
+    totals would double-count: a stack tracks the running child time and
+    each phase records only the time not already attributed to a nested
+    phase.
     """
 
     def __init__(self) -> None:
@@ -91,7 +88,7 @@ class PhaseTimer:
 
     def report(self, out: Any) -> None:
         total = sum(self.totals.values())
-        print("\ncolumnar ingest phases (exclusive time):", file=out)
+        print("\ncolumnar batch steps (exclusive time):", file=out)
         print(
             f"  {'phase':<14}{'calls':>10}{'seconds':>12}{'share':>9}",
             file=out,

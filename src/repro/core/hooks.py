@@ -50,15 +50,13 @@ HOOKED_STRUCTURES = ("LTC", "ColumnarLTC")
 
 #: Attributes holding observable cell state: the key column and the
 #: frequency/persistency counters, including the columnar kernel's numpy
-#: rebinds and memoryview/2-D aliases of the same storage.
+#: columns and memoryview aliases of the same storage.
 CELL_STATE_ATTRS = (
     "_keys",
     "_freqs",
     "_counters",
     "_freq_mv",
     "_counter_mv",
-    "_freqs2",
-    "_counters2",
 )
 
 #: The notification surface of :class:`CellListener`.

@@ -219,9 +219,9 @@ class LTC(StreamSummary):
             raise ValueError("period_seconds must be positive")
         if self._last_timestamp is not None and timestamp < self._last_timestamp:
             raise ValueError("timestamps must be non-decreasing")
+        self._place(item)
         if self._obs is not None:
             self._m_inserts.inc()
-        self._place(item)
         if self._last_timestamp is not None:
             ticks = ClockPointer.TICKS_PER_PERIOD
             prev = round(self._last_timestamp * ticks / period_seconds)
@@ -457,7 +457,8 @@ class LTC(StreamSummary):
 
     # ----------------------------------------------------------- inspection
     def cells(self) -> Iterator[CellView]:
-        """Yield a snapshot view of every cell (tests/debugging)."""
+        """Yield a snapshot view of every cell (tests/debugging), with
+        plain Python ints whatever the kernel's storage."""
         d = self._d
         for j in range(len(self._keys)):
             bits = self._flags[j]
@@ -465,8 +466,8 @@ class LTC(StreamSummary):
                 bucket=j // d,
                 slot=j % d,
                 key=self._keys[j],
-                frequency=self._freqs[j],
-                persistency=self._counters[j],
+                frequency=int(self._freqs[j]),
+                persistency=int(self._counters[j]),
                 flag_even=bool(bits & 1),
                 flag_odd=bool(bits & 2),
             )
@@ -489,10 +490,12 @@ class LTC(StreamSummary):
     def clear(self) -> None:
         """Reset the structure to its freshly-built state."""
         m = len(self._keys)
-        self._keys = [None] * m
-        self._freqs = [0] * m
-        self._counters = [0] * m
-        self._flags = bytearray(m)
+        # In place, so the columnar kernel's numpy columns (and views of
+        # them) keep their storage.
+        self._keys[:] = [None] * m
+        self._freqs[:] = [0] * m
+        self._counters[:] = [0] * m
+        self._flags[:] = [0] * m
         self._clock = ClockPointer(m, self.config.items_per_period)
         self._parity = 0
         self._set_bit = 1

@@ -143,6 +143,16 @@ def _restore_dynamic(
     clock: Dict[str, Any],
     last_timestamp: Optional[float] = None,
 ) -> None:
+    # The CLOCK invariants every live structure keeps.  The columnar
+    # kernel's compiled loop indexes its columns with the hand, so a
+    # corrupt image must not get past here.
+    m, n = ltc.total_cells, ltc.config.items_per_period
+    if not (
+        0 <= clock["hand"] < m
+        and 0 <= clock["scanned_in_period"] <= m
+        and 0 <= clock["acc"] < n
+    ):
+        raise ValueError("corrupt LTC image (CLOCK state out of range)")
     ltc._parity = parity
     if ltc._de:
         ltc._set_bit = 1 << parity

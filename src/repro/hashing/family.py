@@ -65,19 +65,25 @@ def fnv1a64(data: bytes) -> int:
 
 
 def canonical_key(item: Hashable) -> int:
-    """Reduce an item identifier to a canonical 64-bit integer key.
+    """Reduce an item identifier to a canonical integer key in
+    ``[0, 2**64 - 2]``.
 
     Streams in this library carry integer item identifiers natively (IPs,
     user ids, flow ids).  Strings and bytes are digested with FNV-1a so that
-    arbitrary identifiers can be fed to any summary.
+    arbitrary identifiers can be fed to any summary.  The result leaves
+    out ``2**64 - 1``, the empty-cell key of a checkpoint and of the
+    columnar kernel's key column, so every canonical key can be stored:
+    it folds onto ``2**64 - 2`` (for ints, -1 shares a key with -2).
     """
     if isinstance(item, int):
-        return item & _MASK64
-    if isinstance(item, str):
-        return fnv1a64(item.encode("utf-8"))
-    if isinstance(item, (bytes, bytearray)):
-        return fnv1a64(bytes(item))
-    raise TypeError(f"unsupported item key type: {type(item)!r}")
+        key = item & _MASK64
+    elif isinstance(item, str):
+        key = fnv1a64(item.encode("utf-8"))
+    elif isinstance(item, (bytes, bytearray)):
+        key = fnv1a64(bytes(item))
+    else:
+        raise TypeError(f"unsupported item key type: {type(item)!r}")
+    return min(key, _MASK64 - 1)
 
 
 class HashFamily:

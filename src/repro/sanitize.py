@@ -191,9 +191,9 @@ def _check_ltc_index(ltc: "LTC") -> None:
 
 
 def _check_ltc_columns(ltc: "LTC") -> None:
-    # ColumnarLTC mirrors the key list into one key column for vectorized
-    # probing (the empty value for a free cell); the mirror must agree
-    # with the row state.
+    # ColumnarLTC mirrors the key list into one key column for its
+    # compiled batch loop (the empty value for a free cell); the mirror
+    # must agree with the row state.
     kcol = getattr(ltc, "_kcol", None)
     if kcol is None:
         return

@@ -14,8 +14,8 @@ remaining cells: ``np.partition`` finds the boundary significance, every
 cell at or above it joins the prefix (ties with the boundary included),
 and the newcomers are sorted by ``(-significance, item)`` on the Python
 keys of the kernel's key list.  The uint64 key column never orders
-anything: its order is wrong for negative keys and keys ≥ 2**63, and a
-degraded columnar table has none.  Repeated ``top_k`` / ``significant``
+anything: the reference LTC has none and holds any int key, negative
+ones included.  Repeated ``top_k`` / ``significant``
 calls within an epoch only slice or extend the prefix, which holds at
 most one report per tracked item, so callers that render answers (the
 server) may cache per prefix position, keyed by
@@ -96,8 +96,8 @@ class ServingIndex:
             return
         ltc = self._ltc
         # The columnar kernel's uint64 key column marks empty cells with
-        # one reserved value; without it (reference LTC, degraded
-        # columnar table) the key list is the occupancy mask.
+        # one reserved value; without it (reference LTC) the key list is
+        # the occupancy mask.
         kcol = getattr(ltc, "_kcol", None)
         if kcol is not None:
             slots = np.flatnonzero(kcol != _EMPTY)

@@ -1,30 +1,31 @@
 """ColumnarLTC ≡ LTC differential tests.
 
-The columnar kernel reorders work inside ``insert_many`` (clean hits are
-bincount-aggregated, CLOCK harvests run as array slices), so these tests
-pin the commutation argument empirically: every observable — cells, CLOCK
-phase, parity, estimates, top-k — must match a per-event replay exactly,
-across policies, DE on/off, batch fragmentation, and period boundaries.
-The whole-batch scalar replay (Deviation Eliminator off, keys the key
-column cannot hold) and the per-event paths are exercised explicitly.
+The columnar kernel runs ``insert_many`` in compiled code over numpy
+columns and ``insert`` through memoryviews and an item→slot index, so
+these tests pin both against the reference: every observable — cells,
+CLOCK phase, parity, estimates, top-k, checkpoint bytes, counters — must
+match a per-event replay exactly, across policies, DE on/off, batch
+fragmentation, and period boundaries.  Keys outside ``[0, MAX_KEY]`` are
+refused before any write, and the kernel's build is pinned too.
 """
 
 from __future__ import annotations
 
 import random
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.columnar import ColumnarLTC, _RunIndex
+from repro.core import ckernel
+from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
+from repro.core.keyed import KeyedSummary
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.core.merge import merge
-from repro.core.serialize import EMPTY_KEY, from_bytes, to_bytes
+from repro.core.serialize import EMPTY_KEY, MAX_KEY, from_bytes, to_bytes
 from repro.hashing.family import splitmix64
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
@@ -72,6 +73,35 @@ def assert_identical(a: LTC, b: LTC) -> None:
     assert a._clock._acc == b._clock._acc
     assert a._clock.scanned_in_period == b._clock.scanned_in_period
     assert a._parity == b._parity
+
+
+def _counters(registry):
+    """The five ``ltc_*`` counters as ``(type, value)``: a numpy scalar
+    leaking into a counter would compare equal but break JSON export."""
+    values = {m["name"]: m.get("value") for m in registry.snapshot()["metrics"]}
+    return {
+        key: (type(values[key]), values[key])
+        for key in (
+            "ltc_inserts_total",
+            "ltc_significance_decrements_total",
+            "ltc_evictions_total",
+            "ltc_longtail_replacements_total",
+            "ltc_harvests_total",
+        )
+    }
+
+
+def metered_pair(config):
+    """A reference LTC and a ColumnarLTC, each counting into its own
+    registry."""
+    registries, built = [], []
+    try:
+        for cls in (LTC, ColumnarLTC):
+            registries.append(obs.enable(MetricsRegistry()))
+            built.append(cls(config))
+    finally:
+        obs.disable()
+    return built, registries
 
 
 class TestEquivalence:
@@ -211,9 +241,8 @@ def colliding_keys(ltc, bucket: int, count: int) -> "list[int]":
 
 
 class TestAdversarialMissHeavy:
-    """The segmented replay's worst cases: chunks where (almost) every
-    event is a miss, so the peeling kernel does all the work and the
-    clean-hit aggregation none of it."""
+    """Miss-heavy streams: batches where (almost) every event is a claim,
+    a Significance Decrement or an eviction."""
 
     @given(
         st.integers(20, 400),
@@ -234,8 +263,7 @@ class TestAdversarialMissHeavy:
 
     @pytest.mark.parametrize("policy", ["longtail", "one", "space-saving"])
     def test_single_bucket_collision_storm(self, policy):
-        """Every event lands in one bucket of a wide table — the peel
-        loop degenerates to a single queue of maximal depth."""
+        """Every event lands in one bucket of a wide table."""
         config = LTCConfig(
             num_buckets=8, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=500, replacement_policy=policy,
@@ -257,8 +285,8 @@ class TestAdversarialMissHeavy:
     )
     @settings(max_examples=40, deadline=None)
     def test_oversized_key_mid_chunk(self, events, position):
-        """A key outside uint64 arriving mid-chunk drops the rest of the
-        stream to the scalar path without losing a single event."""
+        """A key outside uint64 anywhere in a batch refuses the whole
+        batch with the table untouched; later batches run as before."""
         position = min(position, len(events))
         poisoned = events[:position] + [1 << 70] + events[position:]
         config = LTCConfig(
@@ -266,11 +294,10 @@ class TestAdversarialMissHeavy:
             items_per_period=50,
         )
         ref, col = LTC(config), ColumnarLTC(config)
-        ref.insert_many(poisoned)
-        col.insert_many(poisoned)
-        assert not col._vec
+        with pytest.raises(ValueError, match=str(1 << 70)):
+            col.insert_many(poisoned)
         assert_identical(ref, col)
-        # The instance stays consistent for later (vector-eligible) batches.
+        assert to_bytes(ref) == to_bytes(col)
         ref.insert_many(events)
         col.insert_many(events)
         ref.end_period()
@@ -290,8 +317,8 @@ class TestAdversarialMissHeavy:
 
 def bursty_churn(num_events, num_distinct, seed):
     """Zipf-ish keys with repeats in bursts: heavy churn on a small table
-    plus long same-key runs, so claims, decrements, evictions and the
-    reclassification of later same-key events all occur in one chunk."""
+    plus long same-key runs, so claims, decrements, evictions and later
+    events of an evicted or newly installed key all occur in one batch."""
     rng = random.Random(seed)
     events = []
     while len(events) < num_events:
@@ -302,82 +329,32 @@ def bursty_churn(num_events, num_distinct, seed):
 
 class TestPaperGeometry:
     """The paper's 8 KB point, w=85 d=8: a non-power-of-two bucket count
-    (the vectorized ``hashed % w`` path, not the mask) and enough lanes
-    for wide segmented rounds and the scalar drain."""
+    (the kernel's ``hash % w`` path, not the mask) on a churny stream."""
 
     @pytest.mark.parametrize(
         "policy", ["longtail", "one", "space-saving"],
     )
-    def test_matches_reference_with_counters(self, policy, monkeypatch):
-        lanes = []
-        multi = []
-        drained = []
-        decrement_lanes = ColumnarLTC._decrement_lanes
-        drain_lanes = ColumnarLTC._drain_lanes
-
-        def spy_decrement(self, seq, start, offset, okey, opclass, at, *rest):
-            lanes.append(len(at))
-            drow, dslot, last = decrement_lanes(
-                self, seq, start, offset, okey, opclass, at, *rest
-            )
-            # A lane whose last applied miss lies past its first took a
-            # run of two or more misses in this one round.
-            multi.append(last is not None and bool((last > at).any()))
-            return drow, dslot, last
-
-        def spy_drain(self, seq, start, offset, opclass, cur, end):
-            drained.append(len(cur))
-            return drain_lanes(self, seq, start, offset, opclass, cur, end)
-
-        monkeypatch.setattr(ColumnarLTC, "_decrement_lanes", spy_decrement)
-        monkeypatch.setattr(ColumnarLTC, "_drain_lanes", spy_drain)
+    def test_matches_reference_with_counters(self, policy):
         config = LTCConfig(
             num_buckets=85, bucket_width=8, alpha=1.0, beta=1.0,
             items_per_period=3000, replacement_policy=policy,
         )
         events = bursty_churn(24_000, 6_000, seed=85)
-        built = {}
-        registries = {}
-        try:
-            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
-                registries[name] = obs.enable(MetricsRegistry())
-                built[name] = cls(config)
-        finally:
-            obs.disable()
+        (ref, col), registries = metered_pair(config)
         for start in range(0, len(events), 3000):
             period = events[start : start + 3000]
             for item in period:
-                built["ltc"].insert(item)
-            built["col"].insert_many(period)
-            for ltc in built.values():
-                ltc.end_period()
-        assert max(lanes) >= 16 and any(drained)
-        # Space-Saving evicts on every miss, so it has no runs.
-        assert any(multi) == (policy != "space-saving")
-        counted = (
-            "ltc_significance_decrements_total",
-            "ltc_evictions_total",
-            "ltc_longtail_replacements_total",
-            "ltc_harvests_total",
-        )
-
-        def counters(name):
-            # (type, value): a numpy scalar leaking into a counter would
-            # compare equal but break JSON export of the registry.
-            values = {
-                m["name"]: m.get("value")
-                for m in registries[name].snapshot()["metrics"]
-            }
-            return {key: (type(values[key]), values[key]) for key in counted}
-
-        assert counters("col")["ltc_evictions_total"][1] > 0
-        assert_identical(built["ltc"], built["col"])
-        assert counters("ltc") == counters("col")
-        assert to_bytes(built["ltc"]) == to_bytes(built["col"])
+                ref.insert(item)
+            col.insert_many(period)
+            ref.end_period()
+            col.end_period()
+        assert _counters(registries[1])["ltc_evictions_total"][1] > 0
+        assert_identical(ref, col)
+        assert _counters(registries[0]) == _counters(registries[1])
+        assert to_bytes(ref) == to_bytes(col)
 
 
-#: Buckets in the crafted-table tests: exactly ``_SEG_MIN_ACTIVE`` lanes,
-#: so every crafted batch runs through the round loop, not the drain.
+#: Buckets in the crafted-table tests: each plays the same script.
 RUN_LANES = 16
 
 
@@ -413,30 +390,15 @@ def round_robin(per_bucket):
     ]
 
 
-@pytest.fixture
-def run_lengths(monkeypatch):
-    """Every per-lane step length the round kernel's run search returns."""
-    seen = []
-    extent = _RunIndex.extent
-
-    def spy(self, *args):
-        k, last = extent(self, *args)
-        seen.extend(k.tolist())
-        return k, last
-
-    monkeypatch.setattr(_RunIndex, "extent", spy)
-    return seen
-
-
 class TestDecrementRuns:
-    """Pinned boundaries of the columnar round's decrement runs.
+    """Pinned runs of Significance Decrements on one cell.
 
     Each test crafts a full table of ``RUN_LANES`` buckets, an incumbent
     ``A`` and the least significant cell ``B`` per bucket (plus fresh
     colliding keys ``X``), and sends one batch in which every bucket
-    plays the same script.  The reference LTC replays it per event; the columnar
-    round applies each lane's run in one step, so a run boundary the
-    kernel ignored would leave ``B`` (or its replacement) different.
+    plays the same script: misses that decrement ``B``, broken by a hit
+    on it, its CLOCK sweep, or its death.  The reference LTC replays it
+    per event, and ``B`` (or its replacement) must end the same.
     """
 
     def _setup(self, *, width=2, fresh=6, **cfg):
@@ -454,21 +416,20 @@ class TestDecrementRuns:
         assert_identical(ref, col)
         assert to_bytes(ref) == to_bytes(col)
 
-    def test_run_ends_at_hit_on_cell(self, run_lengths):
+    def test_run_ends_at_hit_on_cell(self):
         config, keys = self._setup()
         ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
         )
         # X1 X2 B X3 X4 X5: the hit on B ends the first run at two misses.
-        # Taken as one run, five misses would kill B (f = 5).
+        # Five misses in a row would kill B (f = 5).
         batch = round_robin([[k[2], k[3], k[1], k[4], k[5], k[6]] for k in keys])
         ref.insert_many(batch)
         col.insert_many(batch)
         self._assert_same(ref, col)
         assert col.estimate(keys[0][1]) == (1, 0)
-        assert max(run_lengths) == 3
 
-    def test_run_ends_at_cell_sweep(self, run_lengths):
+    def test_run_ends_at_cell_sweep(self):
         # 32 cells, one sweep per arrival: slot j is swept after arrival j,
         # so B's sweep (slot 2b + 1, harvest flag pending) lands between
         # its bucket's first and second miss (arrivals b and 16 + b).
@@ -482,9 +443,8 @@ class TestDecrementRuns:
         self._assert_same(ref, col)
         # 8 - 1, the sweep's p = 1 absorbs the second miss, 4 more: f = 2.
         assert col.estimate(keys[0][1]) == (2, 0)
-        assert max(run_lengths) >= 4
 
-    def test_death_mid_run_longtail_reads_inner_hit(self, run_lengths):
+    def test_death_mid_run_longtail_reads_inner_hit(self):
         config, keys = self._setup(replacement_policy="longtail")
         ref, col = crafted_pair(
             config, [[(k[0], 10, 0, 0), (k[1], 3, 0, 0)] for k in keys]
@@ -497,9 +457,8 @@ class TestDecrementRuns:
         self._assert_same(ref, col)
         assert col.estimate(keys[0][0]) == (11, 0)
         assert col.estimate(keys[0][4]) == (9, 0)
-        assert 3 in run_lengths
 
-    def test_flag_charge_when_p_empties_mid_run(self, run_lengths):
+    def test_flag_charge_when_p_empties_mid_run(self):
         config, keys = self._setup()
         # B: f = 4, p = 1, both flags pending.  Three misses: p empties at
         # the first, and the third starts at f = 2 with two pending flags
@@ -507,15 +466,14 @@ class TestDecrementRuns:
         ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 4, 1, 3)] for k in keys]
         )
-        # X1 A X2 A X3: the hits on A (enough events for the round loop)
-        # sit inside B's run without ending it.
+        # X1 A X2 A X3: the hits on A sit inside B's run without ending
+        # it.
         batch = round_robin([[k[2], k[0], k[3], k[0], k[4]] for k in keys])
         ref.insert_many(batch)
         col.insert_many(batch)
         self._assert_same(ref, col)
         assert col.estimate(keys[0][1]) == (1, 0)
         assert int(col._flags[1]) == col._set_bit
-        assert max(run_lengths) == 3
 
     @pytest.mark.parametrize(
         "alpha, beta, b_cell",
@@ -529,7 +487,7 @@ class TestDecrementRuns:
         ],
         ids=["alpha0", "beta0"],
     )
-    def test_single_weight_death_step(self, run_lengths, alpha, beta, b_cell):
+    def test_single_weight_death_step(self, alpha, beta, b_cell):
         config, keys = self._setup(alpha=alpha, beta=beta, replacement_policy="one")
         ref, col = crafted_pair(
             config, [[(k[0], 10, 10, 0), (k[1], *b_cell)] for k in keys]
@@ -541,9 +499,8 @@ class TestDecrementRuns:
         # X3 replaced B; X4 and X5 then replaced each fresh cell in turn.
         assert col.estimate(keys[0][1]) == (0, 0)
         assert col.estimate(keys[0][6]) == (1, 0)
-        assert 3 in run_lengths
 
-    def test_space_saving_takes_no_runs(self, run_lengths):
+    def test_space_saving_takes_no_runs(self):
         config, keys = self._setup(replacement_policy="space-saving")
         ref, col = crafted_pair(
             config, [[(k[0], 20, 0, 0), (k[1], 5, 0, 0)] for k in keys]
@@ -552,9 +509,8 @@ class TestDecrementRuns:
         ref.insert_many(batch)
         col.insert_many(batch)
         self._assert_same(ref, col)
-        assert run_lengths == []
 
-    def test_single_cell_buckets(self, run_lengths):
+    def test_single_cell_buckets(self):
         config, keys = self._setup(width=1, fresh=7)
         ref, col = crafted_pair(config, [[(k[0], 6, 0, 0)] for k in keys])
         # X1 X2 A X3 .. X7: a run of two, the hit, then a run that kills A
@@ -564,115 +520,6 @@ class TestDecrementRuns:
         col.insert_many(batch)
         self._assert_same(ref, col)
         assert col.estimate(keys[0][7]) == (1, 0)
-        assert max(run_lengths) >= 2
-
-
-class TestRoundKernelDifferential:
-    """Random configurations wide enough (w >= 16 lanes) for the round
-    loop, with both weights, every replacement policy, the period and
-    the batch split drawn at random; cells, CLOCK state and the four
-    kernel counters (values and ``int`` type) must equal the reference
-    LTC's."""
-
-    @given(
-        w=st.integers(16, 128),
-        d=st.sampled_from([1, 2, 4, 8]),
-        weights=st.sampled_from(
-            [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (3.0, 0.25)]
-        ),
-        policy=st.sampled_from(["longtail", "one", "space-saving"]),
-        period_factor=st.sampled_from([1, 3]),
-        batch=st.sampled_from([None, 600, 2500]),
-        spread=st.sampled_from([12, 24]),
-        seed=st.integers(0, 2**32),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_matches_reference(
-        self, w, d, weights, policy, period_factor, batch, spread, seed
-    ):
-        rounds = []
-        apply_misses = ColumnarLTC._apply_misses
-
-        def spy(self, seq, start, offset, okey, opclass, at, *rest):
-            rounds.append(len(at))
-            return apply_misses(self, seq, start, offset, okey, opclass, at, *rest)
-
-        alpha, beta = weights
-        # Periods of at least 1024 events keep each call's dirty tail
-        # above the segmented replay's entry size.
-        period = max(1024, w * d * period_factor)
-        config = LTCConfig(
-            num_buckets=w, bucket_width=d, alpha=alpha, beta=beta,
-            items_per_period=period, replacement_policy=policy,
-        )
-        events = bursty_churn(5 * period, spread * w * d, seed)
-        registries = {}
-        built = {}
-        try:
-            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
-                registries[name] = obs.enable(MetricsRegistry())
-                built[name] = cls(config)
-        finally:
-            obs.disable()
-        with mock.patch.object(ColumnarLTC, "_apply_misses", spy):
-            for start in range(0, len(events), period):
-                chunk = events[start : start + period]
-                built["ltc"].insert_many(chunk)
-                step = batch or len(chunk)
-                for i in range(0, len(chunk), step):
-                    built["col"].insert_many(chunk[i : i + step])
-                for ltc in built.values():
-                    ltc.end_period()
-        assert rounds, "no round of the segmented replay ran"
-        assert_identical(built["ltc"], built["col"])
-
-        def counters(name):
-            values = {
-                m["name"]: m.get("value")
-                for m in registries[name].snapshot()["metrics"]
-            }
-            return {
-                key: (type(values[key]), values[key])
-                for key in (
-                    "ltc_significance_decrements_total",
-                    "ltc_evictions_total",
-                    "ltc_longtail_replacements_total",
-                    "ltc_harvests_total",
-                )
-            }
-
-        assert counters("ltc") == counters("col")
-
-
-class TestFallbacks:
-    def test_de_off_uses_scalar_path(self):
-        """Without the Deviation Eliminator the harvest bit equals the
-        set bit, so the batch reordering is unsound and the kernel must
-        replay the whole batch scalar; results still match."""
-        slow, col = run_pair(
-            [random.Random(2).randrange(50) for _ in range(800)],
-            4,
-            deviation_eliminator=False,
-        )
-        assert col._vec
-        assert_identical(slow, col)
-
-    def test_oversized_key_disables_vectorization(self):
-        """Keys outside uint64 fall back to scalar ingestion for good."""
-        config = LTCConfig(
-            num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
-            items_per_period=20,
-        )
-        ref, col = LTC(config), ColumnarLTC(config)
-        events = [1, 2, 1 << 80, 2, 1, 1 << 80, 3]
-        ref.insert_many(events)
-        col.insert_many(events)
-        assert not col._vec
-        assert_identical(ref, col)
-        # And it keeps working scalar afterwards.
-        ref.insert_many([4, 5, 4])
-        col.insert_many([4, 5, 4])
-        assert_identical(ref, col)
 
 
 class TestIndex:
@@ -723,11 +570,72 @@ class TestIndex:
         assert col.estimate(2) == (1, 0)
 
 
+class TestKernelDifferential:
+    """``insert_many`` against the reference LTC's per-event ``insert``
+    on random configurations: both weights, DE on (both parities) and
+    off, every replacement policy (Long-tail Replacement on and off),
+    d = 1 and non-power-of-two widths, with random batch splits, some
+    batches fed per event, and ``end_period`` calls at random points.
+    Cells, CLOCK state, checkpoint bytes and the five kernel counters
+    (values and ``int`` type) must equal the reference's."""
+
+    @given(
+        w=st.sampled_from([1, 2, 3, 5, 8, 16, 85]),
+        d=st.sampled_from([1, 2, 4, 8]),
+        weights=st.sampled_from(
+            [(1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (0.5, 2.0), (3.0, 0.25)]
+        ),
+        policy=st.sampled_from(["longtail", "one", "space-saving"]),
+        de=st.booleans(),
+        period=st.integers(1, 300),
+        spread=st.sampled_from([2, 6, 24]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference(
+        self, w, d, weights, policy, de, period, spread, seed, data
+    ):
+        alpha, beta = weights
+        config = LTCConfig(
+            num_buckets=w, bucket_width=d, alpha=alpha, beta=beta,
+            items_per_period=period, replacement_policy=policy,
+            deviation_eliminator=de,
+        )
+        (ref, col), registries = metered_pair(config)
+        events = bursty_churn(600, spread * w * d, seed)
+        # The top of the key range and the high bit, beside small keys.
+        for at, key in zip((7, 99, 300), (MAX_KEY, 2**63, 2**63 + 1)):
+            events[at:at] = [key] * 3
+        cursor = 0
+        while cursor < len(events):
+            step = data.draw(st.integers(1, 160), label="batch")
+            batch = events[cursor : cursor + step]
+            cursor += step
+            for item in batch:
+                ref.insert(item)
+            if data.draw(st.integers(0, 5), label="per-event") == 0:
+                for item in batch:
+                    col.insert(item)
+            else:
+                col.insert_many(batch)
+            if data.draw(st.integers(0, 3), label="end-period") == 0:
+                ref.end_period()
+                col.end_period()
+        assert_identical(ref, col)
+        assert to_bytes(ref) == to_bytes(col)
+        assert _counters(registries[0]) == _counters(registries[1])
+
+
 class TestDegradedMode:
-    """A key the key column cannot hold, stored after the round kernel
-    has run: the instance drops the column and replays scalar from then
-    on, still equal to the reference LTC in cells, CLOCK state, the four
-    kernel counters and the answers a listening ServingIndex serves."""
+    """An unstorable key cannot put the kernel into a degraded mode.
+
+    A batch (or a per-event insert) holding a key outside ``[0,
+    MAX_KEY]`` is refused whole with ``ValueError`` before any write —
+    cells, CLOCK and counters as they were — and the instance carries on
+    through the compiled kernel, equal to the reference LTC fed the
+    stream without the key in cells, CLOCK state, the five kernel
+    counters and the answers a listening ServingIndex serves."""
 
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per-event"])
     @pytest.mark.parametrize(
@@ -740,62 +648,101 @@ class TestDegradedMode:
             num_buckets=32, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=1024,
         )
-        registries = {}
-        built = {}
-        try:
-            for name, cls in (("ltc", LTC), ("col", ColumnarLTC)):
-                registries[name] = obs.enable(MetricsRegistry())
-                built[name] = cls(config)
-        finally:
-            obs.disable()
-        ref, col = built["ltc"], built["col"]
-        indexes = {name: ServingIndex(ltc) for name, ltc in built.items()}
-        rounds = []
-        apply_misses = ColumnarLTC._apply_misses
-
-        def spy(self, *args):
-            rounds.append(1)
-            return apply_misses(self, *args)
-
+        (ref, col), registries = metered_pair(config)
+        indexes = [ServingIndex(ltc) for ltc in (ref, col)]
         events = bursty_churn(6 * 1024, 24 * 32 * 4, seed=7)
-        # Enough repeats to kill the incumbent of the key's bucket, so the
-        # key is stored mid-period.
-        poisoned = events[: 3 * 1024] + [bad] * 40 + events[3 * 1024 :]
-        with mock.patch.object(ColumnarLTC, "_apply_misses", spy):
-            for start in range(0, len(poisoned), 1024):
-                chunk = poisoned[start : start + 1024]
-                ref.insert_many(chunk)
-                if batched:
-                    if bad in chunk:
-                        # The round kernel ran before the bad key came.
-                        assert rounds and col._vec
-                    col.insert_many(chunk)
-                else:
-                    for item in chunk:
+        for start in range(0, len(events), 1024):
+            chunk = events[start : start + 1024]
+            ref.insert_many(chunk)
+            # Mid-period and mid-batch, once the table is full.
+            poisoned = chunk[:500] + [bad] * 3 + chunk[500:]
+            before = to_bytes(col), _counters(registries[1])
+            if batched:
+                with pytest.raises(ValueError, match=str(bad)):
+                    col.insert_many(poisoned)
+                assert (to_bytes(col), _counters(registries[1])) == before
+                col.insert_many(chunk)
+            else:
+                for item in poisoned:
+                    if item != bad:
                         col.insert(item)
-                ref.end_period()
-                col.end_period()
-        assert bad in col and not col._vec
+                        continue
+                    before = to_bytes(col), _counters(registries[1])
+                    with pytest.raises(ValueError, match=str(bad)):
+                        col.insert(item)
+                    assert (to_bytes(col), _counters(registries[1])) == before
+            ref.end_period()
+            col.end_period()
+        assert bad not in col
         assert_identical(ref, col)
+        assert _counters(registries[0]) == _counters(registries[1])
+        assert indexes[0].top_k(20) == indexes[1].top_k(20)
 
-        def counters(name):
-            values = {
-                m["name"]: m.get("value")
-                for m in registries[name].snapshot()["metrics"]
-            }
-            return {
-                key: (type(values[key]), values[key])
-                for key in (
-                    "ltc_significance_decrements_total",
-                    "ltc_evictions_total",
-                    "ltc_longtail_replacements_total",
-                    "ltc_harvests_total",
-                )
-            }
 
-        assert counters("ltc") == counters("col")
-        assert indexes["ltc"].top_k(20) == indexes["col"].top_k(20)
-        assert indexes["col"].query(bad) == indexes["ltc"].query(bad)
+class TestKeyDomain:
+    def test_int64_clock_bound_rejected_at_construction(self):
+        """The compiled CLOCK accumulator is an int64: ``acc + m`` must
+        fit, so ``items_per_period + m`` above int64 is refused."""
+        too_long = LTCConfig(
+            num_buckets=2, bucket_width=4, items_per_period=2**63 - 8,
+            kernel="columnar",
+        )
+        with pytest.raises(ValueError, match="int64"):
+            build_ltc(too_long)
+        assert type(build_ltc(too_long.with_options(kernel="reference"))) is LTC
+        longest = too_long.with_options(items_per_period=2**63 - 9)
+        col = build_ltc(longest)
+        col.insert_many([1, 2, 1])
+        assert col.estimate(1) == (2, 0)
+
+    def test_keyed_summary_int_keys_checkpoint(self):
+        """``canonical_key`` folds int keys into ``[0, MAX_KEY]``, so
+        -1 and 2**64 - 1 (the empty-cell value) can go through a keyed
+        columnar LTC and the table still checkpoints."""
+        config = LTCConfig(
+            num_buckets=4, bucket_width=4, items_per_period=16,
+            kernel="columnar",
+        )
+        keyed = KeyedSummary(build_ltc(config))
+        keyed.insert_many([-1, 2**64 - 1, 7, -1])
+        keyed.insert(2**64 - 1)
+        restored = from_bytes(to_bytes(keyed.inner), cls=ColumnarLTC)
+        assert list(restored.cells()) == list(keyed.inner.cells())
+        assert keyed.query(-1) == keyed.query(2**64 - 1) > 0
+
+
+class TestBuild:
+    """The compiled kernel's loader (``repro.core.ckernel``)."""
+
+    def test_cold_cache_builds_once(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        ckernel.load.cache_clear()
+        try:
+            ckernel.load()
+            built = sorted(p.name for p in (tmp_path / "repro").iterdir())
+            assert len(built) == 1 and built[0].endswith(".so")
+            ckernel.load.cache_clear()
+            ckernel.load()  # warm: loads the cached library
+            assert sorted(p.name for p in (tmp_path / "repro").iterdir()) == built
+        finally:
+            ckernel.load.cache_clear()
+
+    def test_no_compiler_is_a_clear_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ckernel, "compiler", lambda: None)
+        ckernel.load.cache_clear()
+        try:
+            config = LTCConfig(num_buckets=2, bucket_width=4, kernel="columnar")
+            with pytest.raises(RuntimeError, match="C compiler"):
+                build_ltc(config)
+            ref = build_ltc(config.with_options(kernel="reference"))
+            ref.insert_many([1, 2, 1])
+            assert ref.estimate(1) == (2, 0)
+            assert not (tmp_path / "repro").exists() or not any(
+                (tmp_path / "repro").iterdir()
+            )
+        finally:
+            ckernel.load.cache_clear()
 
 
 class TestLifecycle:
@@ -816,7 +763,6 @@ class TestLifecycle:
         ref, col = self.make_pair()
         restored = from_bytes(to_bytes(col), cls=ColumnarLTC)
         assert type(restored) is ColumnarLTC
-        assert restored._vec
         tail = [random.Random(6).randrange(200) for _ in range(500)]
         ref.insert_many(tail)
         restored.insert_many(tail)
@@ -830,7 +776,6 @@ class TestLifecycle:
     def test_clear_rebuilds_columns(self):
         _, col = self.make_pair()
         col.clear()
-        assert col._vec
         assert (col._kcol == EMPTY_KEY).all()
         assert col._slot_of == {}
         col.insert_many([1, 2, 1])
@@ -908,19 +853,18 @@ class SynchronousMirror:
 
 
 class TestHooksContractSynchronousListener:
-    """Regression: the segmented replay's eviction pass used to notify
-    *before* rewriting the evicted cells' columns, so a synchronous
-    listener saw pre-eviction keys it was never told were replaced."""
+    """A synchronous listener reads settled cells: a batch notifies only
+    after every write, the key list and index included, so it never sees
+    a replaced key it was not told about."""
 
     def _assert_mirror_settled(self, mirror, ltc):
         for slot, seen in mirror.state.items():
             assert seen == ltc.cell_state(slot), f"slot {slot}"
 
     def test_segmented_eviction_notifies_after_writes(self):
-        # 32 dirty buckets and 128-event batches of near-distinct keys:
-        # every chunk carries a >=64-event dirty tail (the segmented
-        # kernel's entry gate) and the full table forces SD deaths and
-        # evictions through _apply_misses on many buckets at once.
+        # 32 buckets and 128-event batches of near-distinct keys: the
+        # full table forces Significance Decrement deaths and evictions
+        # on many buckets in every batch.
         config = LTCConfig(
             num_buckets=32, bucket_width=2, alpha=1.0, beta=1.0,
             items_per_period=256,

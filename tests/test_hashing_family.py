@@ -47,6 +47,12 @@ class TestCanonicalKey:
     def test_int_masked_to_64_bits(self):
         assert canonical_key(2**70 + 5) == canonical_key(5) == 5
 
+    def test_empty_cell_key_folded_out(self):
+        # 2**64 - 1 is the empty-cell key of checkpoints and the columnar
+        # key column, so no canonical key may take it.
+        assert canonical_key(-1) == canonical_key(2**64 - 1) == 2**64 - 2
+        assert canonical_key(-2) == 2**64 - 2
+
     def test_str_stable(self):
         assert canonical_key("user-1") == canonical_key("user-1")
 

@@ -221,6 +221,15 @@ class TestNumpyBatchInput:
         items = np.array([-5, 3, -5, 9, 2**40], dtype=np.int64)
         counts = np.array([2, 0, 1, 3, 1], dtype=np.int64)
         from_array, from_list = self._pair(kernel)
+        if kernel == "columnar":
+            # The columnar kernel holds keys in [0, MAX_KEY] only and
+            # refuses the whole batch, from an array as from a list.
+            with pytest.raises(ValueError, match="-5"):
+                from_array.insert_many(items, counts=counts)
+            with pytest.raises(ValueError, match="-5"):
+                from_list.insert_many(items.tolist(), counts=counts.tolist())
+            assert len(from_array) == len(from_list) == 0
+            return
         from_array.insert_many(items, counts=counts)
         from_list.insert_many(items.tolist(), counts=counts.tolist())
         assert list(from_array.cells()) == list(from_list.cells())

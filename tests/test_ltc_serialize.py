@@ -277,8 +277,15 @@ class TestUnstorableKeys:
         ltc = KERNELS[kernel](
             LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
         )
+        if kernel == "columnar":
+            # The columnar kernel refuses the key at the door, so its
+            # checkpoints never meet one.
+            with pytest.raises(ValueError, match=f"key {key} is outside"):
+                ltc.insert_many([key] * 3 + [5, 6])
+            assert from_bytes(to_bytes(ltc)).estimate(5) == (0, 0)
+            return
         ltc.insert_many([key] * 3 + [5, 6])
-        assert ltc.estimate(key) == (3, 0)  # inserts accept any int
+        assert ltc.estimate(key) == (3, 0)  # the reference accepts any int
         slot = ltc._keys.index(key)
         with pytest.raises(ValueError, match=f"cell {slot} holds key {key}"):
             to_bytes(ltc)
@@ -308,6 +315,25 @@ class TestCorruptionRobustness:
         blob[34] = 250
         with pytest.raises((KeyError, ValueError)):
             from_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize(
+        "field, fmt, offset",
+        [("hand", "<I", 40), ("scanned", "<I", 44), ("acc", "<q", 48)],
+    )
+    def test_clock_state_out_of_range_rejected(self, kernel, field, fmt, offset):
+        # Header "<4sIIddIBBBxIIIq...": parity at 36, then hand, scanned
+        # and acc.  The columnar kernel's compiled loop indexes its
+        # columns with the hand, so a corrupt one must stop at restore.
+        ltc = build_ltc([1, 2, 3])
+        blob = bytearray(to_bytes(ltc))
+        bad = {"hand": ltc.total_cells, "scanned": ltc.total_cells + 1,
+               "acc": ltc.config.items_per_period}[field]
+        struct.pack_into(fmt, blob, offset, bad)
+        with pytest.raises(ValueError, match="CLOCK state out of range"):
+            from_bytes(bytes(blob), cls=KERNELS[kernel])
+        struct.pack_into(fmt, blob, offset, bad - 1)
+        from_bytes(bytes(blob), cls=KERNELS[kernel]).insert_many([4, 5, 6])
 
     def test_header_only_blob_rejected(self):
         from repro.core.serialize import _HEADER

@@ -444,7 +444,6 @@ class TestEndpoints:
                 assert stats["queued"] == 0
                 status, _ = await _http(srv.port, "POST", "/snapshot")
                 assert status == 200
-            assert app.ltc._vec
 
         asyncio.run(scenario())
 

@@ -59,8 +59,6 @@ DEFAULT_ATTRS = (
     "_counters",
     "_freq_mv",
     "_counter_mv",
-    "_freqs2",
-    "_counters2",
 )
 DEFAULT_NOTIFY = ("cell_touched", "cells_touched", "cells_reset")
 

@@ -15,7 +15,7 @@ kernels:
   over the methods it calls within its own class family;
 * **covered** = the batched method's strict writes **plus** its
   conservative may-writes (``self.<attr>`` passed as a call argument —
-  ``np.add.at(self._freqs2, ...)`` — or receiving a container-mutating
+  ``np.add.at(self._freqs, ...)`` — or receiving a container-mutating
   method call), over the same closure.
 
 Flagged: ``required − covered``, minus observability and tuning state
