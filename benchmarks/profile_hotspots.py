@@ -18,10 +18,9 @@ the remaining replay loops do.
 
 ``--kernel`` pins the LTC implementation for the sweep (the line-up
 default otherwise).  For ``--kernel columnar`` the script additionally
-instruments the three steps of a batch — converting and range-checking
-the keys, the compiled kernel call, and publishing the replaced keys to
-the key list, index and listener — and prints an exclusive-time
-breakdown.
+instruments the two steps of a batch — converting and checking the
+keys, and the compiled kernel call with the CLOCK state, counters and
+listener around it — and prints an exclusive-time breakdown.
 """
 
 from __future__ import annotations
@@ -35,12 +34,12 @@ from typing import Any, Callable, Dict, List, Tuple
 
 
 #: Columnar batch steps, in call order: (label, method names).  The
-#: kernel step is ``insert_many``'s own time: the compiled loop and the
-#: CLOCK state copied in and out around it.
+#: kernel step is ``insert_many``'s own time: the compiled loop, the
+#: CLOCK state copied in and out around it, the counters and the
+#: listener.
 _PHASES: "List[Tuple[str, Tuple[str, ...]]]" = [
     ("keys", ("_key_array",)),
     ("kernel", ("insert_many",)),
-    ("publish", ("_publish",)),
 ]
 
 

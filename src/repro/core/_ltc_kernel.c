@@ -9,9 +9,12 @@
  * the add, as in Python: build with -ffp-contract=off.  An empty cell
  * holds EMPTY_KEY, which the caller guarantees no item takes.
  *
- * The call marks in `changed` every slot whose key it replaced and, when
- * `touched` is not NULL, every slot whose key, frequency or persistency
- * it changed (the cell listener's notification); the caller zeroes both.
+ * Three entry points share these steps: ltc_insert_many (per-event and
+ * batch inserts), ltc_place (timed inserts) and ltc_sweep (the timed
+ * CLOCK and end_period).  Each adds to the ltc_* deltas, which the caller
+ * reads and zeroes, and, when `touched` is not NULL, marks every slot
+ * whose key, frequency or persistency it changed (the cell listener's
+ * notification); the caller zeroes that mask.
  */
 #include <stdint.h>
 
@@ -27,13 +30,14 @@ typedef struct {
     /* ClockPointer._acc, hand, scanned_in_period and the period's flag
      * bits: copied in before and out after each call. */
     int64_t acc, hand, scanned, set_bit, harvest_bit;
-    /* The call's deltas of the ltc_significance_decrements, ltc_evictions,
-     * ltc_longtail_replacements and ltc_harvests totals. */
+    /* Deltas of the ltc_significance_decrements, ltc_evictions,
+     * ltc_longtail_replacements and ltc_harvests totals since the caller
+     * last zeroed them. */
     int64_t decrements, evictions, longtail, harvests;
-    /* The columns (fixed for the table's life) and the slot masks. */
+    /* The columns (fixed for the table's life) and the touched mask. */
     uint64_t *keys;
     int64_t *freqs, *counters, *flags;
-    uint8_t *changed, *touched;
+    uint8_t *touched;
 } ltc_state;
 
 static uint64_t splitmix64(uint64_t x)
@@ -59,7 +63,6 @@ static void install(const ltc_state *s, int64_t j, uint64_t item)
 {
     s->keys[j] = item;
     s->flags[j] = s->set_bit;
-    s->changed[j] = 1;
     touch(s, j);
 }
 
@@ -130,7 +133,7 @@ static void decrement_smallest(ltc_state *s, uint64_t item, int64_t base)
     install(s, jmin, item);
 }
 
-static void ltc_place(ltc_state *s, uint64_t item)
+void ltc_place(ltc_state *s, uint64_t item)
 {
     uint64_t h = splitmix64(item ^ s->seed);
     uint64_t w = (uint64_t)s->w;
@@ -169,13 +172,22 @@ static void harvest(ltc_state *s, int64_t slot)
     }
 }
 
+/* Harvest the `count` slots from `start` on, wrapping at m.  The CLOCK
+ * position is the caller's: count <= m. */
+void ltc_sweep(ltc_state *s, int64_t start, int64_t count)
+{
+    for (int64_t k = 0, slot = start; k < count; k++) {
+        harvest(s, slot);
+        slot = slot + 1 == s->m ? 0 : slot + 1;
+    }
+}
+
 /* Apply `count` arrivals of `items` in order.  The caller keeps the CLOCK
  * invariants 0 <= hand < m, 0 <= scanned <= m and 0 <= acc < n, with
  * n + m within int64, so `acc + m` cannot overflow. */
 void ltc_insert_many(ltc_state *s, const uint64_t *items, int64_t count)
 {
     int64_t m = s->m, n = s->n;
-    s->decrements = s->evictions = s->longtail = s->harvests = 0;
     for (int64_t i = 0; i < count; i++) {
         ltc_place(s, items[i]);
         s->acc += m;
@@ -186,11 +198,10 @@ void ltc_insert_many(ltc_state *s, const uint64_t *items, int64_t count)
         /* Never scan a slot twice within one period. */
         if (steps > m - s->scanned)
             steps = m - s->scanned;
-        for (int64_t k = 0; k < steps; k++) {
-            harvest(s, s->hand);
-            s->hand = s->hand + 1 == m ? 0 : s->hand + 1;
-        }
-        if (steps > 0)
+        if (steps > 0) {
+            ltc_sweep(s, s->hand, steps);
+            s->hand = (s->hand + steps) % m;
             s->scanned += steps;
+        }
     }
 }

@@ -1,4 +1,4 @@
-"""Build and load the compiled LTC batch kernel (``_ltc_kernel.c``).
+"""Build and load the compiled LTC kernel (``_ltc_kernel.c``).
 
 The kernel ships as C source inside the package.  The first process that
 needs it compiles it with the system C compiler (``cc``) into
@@ -49,7 +49,7 @@ class KernelState(ctypes.Structure):
         )
     ] + [
         (name, ctypes.c_void_p)
-        for name in ("keys", "freqs", "counters", "flags", "changed", "touched")
+        for name in ("keys", "freqs", "counters", "flags", "touched")
     ]
 
 
@@ -71,7 +71,7 @@ def _build(target: Path) -> None:
     if cc is None:
         raise RuntimeError(
             'kernel="columnar" needs a C compiler ("cc" on PATH) to build '
-            f'its batch loop from {SOURCE.name}; kernel="reference" needs none'
+            f'its update loop from {SOURCE.name}; kernel="reference" needs none'
         )
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
@@ -90,16 +90,31 @@ def _build(target: Path) -> None:
 
 @lru_cache(maxsize=None)
 def load() -> Any:
-    """The kernel's ``ltc_insert_many`` entry point, built on first use.
+    """The kernel library, built on first use.  Its entry points take a
+    :class:`KernelState` first:
+
+    * ``ltc_insert_many(state, items, count)``: ``count`` count-based
+      arrivals from a ``uint64`` buffer, CLOCK steps included;
+    * ``ltc_place(state, item)``: one arrival's lossy-table update;
+    * ``ltc_sweep(state, start, count)``: harvest ``count`` slots from
+      ``start`` on (the CLOCK position stays the caller's).
 
     Loaded with :class:`ctypes.PyDLL`, so a call holds the GIL: no other
-    thread sees the columns mid-batch.
+    thread sees the columns mid-call.
     """
     key = SOURCE.read_bytes() + " ".join(FLAGS).encode() + platform.machine().encode()
     target = cache_dir() / f"ltc_kernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
     if not target.exists():
         _build(target)
-    fn = ctypes.PyDLL(str(target)).ltc_insert_many
-    fn.argtypes = [ctypes.POINTER(KernelState), ctypes.c_void_p, ctypes.c_int64]
-    fn.restype = None
-    return fn
+    lib = ctypes.PyDLL(str(target))
+    state = ctypes.POINTER(KernelState)
+    signatures = {
+        "ltc_insert_many": [ctypes.c_void_p, ctypes.c_int64],
+        "ltc_place": [ctypes.c_uint64],
+        "ltc_sweep": [ctypes.c_int64, ctypes.c_int64],
+    }
+    for name, args in signatures.items():
+        fn = getattr(lib, name)
+        fn.argtypes = [state, *args]
+        fn.restype = None
+    return lib

@@ -40,23 +40,22 @@ from typing import Iterable, Protocol
 # kernel is post-dominated by a listener notification (or carries an
 # explicit ``# reprolint: detached`` waiver).  Keep them in sync with the
 # kernels: adding a cell-state column without listing it here silently
-# exempts it from the check; listing a derived attribute (``_slot_of``,
-# ``_kcol``, flag bytes) would demand notifications for writes
-# the serving index never observes.
+# exempts it from the check.  The kernels keep no derived copy of a cell
+# (ColumnarLTC's ``_kcol`` is the buffer under ``_keys``, written only by
+# the compiled kernel and restore); listing the flag bytes would demand
+# notifications for writes the serving index never observes.
 
 #: Classes whose cells a :class:`CellListener` may observe.  Subclasses
 #: of these inherit the contract.
 HOOKED_STRUCTURES = ("LTC", "ColumnarLTC")
 
 #: Attributes holding observable cell state: the key column and the
-#: frequency/persistency counters, including the columnar kernel's numpy
-#: columns and memoryview aliases of the same storage.
+#: frequency/persistency counters (Python lists in the reference kernel,
+#: numpy columns and a key memoryview in the columnar one).
 CELL_STATE_ATTRS = (
     "_keys",
     "_freqs",
     "_counters",
-    "_freq_mv",
-    "_counter_mv",
 )
 
 #: The notification surface of :class:`CellListener`.

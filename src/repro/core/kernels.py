@@ -7,9 +7,10 @@ Two interchangeable kernels implement the same observable structure
   implementation whose per-cell layout matches the 12-byte accounting;
   accuracy experiments use this one.
 * ``"columnar"`` — :class:`repro.core.columnar.ColumnarLTC`, the
-  production kernel: numpy struct-of-arrays storage, an item→slot index
-  for the scalar paths and a batch path compiled from C on first use
-  (needs a C compiler; keys in ``[0, MAX_KEY]``).
+  production kernel: numpy struct-of-arrays storage and an update
+  compiled from C on first use (needs a C compiler).
+
+Both hold keys in ``[0, MAX_KEY]``.
 
 Call sites that build an LTC from a config (CLI, experiment factories,
 distributed coordinators/workers) go through :func:`build_ltc` so the

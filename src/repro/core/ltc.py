@@ -16,6 +16,11 @@ cells keeps only items with high potential significance:
   and the sweep harvests the *previous* period's flag, which removes the
   up-to-one-period deviation of the basic version (paper Fig. 4/5) and
   makes the estimate provably never an overestimate (Theorem IV.1).
+
+A cell's ID is a key in ``[0, MAX_KEY]``, the range a ``uint64`` can
+hold beside :data:`EMPTY_KEY`, which marks a free cell (the paper's NULL
+ID).  Every insert checks its keys before it writes anything; the read
+API turns a free cell's key back into ``None``.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ from repro.summaries.base import (
     as_items,
     expand_counts,
 )
+
+#: The key of a free cell, in the key list and in a checkpoint's cell
+#: record, so no item may take it.
+EMPTY_KEY = 0xFFFF_FFFF_FFFF_FFFF
+#: The highest key an LTC holds.
+MAX_KEY = EMPTY_KEY - 1
+
+
+def out_of_range(key: Any) -> ValueError:
+    """The error for a key outside ``[0, MAX_KEY]``."""
+    return ValueError(f"key {key!r} is outside the LTC key range [0, {MAX_KEY}]")
 
 
 class LTC(StreamSummary):
@@ -59,7 +75,7 @@ class LTC(StreamSummary):
         self._alpha = config.alpha
         self._beta = config.beta
         self._seed = splitmix64(config.seed)
-        self._keys: List[Optional[int]] = [None] * m
+        self._keys: List[int] = [EMPTY_KEY] * m
         self._freqs: List[int] = [0] * m
         self._counters: List[int] = [0] * m
         self._flags = bytearray(m)
@@ -146,12 +162,16 @@ class LTC(StreamSummary):
 
     # ------------------------------------------------------------- insertion
     def insert(self, item: int) -> None:
-        """Process one arrival (count-based CLOCK advancement)."""
+        """Process one arrival (count-based CLOCK advancement).
+
+        Raises ``ValueError`` for a key outside ``[0, MAX_KEY]``.
+        """
+        if not 0 <= item <= MAX_KEY:
+            raise out_of_range(item)
+        self._place(item)
         if self._obs is not None:
             self._m_inserts.inc()
-        self._place(item)
-        for slot in self._clock.on_arrival():
-            self._harvest(slot)
+        self._sweep(self._clock.on_arrival())
 
     def insert_many(
         self, items: Iterable[int], counts: Optional[Sequence[int]] = None
@@ -164,16 +184,18 @@ class LTC(StreamSummary):
         form of :meth:`~repro.core.clock.ClockPointer.on_arrivals`) at
         exactly the arrival position where the one-at-a-time path would
         take them.  ``counts`` weights the batch as in
-        :meth:`repro.summaries.base.StreamSummary.insert_many`.
+        :meth:`repro.summaries.base.StreamSummary.insert_many`.  The
+        whole batch is checked first, so a key outside ``[0, MAX_KEY]``
+        raises ``ValueError`` with the table untouched.
         """
         items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
-        try:
-            total = len(items)
-        except TypeError:
+        if not isinstance(items, (list, tuple)):
             items = list(items)
-            total = len(items)
+        total = len(items)
+        if total and (min(items) < 0 or max(items) > MAX_KEY):
+            raise out_of_range(next(k for k in items if not 0 <= k <= MAX_KEY))
         if self._m_batch is not None:
             self._m_batch.observe(total)
         place = self._place
@@ -213,22 +235,33 @@ class LTC(StreamSummary):
         are quantised to absolute integer ticks and the CLOCK is driven by
         the tick *delta*, so the sweep state depends only on the latest
         timestamp — not on how the interval happened to be split across
-        arrivals (or across a checkpoint/restore).
+        arrivals (or across a checkpoint/restore).  Raises ``ValueError``
+        for a key outside ``[0, MAX_KEY]``.
         """
-        if period_seconds <= 0:
-            raise ValueError("period_seconds must be positive")
-        if self._last_timestamp is not None and timestamp < self._last_timestamp:
-            raise ValueError("timestamps must be non-decreasing")
+        ticks = self._elapsed_ticks(timestamp, period_seconds)
+        if not 0 <= item <= MAX_KEY:
+            raise out_of_range(item)
         self._place(item)
         if self._obs is not None:
             self._m_inserts.inc()
-        if self._last_timestamp is not None:
-            ticks = ClockPointer.TICKS_PER_PERIOD
-            prev = round(self._last_timestamp * ticks / period_seconds)
-            cur = round(timestamp * ticks / period_seconds)
-            for slot in self._clock.on_elapsed_ticks(cur - prev):
-                self._harvest(slot)
+        self._sweep(self._clock.on_elapsed_ticks(ticks))
         self._last_timestamp = timestamp
+
+    def _elapsed_ticks(self, timestamp: float, period_seconds: float) -> int:
+        """CLOCK ticks from the last timed arrival to ``timestamp`` (0 for
+        the first); ``ValueError`` for a bad period or a timestamp that
+        runs backwards."""
+        if period_seconds <= 0:
+            raise ValueError("period_seconds must be positive")
+        last = self._last_timestamp
+        if last is None:
+            return 0
+        if timestamp < last:
+            raise ValueError("timestamps must be non-decreasing")
+        ticks = ClockPointer.TICKS_PER_PERIOD
+        return round(timestamp * ticks / period_seconds) - round(
+            last * ticks / period_seconds
+        )
 
     def _place(self, item: int) -> None:
         """The lossy-table update (cases 1–3 of §III-B)."""
@@ -245,7 +278,7 @@ class LTC(StreamSummary):
                 if self._cell_listener is not None:
                     self._cell_listener.cell_touched(j)
                 return
-            if key is None and empty < 0:
+            if key == EMPTY_KEY and empty < 0:
                 empty = j
         if empty >= 0:  # Case 2: free cell.
             keys[empty] = item
@@ -347,12 +380,17 @@ class LTC(StreamSummary):
         return f0, min(max(c2 - 1, 0), f0 - 1)
 
     # ----------------------------------------------------------- persistency
+    def _sweep(self, slots: List[int]) -> None:
+        """CLOCK scan of the given slots, in order."""
+        for slot in slots:
+            self._harvest(slot)
+
     def _harvest(self, slot: int) -> None:
         """CLOCK scan of one cell: fold a set flag into the counter."""
         flags = self._flags
         if flags[slot] & self._harvest_bit:
             flags[slot] &= ~self._harvest_bit & 0xFF
-            if self._keys[slot] is not None:
+            if self._keys[slot] != EMPTY_KEY:
                 self._counters[slot] += 1
                 if self._obs is not None:
                     self._m_harvests.inc()
@@ -366,8 +404,7 @@ class LTC(StreamSummary):
         "flag refreshment elimination": the just-written flags become the
         previous-period flags harvested by the next sweep.
         """
-        for slot in self._clock.end_period():
-            self._harvest(slot)
+        self._sweep(self._clock.end_period())
         if self._de:
             self._parity ^= 1
             self._set_bit = 1 << self._parity
@@ -382,22 +419,33 @@ class LTC(StreamSummary):
         listener = self._cell_listener
         for slot in range(len(flags)):
             bits = flags[slot]
-            if bits and keys[slot] is not None:
+            if bits and keys[slot] != EMPTY_KEY:
                 counters[slot] += (bits & 1) + (bits >> 1 & 1)
                 if listener is not None:
                     listener.cell_touched(slot)
             flags[slot] = 0
 
     # --------------------------------------------------------------- queries
-    def estimate(self, item: int) -> Tuple[int, int]:
-        """Estimated ``(frequency, persistency)`` of ``item`` (0, 0 when
-        the item is not tracked)."""
+    def _slot(self, item: int) -> int:
+        """The slot holding ``item``, or -1 when no cell does."""
+        if item == EMPTY_KEY:  # The free-cell key is no item's.
+            return -1
         d = self._d
         base = (splitmix64(item ^ self._seed) % self._w) * d
+        keys = self._keys
         for j in range(base, base + d):
-            if self._keys[j] == item:
-                return self._freqs[j], self._counters[j]
-        return 0, 0
+            if keys[j] == item:
+                return j
+        return -1
+
+    def estimate(self, item: int) -> Tuple[int, int]:
+        """Estimated ``(frequency, persistency)`` of ``item`` (0, 0 when
+        the item is not tracked), as Python ints whatever the kernel's
+        storage."""
+        j = self._slot(item)
+        if j < 0:
+            return 0, 0
+        return int(self._freqs[j]), int(self._counters[j])
 
     def query(self, item: int) -> float:
         """Estimated significance ``α·f̂ + β·p̂`` of ``item``."""
@@ -429,43 +477,34 @@ class LTC(StreamSummary):
         numpy scalars); this is the per-cell read path of the serving
         tier's full-scan oracle (:mod:`repro.serve.oracle`).
         """
-        return self._keys[slot], int(self._freqs[slot]), int(self._counters[slot])
+        key: Optional[int] = self._keys[slot]
+        if key == EMPTY_KEY:
+            key = None
+        return key, int(self._freqs[slot]), int(self._counters[slot])
 
     def top_k(self, k: int) -> List[ItemReport]:
-        """The k most significant tracked items."""
+        """The k most significant tracked items (Python scalars whatever
+        the kernel's storage)."""
         alpha, beta = self._alpha, self._beta
         reports = [
-            ItemReport(
-                item=key,
-                significance=alpha * self._freqs[j] + beta * self._counters[j],
-                frequency=float(self._freqs[j]),
-                persistency=float(self._counters[j]),
-            )
-            for j, key in enumerate(self._keys)
+            ItemReport(key, alpha * f + beta * p, float(f), float(p))
+            for key, f, p in map(self.cell_state, range(self.total_cells))
             if key is not None
         ]
         reports.sort(key=lambda r: (-r.significance, r.item))
         return reports[:k]
-
-    def _reindex(self) -> None:
-        """Rebuild any derived lookup state from the cell arrays.
-
-        No-op for the reference class; :class:`repro.core.columnar.ColumnarLTC`
-        rebuilds its item→slot index and key column here.  Called by the serializer after
-        restoring cells.
-        """
 
     # ----------------------------------------------------------- inspection
     def cells(self) -> Iterator[CellView]:
         """Yield a snapshot view of every cell (tests/debugging), with
         plain Python ints whatever the kernel's storage."""
         d = self._d
-        for j in range(len(self._keys)):
+        for j, key in enumerate(self._keys):
             bits = self._flags[j]
             yield CellView(
                 bucket=j // d,
                 slot=j % d,
-                key=self._keys[j],
+                key=None if key == EMPTY_KEY else key,
                 frequency=int(self._freqs[j]),
                 persistency=int(self._counters[j]),
                 flag_even=bool(bits & 1),
@@ -474,25 +513,23 @@ class LTC(StreamSummary):
 
     def __contains__(self, item: int) -> bool:
         """Whether ``item`` currently occupies a cell."""
-        return self._tracked(item)
-
-    def _tracked(self, item: int) -> bool:
-        d = self._d
-        base = (splitmix64(item ^ self._seed) % self._w) * d
-        return any(self._keys[j] == item for j in range(base, base + d))
+        return self._slot(item) >= 0
 
     def items(self) -> Iterator[int]:
         """Yield every currently tracked item id."""
         for key in self._keys:
-            if key is not None:
+            if key != EMPTY_KEY:
                 yield key
 
     def clear(self) -> None:
         """Reset the structure to its freshly-built state."""
         m = len(self._keys)
         # In place, so the columnar kernel's numpy columns (and views of
-        # them) keep their storage.
-        self._keys[:] = [None] * m
+        # them) keep their storage; its key list is a memoryview, which
+        # takes no slice of a list.
+        keys = self._keys
+        for j in range(m):
+            keys[j] = EMPTY_KEY
         self._freqs[:] = [0] * m
         self._counters[:] = [0] * m
         self._flags[:] = [0] * m
@@ -506,7 +543,7 @@ class LTC(StreamSummary):
 
     def __len__(self) -> int:
         """Number of occupied cells."""
-        return sum(1 for key in self._keys if key is not None)
+        return sum(1 for key in self._keys if key != EMPTY_KEY)
 
     @property
     def total_cells(self) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.core.ltc import LTC
+from repro.core.ltc import EMPTY_KEY, LTC
 
 
 # reprolint: detached — fills a freshly constructed, unobserved LTC; listeners attach only after the merge result is returned
@@ -67,7 +67,7 @@ def merge(
         for summary in summaries:
             for j in range(base, base + d):
                 key = summary._keys[j]
-                if key is None:
+                if key == EMPTY_KEY:
                     continue
                 # int() casts: columnar inputs hold numpy scalars, and the
                 # merged reference LTC must stay plain-int for serialization.

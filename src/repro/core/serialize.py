@@ -29,36 +29,34 @@ Binary format versions:
   ticks, rounding to the nearest tick.
 
 A cell record stores its key as a uint64, and an empty cell as
-:data:`EMPTY_KEY`, so a checkpoint holds keys in ``[0, MAX_KEY]`` only:
-:func:`to_bytes` refuses any other key with a ``ValueError`` before it
-produces a byte.  The columnar kernel's key column uses the same two
-values.
+:data:`EMPTY_KEY`: the record is the kernels' own key encoding (every LTC
+holds keys in ``[0, MAX_KEY]``), so cells are written and read back as
+they are.  :func:`to_state` turns a free cell's key into ``None``, and
+:func:`from_state` refuses a key outside ``[0, MAX_KEY]`` with a
+``ValueError``.
 
 Both restore paths accept a ``cls=`` parameter (default
-:class:`repro.core.ltc.LTC`) so engineering subclasses such as
-:class:`repro.core.columnar.ColumnarLTC` can be revived as themselves;
-after the cells are filled the subclass hook ``_reindex()`` rebuilds any
-derived lookup state (ColumnarLTC's item→slot index and key column).
+:class:`repro.core.ltc.LTC`) so :class:`repro.core.columnar.ColumnarLTC`
+can be revived as itself; the cells are written straight into its
+columns, so nothing is left to rebuild.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from typing import Any, Dict, Optional, Type
 
 from repro.core.clock import ClockPointer
 from repro.core.config import LTCConfig
-from repro.core.ltc import LTC
+from repro.core.ltc import EMPTY_KEY, LTC, MAX_KEY, out_of_range
+
+__all__ = ["EMPTY_KEY", "MAX_KEY", "from_bytes", "from_state", "to_bytes", "to_state"]
 
 _MAGIC_V1 = b"LTC1"
 _MAGIC_V2 = b"LTC2"
 _MAGIC_V3 = b"LTC3"
-#: The key field of an empty cell's record (and of an empty cell in the
-#: columnar kernel's key column), so no stored item may take it.
-EMPTY_KEY = 0xFFFF_FFFF_FFFF_FFFF
-#: The highest key a checkpoint can store.
-MAX_KEY = EMPTY_KEY - 1
 _HEADER_V1 = struct.Struct("<4sIIddIBBBxIIIqQ")
 # v2 appends: facc (double), has_timestamp (byte), last_timestamp (double).
 _HEADER_V2 = struct.Struct("<4sIIddIBBBxIIIqQdBd")
@@ -100,11 +98,11 @@ def to_state(ltc: LTC) -> Dict[str, Any]:
             "tacc": ltc._clock._tacc,
             "scanned_in_period": ltc._clock.scanned_in_period,
         },
-        # int() casts keep the dict JSON-safe for columnar subclasses
+        # int() casts keep the dict JSON-safe for the columnar kernel,
         # whose cell columns hold numpy scalars.
         "cells": [
             {
-                "key": key if key is None else int(key),
+                "key": None if key == EMPTY_KEY else key,
                 "freq": int(ltc._freqs[j]),
                 "counter": int(ltc._counters[j]),
                 "flags": int(ltc._flags[j]),
@@ -120,14 +118,21 @@ def from_state(state: Dict[str, Any], cls: Type[LTC] = LTC) -> LTC:
 
     States written before the format carried the timed-mode fields
     restore with those fields at their fresh-structure defaults; legacy
-    states carrying a float ``facc`` restore via tick conversion.
+    states carrying a float ``facc`` restore via tick conversion.  A key
+    outside ``[0, MAX_KEY]`` raises ``ValueError``, one that is not an
+    int ``TypeError``.
     """
     ltc = cls(LTCConfig(**state["config"]))
     cells = state["cells"]
     if len(cells) != ltc.total_cells:
         raise ValueError("cell count does not match configuration")
     for j, cell in enumerate(cells):
-        ltc._keys[j] = cell["key"]
+        key = cell["key"]
+        if key is None:
+            key = EMPTY_KEY
+        elif not 0 <= (key := operator.index(key)) <= MAX_KEY:
+            raise out_of_range(key)
+        ltc._keys[j] = key
         ltc._freqs[j] = cell["freq"]
         ltc._counters[j] = cell["counter"]
         ltc._flags[j] = cell["flags"]
@@ -165,16 +170,10 @@ def _restore_dynamic(
         ltc._clock._tacc = _ticks_from_fraction(clock.get("facc", 0.0))
     ltc._clock.scanned_in_period = clock["scanned_in_period"]
     ltc._last_timestamp = last_timestamp
-    ltc._reindex()
 
 
 def to_bytes(ltc: LTC) -> bytes:
-    """Serialise an LTC to a compact binary image (v3 format).
-
-    Raises ``ValueError`` naming the first cell whose key lies outside
-    ``[0, MAX_KEY]`` (the empty-cell value included), before any byte of
-    the image exists.
-    """
+    """Serialise an LTC to a compact binary image (v3 format)."""
     cfg = ltc.config
     policy_code = _POLICY_CODES[cfg.replacement_policy]
     ts = ltc._last_timestamp
@@ -201,15 +200,8 @@ def to_bytes(ltc: LTC) -> bytes:
     )
     cells = bytearray()
     for j, key in enumerate(ltc._keys):
-        if key is None:
-            key = EMPTY_KEY
-        elif not 0 <= key <= MAX_KEY:
-            raise ValueError(
-                f"cell {j} holds key {key!r}, outside the checkpoint's "
-                f"key range [0, {MAX_KEY}]"
-            )
         cells += _CELL.pack(
-            int(key),
+            key,
             int(ltc._freqs[j]),
             int(ltc._counters[j]),
             int(ltc._flags[j]),
@@ -290,7 +282,7 @@ def from_bytes(blob: bytes, cls: Type[LTC] = LTC) -> LTC:
     for j in range(ltc.total_cells):
         key, freq, counter, flags = _CELL.unpack_from(blob, offset)
         offset += _CELL.size
-        ltc._keys[j] = None if key == EMPTY_KEY else key
+        ltc._keys[j] = key
         ltc._freqs[j] = freq
         ltc._counters[j] = counter
         ltc._flags[j] = flags

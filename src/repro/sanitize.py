@@ -91,7 +91,32 @@ def _fail(structure: Any, invariant: str, detail: str) -> None:
 
 
 # --------------------------------------------------------------------- LTC
+def _check_ltc_home(ltc: "LTC", j: int, key: int) -> None:
+    # Imported here: repro.core imports this module.
+    from repro.hashing.family import splitmix64
+
+    d = ltc._d
+    base = j - j % d
+    home = splitmix64(key ^ ltc._seed) % ltc._w
+    if home * d != base:
+        _fail(
+            ltc,
+            "key_in_home_bucket",
+            f"cell {j} (bucket {j // d}) holds key {key}, which hashes to "
+            f"bucket {home}",
+        )
+    for i in range(base, j):
+        if ltc._keys[i] == key:
+            _fail(
+                ltc,
+                "key_in_home_bucket",
+                f"key {key} is held twice in bucket {j // d} (cells {i} and {j})",
+            )
+
+
 def _check_ltc_cell(ltc: "LTC", j: int, strong: bool) -> None:
+    from repro.core.ltc import EMPTY_KEY
+
     bits = ltc._flags[j]
     if bits & ~0b11:
         _fail(ltc, "flag_domain", f"cell {j} carries flag bits {bits:#x} > 0b11")
@@ -104,7 +129,8 @@ def _check_ltc_cell(ltc: "LTC", j: int, strong: bool) -> None:
         )
     freq = ltc._freqs[j]
     counter = ltc._counters[j]
-    if ltc._keys[j] is None:
+    key = ltc._keys[j]
+    if key == EMPTY_KEY:
         if freq or counter or bits:
             _fail(
                 ltc,
@@ -113,6 +139,7 @@ def _check_ltc_cell(ltc: "LTC", j: int, strong: bool) -> None:
                 f"flags={bits:#x}",
             )
         return
+    _check_ltc_home(ltc, j, key)
     if freq < 0:
         _fail(ltc, "frequency_non_negative", f"cell {j} has frequency {freq}")
     if counter < 0:
@@ -123,7 +150,7 @@ def _check_ltc_cell(ltc: "LTC", j: int, strong: bool) -> None:
             _fail(
                 ltc,
                 "persistency_le_frequency",
-                f"cell {j} (item {ltc._keys[j]}): persistency {counter} + "
+                f"cell {j} (item {key}): persistency {counter} + "
                 f"{pending} pending flag(s) exceeds frequency {freq}",
             )
 
@@ -172,51 +199,12 @@ def _check_ltc_clock(ltc: "LTC") -> None:
         )
 
 
-def _check_ltc_index(ltc: "LTC") -> None:
-    slot_of = getattr(ltc, "_slot_of", None)
-    if slot_of is None:
-        return
-    occupied = {
-        key: j for j, key in enumerate(ltc._keys) if key is not None
-    }
-    if slot_of != occupied:
-        extra = {k: v for k, v in slot_of.items() if occupied.get(k) != v}
-        missing = {k: v for k, v in occupied.items() if slot_of.get(k) != v}
-        _fail(
-            ltc,
-            "index_matches_cells",
-            f"item→slot index diverges from the cell arrays "
-            f"(stale: {extra}, missing: {missing})",
-        )
-
-
-def _check_ltc_columns(ltc: "LTC") -> None:
-    # ColumnarLTC mirrors the key list into one key column for its
-    # compiled batch loop (the empty value for a free cell); the mirror
-    # must agree with the row state.
-    kcol = getattr(ltc, "_kcol", None)
-    if kcol is None:
-        return
-    # Imported here: repro.core imports this module.
-    from repro.core.serialize import EMPTY_KEY
-
-    for j, key in enumerate(ltc._keys):
-        held = int(kcol[j])
-        if held != (EMPTY_KEY if key is None else key):
-            _fail(
-                ltc,
-                "columns_match_cells",
-                f"key column holds {held} at cell {j}, key list holds "
-                f"{key!r}",
-            )
-
-
 def check_ltc(ltc: "LTC", cells: Optional[Iterable[int]] = None) -> None:
     """Validate the structural invariants of an LTC (or subclass).
 
     ``cells`` restricts the scan to the given slot indices; the default
-    checks the whole table, the CLOCK state, and (for ColumnarLTC) the
-    item→slot index and the key column.  The
+    checks the whole table and the CLOCK state.  Every occupied cell's key
+    must hash to the cell's own bucket and appear there once.  The
     ``persistency <= frequency`` check counts un-harvested flags as
     pending persistency credit, so a decrement that strands excess credit
     is caught at the mutation site — before the harvest that would
@@ -225,16 +213,9 @@ def check_ltc(ltc: "LTC", cells: Optional[Iterable[int]] = None) -> None:
     (§I-C).
     """
     strong = ltc._policy != "space-saving"
-    if cells is None:
-        for j in range(ltc.total_cells):
-            _check_ltc_cell(ltc, j, strong)
-        _check_ltc_clock(ltc)
-        _check_ltc_index(ltc)
-        _check_ltc_columns(ltc)
-    else:
-        for j in cells:
-            _check_ltc_cell(ltc, j, strong)
-        _check_ltc_clock(ltc)
+    for j in range(ltc.total_cells) if cells is None else cells:
+        _check_ltc_cell(ltc, j, strong)
+    _check_ltc_clock(ltc)
 
 
 def check_ltc_bucket(ltc: "LTC", item: int) -> None:

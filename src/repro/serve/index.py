@@ -8,21 +8,20 @@ batch, so ingestion does no index work.
 Ranked answers are kept per **epoch** (DESIGN.md §12.2).  The first
 ranked query after a table change starts a new epoch with one scan:
 ``alpha * f + beta * p`` over the kernel's frequency and persistency
-columns in one numpy pass, empty cells masked out.  Queries then extend
-a ranked prefix of ``(item, sig, f, p)`` reports from the epoch's
-remaining cells: ``np.partition`` finds the boundary significance, every
-cell at or above it joins the prefix (ties with the boundary included),
-and the newcomers are sorted by ``(-significance, item)`` on the Python
-keys of the kernel's key list.  The uint64 key column never orders
-anything: the reference LTC has none and holds any int key, negative
-ones included.  Repeated ``top_k`` / ``significant``
+columns in one numpy pass, free cells (key ``EMPTY_KEY``) masked out.
+Queries then extend a ranked prefix of ``(item, sig, f, p)`` reports
+from the epoch's remaining cells: ``np.partition`` finds the boundary
+significance, every cell at or above it joins the prefix (ties with the
+boundary included), and the newcomers are sorted by
+``(-significance, item)`` on the plain-int keys the kernel's key list
+reads back.  Repeated ``top_k`` / ``significant``
 calls within an epoch only slice or extend the prefix, which holds at
 most one report per tracked item, so callers that render answers (the
 server) may cache per prefix position, keyed by
 :attr:`ServingIndex.epoch`.
 
-Point queries go to the kernel (``item in ltc`` and ``ltc.estimate``)
-and never scan.
+Point queries go to the kernel: one probe of the item's bucket in the
+key list (``LTC._slot``), then ``cell_state``; they never scan.
 
 numpy computes each significance with the same IEEE-754 multiplies and
 add that the full-scan oracle performs on Python numbers, so served
@@ -36,8 +35,7 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.core.ltc import LTC
-from repro.core.serialize import EMPTY_KEY
+from repro.core.ltc import EMPTY_KEY, LTC
 
 #: ``(item, significance, frequency, persistency)`` as served.
 Report = Tuple[int, float, int, int]
@@ -95,17 +93,7 @@ class ServingIndex:
         if not self._stale:
             return
         ltc = self._ltc
-        # The columnar kernel's uint64 key column marks empty cells with
-        # one reserved value; without it (reference LTC) the key list is
-        # the occupancy mask.
-        kcol = getattr(ltc, "_kcol", None)
-        if kcol is not None:
-            slots = np.flatnonzero(kcol != _EMPTY)
-        else:
-            slots = np.array(
-                [j for j, key in enumerate(ltc._keys) if key is not None],
-                dtype=np.intp,
-            )
+        slots = np.flatnonzero(np.asarray(ltc._keys, dtype=np.uint64) != _EMPTY)
         f = np.asarray(ltc._freqs)[slots]
         p = np.asarray(ltc._counters)[slots]
         self._rest = (self._alpha * f + self._beta * p, slots, f, p)
@@ -132,9 +120,10 @@ class ServingIndex:
     def query(self, item: int) -> Tuple[bool, float, int, int]:
         """``(tracked, significance, frequency, persistency)`` — no scan."""
         ltc = self._ltc
-        if item not in ltc:
+        slot = ltc._slot(item)
+        if slot < 0:
             return False, 0.0, 0, 0
-        f, p = ltc.estimate(item)
+        _, f, p = ltc.cell_state(slot)
         return True, self._alpha * f + self._beta * p, f, p
 
     def top_k(self, k: int) -> List[Report]:

@@ -154,8 +154,9 @@ class TestCountBasedSplit:
         identical(straight, resumed)
 
     def test_columnar_split_continues_on_vector_path(self):
-        """A restored ColumnarLTC keeps batching through its rebuilt index
-        and key column, equal to an uninterrupted reference run."""
+        """A restored ColumnarLTC keeps batching through the compiled
+        loop over its restored key column, equal to an uninterrupted
+        reference run, and finds every key where the reference does."""
         rng = random.Random(8)
         events = [rng.randrange(200) for _ in range(4_000)]
         config = LTCConfig(
@@ -171,6 +172,7 @@ class TestCountBasedSplit:
         resumed.insert_many(events[1_700:])
 
         identical(straight, resumed)
-        assert resumed._slot_of == {
-            key: j for j, key in enumerate(straight._keys) if key is not None
-        }
+        assert sorted(resumed.items()) == sorted(straight.items())
+        for item in set(events):
+            assert (item in resumed) == (item in straight)
+            assert resumed.estimate(item) == straight.estimate(item)

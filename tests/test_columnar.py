@@ -1,18 +1,21 @@
 """ColumnarLTC ≡ LTC differential tests.
 
-The columnar kernel runs ``insert_many`` in compiled code over numpy
-columns and ``insert`` through memoryviews and an item→slot index, so
-these tests pin both against the reference: every observable — cells,
-CLOCK phase, parity, estimates, top-k, checkpoint bytes, counters — must
+The columnar kernel runs every update in compiled code over numpy
+columns — per-event and batched inserts through one loop, timed inserts
+and ``end_period`` through its place and sweep steps — so these tests
+pin all of them against the reference: every observable — cells, CLOCK
+phase, parity, estimates, top-k, checkpoint bytes, counters — must
 match a per-event replay exactly, across policies, DE on/off, batch
-fragmentation, and period boundaries.  Keys outside ``[0, MAX_KEY]`` are
-refused before any write, and the kernel's build is pinned too.
+fragmentation, period boundaries and timed driving.  Keys that are not
+ints in ``[0, MAX_KEY]`` are refused before any write, and the kernel's
+build is pinned too.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -361,9 +364,9 @@ RUN_LANES = 16
 def crafted_pair(config, rows):
     """A reference LTC and a ColumnarLTC holding the same crafted cells.
 
-    ``rows[b]`` lists bucket ``b``'s cells as ``(key, f, p, flags)``.
-    ``_reindex`` (the restore hook) rebuilds the columnar kernel's derived
-    state from the written cells.
+    ``rows[b]`` lists bucket ``b``'s cells as ``(key, f, p, flags)``,
+    written straight into the cell arrays (the columnar kernel's key list
+    is a view of its key column, so nothing is left to rebuild).
     """
     built = []
     for cls in (LTC, ColumnarLTC):
@@ -375,7 +378,6 @@ def crafted_pair(config, rows):
                 ltc._freqs[b * d + j] = f
                 ltc._counters[b * d + j] = p
                 ltc._flags[b * d + j] = flags
-        ltc._reindex()
         built.append(ltc)
     return built
 
@@ -522,21 +524,32 @@ class TestDecrementRuns:
         assert col.estimate(keys[0][7]) == (1, 0)
 
 
+def assert_lookups_match_cells(ltc: LTC) -> None:
+    """Point lookups agree with the cells: every occupied cell's key is
+    tracked and estimates to that cell's counts, once."""
+    held = [cv for cv in ltc.cells() if not cv.empty]
+    assert len({cv.key for cv in held}) == len(held) == len(ltc)
+    for cv in held:
+        assert cv.key in ltc
+        assert ltc.estimate(cv.key) == (cv.frequency, cv.persistency)
+    assert sorted(ltc.items()) == sorted(cv.key for cv in held)
+
+
 class TestIndex:
-    """The item→slot index behind the scalar paths, driven per event."""
+    """The key-column lookups behind the point queries, driven per
+    event."""
 
     def test_index_consistency_after_heavy_churn(self):
         rng = random.Random(17)
         events = [rng.randrange(2_000) for _ in range(5_000)]
-        _, col = run_pair(
+        slow, col = run_pair(
             events, 10, per_event=True, num_buckets=4, bucket_width=2
         )
-        # Every indexed slot really holds its item, and every occupied
-        # cell is indexed.
-        for item, slot in col._slot_of.items():
-            assert col._keys[slot] == item
-        occupied = {j for j, key in enumerate(col._keys) if key is not None}
-        assert occupied == set(col._slot_of.values())
+        assert_identical(slow, col)
+        assert_lookups_match_cells(col)
+        for item in set(events):
+            assert col.estimate(item) == slow.estimate(item)
+            assert (item in col) == (item in slow)
 
     @given(st.lists(st.integers(0, 25), max_size=200))
     @settings(max_examples=40, deadline=None)
@@ -565,7 +578,7 @@ class TestIndex:
         col.insert(1)
         col.clear()
         assert 1 not in col
-        assert len(col._slot_of) == 0
+        assert len(col) == 0 and list(col.items()) == []
         col.insert(2)
         assert col.estimate(2) == (1, 0)
 
@@ -679,7 +692,87 @@ class TestDegradedMode:
         assert indexes[0].top_k(20) == indexes[1].top_k(20)
 
 
+class TestTimedDifferential:
+    """Timed driving runs on the kernel's place and sweep steps:
+    ``insert_timed``, ``end_period`` at every boundary the timestamps
+    cross, a checkpoint split and restore in the middle, and
+    ``finalize`` must leave the same cells, CLOCK state (time
+    accumulator and last timestamp included), checkpoint bytes and
+    counters as the reference."""
+
+    @staticmethod
+    def _restore(ltc, registry):
+        obs.enable(registry)
+        try:
+            return from_bytes(to_bytes(ltc), cls=type(ltc))
+        finally:
+            obs.disable()
+
+    @given(
+        w=st.sampled_from([1, 3, 8, 85]),
+        d=st.sampled_from([1, 2, 4, 8]),
+        policy=st.sampled_from(["longtail", "one", "space-saving"]),
+        de=st.booleans(),
+        rate=st.sampled_from([3.0, 40.0, 400.0]),
+        seed=st.integers(0, 2**32),
+        split=st.integers(0, 600),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_across_split_restore(
+        self, w, d, policy, de, rate, seed, split
+    ):
+        config = LTCConfig(
+            num_buckets=w, bucket_width=d, alpha=1.0, beta=1.0,
+            items_per_period=100, replacement_policy=policy,
+            deviation_eliminator=de,
+        )
+        (ref, col), registries = metered_pair(config)
+        rng = random.Random(seed)
+        now, boundary = 0.0, 1.0
+        for i, item in enumerate(bursty_churn(600, 4 * w * d, seed)):
+            if i == split:
+                ref, col = (
+                    self._restore(ltc, registry)
+                    for ltc, registry in zip((ref, col), registries)
+                )
+                assert type(col) is ColumnarLTC
+            now += rng.expovariate(rate)
+            while now >= boundary:
+                ref.end_period()
+                col.end_period()
+                boundary += 1.0
+            ref.insert_timed(item, now, 1.0)
+            col.insert_timed(item, now, 1.0)
+        ref.finalize()
+        col.finalize()
+        assert_identical(ref, col)
+        assert ref._clock._tacc == col._clock._tacc
+        assert ref._last_timestamp == col._last_timestamp == now
+        assert to_bytes(ref) == to_bytes(col)
+        assert _counters(registries[0]) == _counters(registries[1])
+
+
 class TestKeyDomain:
+    @pytest.mark.parametrize(
+        "batch",
+        [[1.5, 2], ["7"], np.array([1.5])],
+        ids=["float", "numeric-string", "float-array"],
+    )
+    def test_non_int_keys_refused(self, batch):
+        """A key that is not an int raises ``TypeError`` before any write,
+        batched or per event; the key column never truncates 1.5 to 1 or
+        parses '7'."""
+        config = LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
+        (_, col), registries = metered_pair(config)
+        col.insert_many([3, 4, 3])
+        before = to_bytes(col), _counters(registries[1])
+        with pytest.raises(TypeError):
+            col.insert_many(batch)
+        with pytest.raises(TypeError):
+            col.insert(list(batch)[0])
+        assert (to_bytes(col), _counters(registries[1])) == before
+        assert 1 not in col and 7 not in col
+
     def test_int64_clock_bound_rejected_at_construction(self):
         """The compiled CLOCK accumulator is an int64: ``acc + m`` must
         fit, so ``items_per_period + m`` above int64 is refused."""
@@ -777,7 +870,7 @@ class TestLifecycle:
         _, col = self.make_pair()
         col.clear()
         assert (col._kcol == EMPTY_KEY).all()
-        assert col._slot_of == {}
+        assert all(cv.empty for cv in col.cells())
         col.insert_many([1, 2, 1])
         assert col.estimate(1) == (2, 0)
 
@@ -854,8 +947,8 @@ class SynchronousMirror:
 
 class TestHooksContractSynchronousListener:
     """A synchronous listener reads settled cells: a batch notifies only
-    after every write, the key list and index included, so it never sees
-    a replaced key it was not told about."""
+    after every write, the key column included, so it never sees a
+    replaced key it was not told about."""
 
     def _assert_mirror_settled(self, mirror, ltc):
         for slot, seen in mirror.state.items():

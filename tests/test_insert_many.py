@@ -214,26 +214,21 @@ class TestNumpyBatchInput:
             from_array.end_period()
             from_list.end_period()
         assert list(from_array.cells()) == list(from_list.cells())
-        assert all(type(key) is int for key in from_array._keys if key is not None)
+        assert all(type(key) is int for key in from_array.items())
         same_state(from_array, from_list)
 
     def test_negative_keys_and_counts_array(self, kernel):
         items = np.array([-5, 3, -5, 9, 2**40], dtype=np.int64)
         counts = np.array([2, 0, 1, 3, 1], dtype=np.int64)
         from_array, from_list = self._pair(kernel)
-        if kernel == "columnar":
-            # The columnar kernel holds keys in [0, MAX_KEY] only and
-            # refuses the whole batch, from an array as from a list.
-            with pytest.raises(ValueError, match="-5"):
-                from_array.insert_many(items, counts=counts)
-            with pytest.raises(ValueError, match="-5"):
-                from_list.insert_many(items.tolist(), counts=counts.tolist())
-            assert len(from_array) == len(from_list) == 0
-            return
-        from_array.insert_many(items, counts=counts)
-        from_list.insert_many(items.tolist(), counts=counts.tolist())
-        assert list(from_array.cells()) == list(from_list.cells())
-        same_state(from_array, from_list)
+        # Both kernels hold keys in [0, MAX_KEY] only and refuse the
+        # whole batch, from an array as from a list.
+        with pytest.raises(ValueError, match="-5"):
+            from_array.insert_many(items, counts=counts)
+        with pytest.raises(ValueError, match="-5"):
+            from_list.insert_many(items.tolist(), counts=counts.tolist())
+        assert len(from_array) == len(from_list) == 0
+        same_state(from_array, self._pair(kernel)[0])
 
 
 class TestColumnarIndexAfterBatch:
@@ -244,12 +239,19 @@ class TestColumnarIndexAfterBatch:
             num_buckets=4, bucket_width=2, alpha=1.0, beta=1.0,
             items_per_period=500,
         )
-        col = ColumnarLTC(config)
+        col, ref = ColumnarLTC(config), LTC(config)
         col.insert_many(events)
-        for item, slot in col._slot_of.items():
-            assert col._keys[slot] == item
-        occupied = {j for j, key in enumerate(col._keys) if key is not None}
-        assert occupied == set(col._slot_of.values())
+        ref.insert_many(events)
+        # Every occupied cell's key is tracked and estimates to that
+        # cell's counts, as in the reference.
+        held = [cv for cv in col.cells() if not cv.empty]
+        assert len({cv.key for cv in held}) == len(held) == len(col)
+        for cv in held:
+            assert cv.key in col
+            assert col.estimate(cv.key) == (cv.frequency, cv.persistency)
+        assert list(col.cells()) == list(ref.cells())
+        for item in set(events):
+            assert col.estimate(item) == ref.estimate(item)
 
 
 # --------------------------------------------------------------- sketches

@@ -130,3 +130,69 @@ class TestSignificanceWeights:
         ltc.finalize()
         top = ltc.top_k(2)
         assert top[0].item == 2
+
+
+class TestKeyDomain:
+    """The reference LTC holds keys in ``[0, MAX_KEY]``: every entry point
+    refuses any other key with ``ValueError`` before it writes anything
+    (2**64 - 1 is the free-cell key)."""
+
+    BAD = [-5, 2**64 - 1, 2**70]
+    IDS = ["negative", "empty-key", "2**70"]
+
+    @staticmethod
+    def seeded() -> LTC:
+        ltc = fresh(n=8, w=4, d=2)
+        ltc.insert_many([1, 2, 1])
+        return ltc
+
+    @staticmethod
+    def state(ltc: LTC) -> bytes:
+        from repro.core.serialize import to_bytes
+
+        return to_bytes(ltc)
+
+    @pytest.mark.parametrize("key", BAD, ids=IDS)
+    def test_insert(self, key):
+        ltc = self.seeded()
+        before = self.state(ltc)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            ltc.insert(key)
+        assert self.state(ltc) == before
+
+    @pytest.mark.parametrize("key", BAD, ids=IDS)
+    def test_insert_many(self, key):
+        ltc = self.seeded()
+        before = self.state(ltc)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            ltc.insert_many([3, 4, key, 5])
+        assert self.state(ltc) == before
+        assert 3 not in ltc
+
+    @pytest.mark.parametrize("key", BAD, ids=IDS)
+    def test_insert_timed(self, key):
+        ltc = fresh(n=8, w=4, d=2)
+        ltc.insert_timed(1, 0.25, 1.0)
+        before = self.state(ltc)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            ltc.insert_timed(key, 0.75, 1.0)
+        assert self.state(ltc) == before
+        assert ltc._last_timestamp == 0.25
+
+    @pytest.mark.parametrize("key", BAD, ids=IDS)
+    def test_from_state(self, key):
+        from repro.core.serialize import from_state, to_state
+
+        state = to_state(self.seeded())
+        cell = next(c for c in state["cells"] if c["key"] is not None)
+        cell["key"] = key
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            from_state(state)
+
+    def test_free_cells_read_as_none(self):
+        ltc = self.seeded()
+        keys = [cv.key for cv in ltc.cells()]
+        assert sorted(k for k in keys if k is not None) == [1, 2]
+        assert keys.count(None) == ltc.total_cells - 2
+        assert 2**64 - 1 not in ltc and ltc.estimate(2**64 - 1) == (0, 0)
+        assert sorted(ltc.items()) == [1, 2]

@@ -202,7 +202,8 @@ class TestTimedStateRoundTrip:
 
 
 class TestSubclassRestore:
-    """``cls=`` revives engineering subclasses with their index rebuilt."""
+    """``cls=`` revives the columnar kernel with the cells in its own
+    columns: point lookups find every key where the reference does."""
 
     def reference_ltc(self):
         ref = LTC(
@@ -216,8 +217,11 @@ class TestSubclassRestore:
         return ref
 
     @staticmethod
-    def index_of(ltc):
-        return {key: j for j, key in enumerate(ltc._keys) if key is not None}
+    def assert_same_lookups(ltc, ref):
+        assert sorted(ltc.items()) == sorted(ref.items())
+        for key in list(ref.items()) + [0, 99]:
+            assert (key in ltc) == (key in ref)
+            assert ltc.estimate(key) == ref.estimate(key)
 
     @pytest.mark.parametrize(
         "roundtrip",
@@ -234,7 +238,7 @@ class TestSubclassRestore:
         columnar = roundtrip(ref, ColumnarLTC)
         assert type(columnar) is ColumnarLTC
         assert snapshots_equal(ref, columnar)
-        assert columnar._slot_of == self.index_of(ref)
+        self.assert_same_lookups(columnar, ref)
 
     def test_restored_columnar_ltc_continues_identically(self):
         from repro.core.columnar import ColumnarLTC
@@ -255,7 +259,7 @@ class TestSubclassRestore:
             ref.insert(item)
             restored.insert(item)
         assert snapshots_equal(ref, restored)
-        assert restored._slot_of == self.index_of(ref)
+        self.assert_same_lookups(restored, ref)
 
     def test_default_cls_is_reference_ltc(self):
         restored = from_bytes(to_bytes(self.reference_ltc()))
@@ -263,9 +267,10 @@ class TestSubclassRestore:
 
 
 class TestUnstorableKeys:
-    """A checkpoint stores keys in ``[0, MAX_KEY]``; ``to_bytes`` refuses
-    any other key up front instead of dropping it (the empty-cell value)
-    or failing inside ``struct`` (negative or past 64 bits)."""
+    """A checkpoint stores keys in ``[0, MAX_KEY]``.  Both kernels refuse
+    any other key at the door, so ``to_bytes`` never meets one: it cannot
+    drop a key as the empty-cell value or fail inside ``struct``
+    (negative or past 64 bits)."""
 
     @pytest.mark.parametrize(
         "key", [-1, EMPTY_KEY, 1 << 70], ids=["negative", "empty-key", "2**70"]
@@ -277,22 +282,17 @@ class TestUnstorableKeys:
         ltc = KERNELS[kernel](
             LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
         )
-        if kernel == "columnar":
-            # The columnar kernel refuses the key at the door, so its
-            # checkpoints never meet one.
-            with pytest.raises(ValueError, match=f"key {key} is outside"):
-                ltc.insert_many([key] * 3 + [5, 6])
-            assert from_bytes(to_bytes(ltc)).estimate(5) == (0, 0)
-            return
-        ltc.insert_many([key] * 3 + [5, 6])
-        assert ltc.estimate(key) == (3, 0)  # the reference accepts any int
-        slot = ltc._keys.index(key)
-        with pytest.raises(ValueError, match=f"cell {slot} holds key {key}"):
-            to_bytes(ltc)
+        ltc.insert(9)
+        before = to_bytes(ltc)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            ltc.insert_many([5, 6] + [key] * 3)
+        with pytest.raises(ValueError, match=f"key {key} is outside"):
+            ltc.insert(key)
+        assert to_bytes(ltc) == before
+        assert key not in ltc and ltc.estimate(5) == (0, 0)
         store = SnapshotStore(tmp_path, retain=2)
-        with pytest.raises(ValueError):
-            store.save(ltc)
-        assert list(tmp_path.iterdir()) == []
+        store.save(ltc)
+        assert to_bytes(store.restore(cls=type(ltc))) == before
 
     def test_highest_storable_key_roundtrips(self):
         ltc = LTC(LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16))

@@ -21,7 +21,7 @@ import pytest
 from repro import sanitize
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
-from repro.core.ltc import LTC
+from repro.core.ltc import EMPTY_KEY, LTC
 from repro.core.windowed import WindowedLTC
 from repro.sanitize import SanitizeError
 from repro.summaries.heap import TopKHeap
@@ -98,7 +98,7 @@ def invariant_of(excinfo) -> str:
 
 
 def tracked_slot(ltc: LTC) -> int:
-    return next(j for j, key in enumerate(ltc._keys) if key is not None)
+    return next(cv.bucket * ltc._d + cv.slot for cv in ltc.cells() if not cv.empty)
 
 
 def test_detects_persistency_exceeding_frequency():
@@ -136,7 +136,7 @@ def test_detects_flag_domain_violation():
 def test_detects_dirty_empty_cell():
     ltc = filled_ltc()
     j = tracked_slot(ltc)
-    ltc._keys[j] = None
+    ltc._keys[j] = EMPTY_KEY
     with pytest.raises(SanitizeError) as excinfo:
         sanitize.check_ltc(ltc)
     assert invariant_of(excinfo) == "empty_cell_zeroed"
@@ -151,31 +151,60 @@ def test_detects_clock_corruption():
 
 
 def test_detects_columnar_index_divergence():
+    """A key moved out of its home bucket could never be found by a
+    lookup: ``key_in_home_bucket`` names the cell."""
     col = ColumnarLTC(small_config())
     for item in [1, 2, 3, 1, 1]:
         col.insert(item)
     sanitize.check_ltc(col)  # healthy
-    col._slot_of[1] = (col._slot_of[1] + 1) % col.total_cells
+    j = next(j for j, key in enumerate(col._keys) if key == 1)
+    d = col._d
+    other = (j // d + 1) % col._w * d  # a cell of the other bucket
+    for cells in (col._keys, col._freqs, col._counters, col._flags):
+        cells[j], cells[other] = cells[other], cells[j]
     with pytest.raises(SanitizeError) as excinfo:
         sanitize.check_ltc(col)
-    assert invariant_of(excinfo) == "index_matches_cells"
+    assert invariant_of(excinfo) == "key_in_home_bucket"
+    assert f"cell {other}" in excinfo.value.detail
 
 
 @pytest.mark.parametrize("cell", ["occupied", "empty"])
 def test_detects_columnar_key_column_divergence(cell):
-    from repro.core.serialize import EMPTY_KEY
-
+    """A key written twice into its bucket's key column, over an
+    occupied cell or into a free one, trips ``key_in_home_bucket``."""
     col = ColumnarLTC(small_config())
-    for item in [1, 2, 3, 1, 1]:
+    for item in [1, 2, 3, 1, 1] if cell == "empty" else range(1, 20):
         col.insert(item)
     sanitize.check_ltc(col)  # healthy
     if cell == "occupied":
-        col._kcol[col._slot_of[1]] = EMPTY_KEY
+        key, j = col._keys[0], 1  # bucket 0 is full
+        assert col._keys[j] != EMPTY_KEY
     else:
-        col._kcol[col._keys.index(None)] = 1
+        key, home = next((k, j) for j, k in enumerate(col._keys) if k == 1)
+        base = home - home % col._d
+        j = next(j for j in range(base, base + col._d) if col._keys[j] == EMPTY_KEY)
+        col._freqs[j] = 1
+    col._keys[j] = key
     with pytest.raises(SanitizeError) as excinfo:
         sanitize.check_ltc(col)
-    assert invariant_of(excinfo) == "columns_match_cells"
+    assert invariant_of(excinfo) == "key_in_home_bucket"
+    assert "twice" in excinfo.value.detail
+
+
+@pytest.mark.parametrize("kernel", [LTC, ColumnarLTC])
+def test_home_bucket_invariant_holds_for_both_kernels(kernel):
+    """The same check runs on the reference's key list and the columnar
+    key column, on full-table and per-bucket scans."""
+    ltc = kernel(small_config(num_buckets=8, bucket_width=2))
+    ltc.insert_many(range(64))
+    sanitize.check_ltc(ltc)
+    j = next(j for j, key in enumerate(ltc._keys) if key != EMPTY_KEY)
+    key = ltc._keys[j]
+    other = (j // 2 + 1) % 8 * 2
+    ltc._keys[j], ltc._keys[other] = ltc._keys[other], key
+    with pytest.raises(SanitizeError) as excinfo:
+        sanitize.check_ltc(ltc)
+    assert invariant_of(excinfo) == "key_in_home_bucket"
 
 
 def test_detects_windowed_ring_escape():

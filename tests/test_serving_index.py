@@ -269,22 +269,21 @@ class TestTieBreak:
     @pytest.mark.parametrize("kernel", KERNEL_NAMES)
     def test_equal_significance_ranks_by_python_key(self, kernel):
         # Every key arrives once (f=1, p=0), so all tie; top_k cuts the
-        # tie group at every k.  The columnar kernel holds keys in
-        # [0, MAX_KEY] only: it refuses -5 and 2**70, and ranks the keys
-        # it holds, 2**63 + 1 and 2**64 - 2 included, by their value.
+        # tie group at every k.  Both kernels hold keys in [0, MAX_KEY]
+        # only: they refuse -5 and 2**70, and rank the keys they hold,
+        # 2**63 + 1 and 2**64 - 2 included, by their value.
         ltc = build_ltc(_cfg(num_buckets=32, bucket_width=4, kernel=kernel))
         idx = ServingIndex(ltc)
         batch = [2**70, 7, 2**63 + 1, 0, -5, 2**64 - 2]
-        held = [-5, 0, 7, 2**63 + 1, 2**64 - 2, 2**70]
-        if kernel == "columnar":
-            with pytest.raises(ValueError):
-                ltc.insert_many(batch)
-            batch = [key for key in batch if 0 <= key < 2**64 - 1]
-            held = [key for key in held if key in batch]
+        with pytest.raises(ValueError):
+            ltc.insert_many(batch)
+        batch = [key for key in batch if 0 <= key < 2**64 - 1]
+        held = sorted(batch)
         ltc.insert_many(batch)
         assert all(key in ltc for key in held)
         _assert_oracle_equal(idx, ltc, ks=range(8), thresholds=(0.0, 1.0, 1.5))
         assert [r[0] for r in idx.top_k(6)] == held
+        assert all(type(r[0]) is int for r in idx.top_k(6))
         # A deeper tier above the tie group: cuts inside the group still
         # follow the oracle after a new epoch.
         top = held[-1]

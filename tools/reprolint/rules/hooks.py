@@ -57,8 +57,6 @@ DEFAULT_ATTRS = (
     "_keys",
     "_freqs",
     "_counters",
-    "_freq_mv",
-    "_counter_mv",
 )
 DEFAULT_NOTIFY = ("cell_touched", "cells_touched", "cells_reset")
 
