@@ -33,9 +33,11 @@ BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_throughput.json"
 def update_bench_json(section: str, payload: dict) -> None:
     """Merge one benchmark's payload into ``BENCH_throughput.json``.
 
-    The file holds one entry per benchmark under ``sections`` so the
-    batched and parallel benches can each refresh their own numbers
-    without clobbering the other's.
+    The file holds one entry per benchmark under ``sections`` so each
+    bench (batched, columnar, baselines, obs, serving) refreshes its own
+    numbers without clobbering the others'.  Every section records the
+    ``cores`` it ran on, since a throughput figure means little without
+    the core count behind it.
     """
     data = {}
     if BENCH_JSON.exists():
@@ -44,7 +46,7 @@ def update_bench_json(section: str, payload: dict) -> None:
         except ValueError:
             data = {}
     sections = data.get("sections", {})
-    sections[section] = payload
+    sections[section] = {**payload, "cores": usable_cores()}
     BENCH_JSON.write_text(
         json.dumps(
             {

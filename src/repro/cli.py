@@ -54,19 +54,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="ingest through the multi-core sharded pipeline with this many "
-        "worker processes (demo only; 1 = single-process)",
-    )
-    parser.add_argument(
         "--kernel",
         choices=["reference", "columnar"],
         default="reference",
         help="LTC implementation to build (repro.core.kernels): the "
-        "paper-faithful reference or the numpy columnar kernel — "
-        "observably identical",
+        "paper-faithful reference or the columnar kernel, whose update is "
+        "one compiled C loop — observably identical",
     )
     parser.add_argument(
         "--batched",
@@ -186,50 +179,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _demo_parallel(args: argparse.Namespace, stream, budget) -> int:
-    """Demo via the multi-core sharded pipeline (--workers > 1)."""
-    from repro.core.config import LTCConfig
-    from repro.distributed.parallel import ShardedPipeline
-
-    config = LTCConfig.from_memory(
-        budget,
-        items_per_period=stream.period_length,
-        alpha=args.alpha,
-        beta=args.beta,
-        kernel=args.kernel,
-    )
-    pipeline = ShardedPipeline(
-        config, num_shards=args.workers, max_workers=args.workers
-    )
-    report = pipeline.run(stream, args.k)
-    truth = GroundTruth(stream)
-    rows = [
-        (
-            item,
-            f"{sig:g}",
-            f"{truth.significance(item, args.alpha, args.beta):g}",
-        )
-        for item, sig in report.top_k[:20]
-    ]
-    print(stream.stats)
-    print(
-        format_table(
-            ["item", "est. sig", "real sig"],
-            rows,
-            title=(
-                f"Sharded top items ({args.workers} workers, "
-                f"{report.communication_bytes}B summary traffic)"
-            ),
-        )
-    )
-    return 0
-
-
 def _demo(args: argparse.Namespace) -> int:
     stream = make_dataset(args.dataset)
     budget = MemoryBudget(kb(args.memory_kb))
-    if args.workers > 1:
-        return _demo_parallel(args, stream, budget)
     ltc = ltc_factory(budget, stream, args.alpha, args.beta, kernel=args.kernel)()
     stream.run(ltc, batched=args.batched)
     truth = GroundTruth(stream)

@@ -41,7 +41,8 @@ class LTCConfig:
         kernel: Which LTC implementation :func:`repro.core.kernels.build_ltc`
             constructs for this config: ``"reference"`` (the paper-faithful
             :class:`repro.core.ltc.LTC`) or ``"columnar"`` (the production
-            numpy struct-of-arrays :class:`repro.core.columnar.ColumnarLTC`).
+            :class:`repro.core.columnar.ColumnarLTC`: numpy columns updated
+            by one compiled C loop, built on first use).
             Both kernels are observably identical (differential-tested);
             excluded from config equality/merge compatibility for the same
             reason as ``sanitize``.

@@ -69,7 +69,8 @@ class CellListener(Protocol):
         """One cell's key, frequency or persistency changed."""
 
     def cells_touched(self, slots: Iterable[int]) -> None:
-        """A batch of cells changed (vectorized kernel paths)."""
+        """A batch of cells changed: every cell one compiled-kernel call
+        wrote (``ColumnarLTC``), reported once the call returns."""
 
     def cells_reset(self) -> None:
         """The whole table was reset; any derived state is invalid."""

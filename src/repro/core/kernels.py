@@ -13,7 +13,7 @@ Two interchangeable kernels implement the same observable structure
 Both hold keys in ``[0, MAX_KEY]``.
 
 Call sites that build an LTC from a config (CLI, experiment factories,
-distributed coordinators/workers) go through :func:`build_ltc` so the
+distributed coordinators) go through :func:`build_ltc` so the
 ``LTCConfig.kernel`` field selects the implementation everywhere.
 """
 

@@ -18,16 +18,6 @@ Two coordination strategies are provided:
   the bitmaps, so sampled items are *exact* even under arbitrary
   partitions — but unsampled items are invisible.
 
-``repro.distributed.parallel`` scales the merging strategy across CPU
-cores: :class:`~repro.distributed.parallel.ParallelMergingCoordinator`
-forks worker processes after the sites exist, so each reads the sites
-it owns — a disjoint slice of the key space — from inherited memory and
-sends back only their serialized summaries (bit-identical to the
-sequential coordinator, differentially tested — crash + re-fork
-included), and :class:`~repro.distributed.parallel.ShardedPipeline`
-hash-shards one logical stream across N workers for single-stream
-multi-core ingestion.
-
 ``repro.distributed.partition`` splits a stream by item hash (each item's
 traffic enters at one site; :func:`~repro.distributed.partition.shard_of`
 is the routing function) or uniformly at random (ECMP-like spraying).
@@ -44,23 +34,13 @@ from repro.distributed.coordinator import (
     MergingCoordinator,
     SamplingCoordinator,
 )
-from repro.distributed.parallel import (
-    ParallelMergingCoordinator,
-    ShardedPipeline,
-    WorkerCrashError,
-    worker_processes_available,
-)
 
 __all__ = [
     "partition_sharded",
     "partition_random",
     "shard_of",
-    "worker_processes_available",
     "CoordinatedSampler",
     "MergingCoordinator",
-    "ParallelMergingCoordinator",
     "SamplingCoordinator",
-    "ShardedPipeline",
     "CoordinatorReport",
-    "WorkerCrashError",
 ]

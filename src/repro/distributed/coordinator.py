@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro import obs
 from repro.core.config import LTCConfig
@@ -21,52 +21,16 @@ class CoordinatorReport:
     """Outcome of one distributed run.
 
     ``communication_bytes`` counts site→coordinator traffic (serialized
-    summaries or sample reports).  No coordinator ships events: the
-    process engine (:mod:`repro.distributed.parallel`) forks its workers
-    after the sites exist, so they read their shards from inherited
-    memory.  ``worker_crashes`` counts worker-process deaths survived by
-    forking the worker again and rerunning its shards (process engine
-    only).
+    summaries or sample reports).
     """
 
     top_k: List[Tuple[int, float]]  # (item, estimated significance)
     communication_bytes: int
     num_sites: int
-    worker_crashes: int = 0
 
     def items(self) -> "set[int]":
         """The reported item set."""
         return {item for item, _ in self.top_k}
-
-
-class _Observes(Protocol):
-    """Anything observe()-able: a live histogram or the null metric."""
-
-    def observe(self, value: float) -> None: ...
-
-
-def _coordinator_timers() -> Tuple[Optional[_Observes], Optional[_Observes]]:
-    """The merge-engine timing histograms, or ``(None, None)`` when off.
-
-    Shared by the sequential and process-parallel coordinators so one
-    deployment's dashboards read the same series whichever engine runs:
-    ``coordinator_site_merge_seconds`` (one observation per site: drive +
-    serialize, or restore on the parallel path) and
-    ``coordinator_merge_seconds`` (one observation per table merge).
-    """
-    if not obs.is_enabled():
-        return None, None
-    reg = obs.registry()
-    return (
-        reg.histogram(
-            "coordinator_site_merge_seconds",
-            "Per-site summary build time feeding one merge (seconds)",
-        ),
-        reg.histogram(
-            "coordinator_merge_seconds",
-            "Time merging all site summaries into the global table (seconds)",
-        ),
-    )
 
 
 class MergingCoordinator:
@@ -92,9 +56,24 @@ class MergingCoordinator:
     def run(
         self, site_streams: Sequence[PeriodicStream], k: int
     ) -> CoordinatorReport:
-        """Drive every site and produce the merged global answer."""
+        """Drive every site and produce the merged global answer.
+
+        With observability on, ``coordinator_site_merge_seconds`` gets one
+        observation per site (drive + serialize) and
+        ``coordinator_merge_seconds`` one per table merge.
+        """
+        if not site_streams:
+            raise ValueError("no site streams to run")
         num_periods = max(s.num_periods for s in site_streams)
-        site_timer, merge_timer = _coordinator_timers()
+        reg = obs.registry()  # the null registry's histograms are no-ops
+        site_timer = reg.histogram(
+            "coordinator_site_merge_seconds",
+            "Per-site summary build time feeding one merge (seconds)",
+        )
+        merge_timer = reg.histogram(
+            "coordinator_merge_seconds",
+            "Time merging all site summaries into the global table (seconds)",
+        )
         summaries: List[LTC] = []
         communication = 0
         for stream in site_streams:
@@ -105,15 +84,13 @@ class MergingCoordinator:
             ltc = build_ltc(site_config)
             stream.run(ltc, batched=self.batched)
             communication += len(to_bytes(ltc))
-            if site_timer is not None:
-                site_timer.observe(time.perf_counter() - started)
+            site_timer.observe(time.perf_counter() - started)
             summaries.append(ltc)
         # Sites share the logical period structure but see different
         # arrival counts, so their CLOCK rates legitimately differ.
         started = time.perf_counter()
         merged = merge(summaries, num_periods=num_periods, check_period=False)
-        if merge_timer is not None:
-            merge_timer.observe(time.perf_counter() - started)
+        merge_timer.observe(time.perf_counter() - started)
         return CoordinatorReport(
             top_k=[(r.item, r.significance) for r in merged.top_k(k)],
             communication_bytes=communication,

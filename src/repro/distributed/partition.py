@@ -44,9 +44,8 @@ def shard_of(item: int, num_sites: int, seed: int = 0xD15C) -> int:
     """The site owning ``item`` under the item-sharded split.
 
     Deterministic and shared between the partitioner and any external
-    router: a parallel worker that owns site ``s`` owns exactly the
-    key range ``{x : splitmix64(x ^ seed) % num_sites == s}`` for the
-    whole run.
+    router: site ``s`` owns exactly the key range
+    ``{x : splitmix64(x ^ seed) % num_sites == s}``.
     """
     return splitmix64(item ^ seed) % num_sites
 

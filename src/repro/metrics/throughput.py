@@ -112,48 +112,6 @@ def measure_throughput(
     )
 
 
-def measure_coordinator_throughput(
-    coordinator_factory,
-    site_streams,
-    k: int,
-    name: str = "coordinator",
-    repeats: int = 1,
-):
-    """Measure end-to-end ingest+merge throughput of a distributed run.
-
-    Times ``coordinator.run(site_streams, k)`` — for the process-based
-    engine that includes forking the workers, parallel ingestion, and
-    merging the returned summaries, so sequential and parallel
-    coordinators are compared on the same total work.
-
-    Args:
-        coordinator_factory: Zero-argument callable building a fresh
-            coordinator (sequential or parallel — anything with ``run``).
-        site_streams: The partitioned workload handed to every run.
-        k: Report size requested from each run.
-        name: Label for the result.
-        repeats: Fastest of N fresh runs is reported.
-
-    Returns:
-        ``(ThroughputResult, CoordinatorReport)`` — the timing plus the
-        last run's report (so callers can differentially check answers).
-    """
-    events = sum(len(stream) for stream in site_streams)
-    best = float("inf")
-    report = None
-    for _ in range(max(1, repeats)):
-        coordinator = coordinator_factory()
-        start = time.perf_counter()
-        report = coordinator.run(site_streams, k)
-        best = min(best, time.perf_counter() - start)
-    return (
-        ThroughputResult(
-            name=name, events=events, seconds=best, mode="coordinator"
-        ),
-        report,
-    )
-
-
 def compare_modes(
     factory,
     stream: PeriodicStream,

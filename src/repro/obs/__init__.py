@@ -23,11 +23,7 @@ strategy"):
 * instrumented constructors capture the active registry **once** — call
   :func:`enable` *before* building the structures you want metered;
 * metrics never feed back into algorithm state, so enabling them cannot
-  change any report (differentially tested in ``tests/test_obs.py``);
-* worker *processes* (``repro.distributed.parallel``) inherit the flag
-  via fork but their in-worker LTC counters stay in the worker; the
-  coordinator-level metrics (retries, crashes, IPC bytes, timings) are
-  recorded in the parent and are the supported signal for that engine.
+  change any report (differentially tested in ``tests/test_obs.py``).
 """
 
 from __future__ import annotations

@@ -7,7 +7,9 @@ close``, which keeps shutdown exact.  The request head is read in one
 one not ended by CRLF CRLF, is a 400, and so is a body the client's EOF
 cuts short of its ``Content-Length``).  A body over 16 MiB is refused
 with a 413 before any of it is read, and so is an ingest whose
-``counts`` add up to more events than such a body could carry.  While
+``counts`` add up to more events than such a body could carry.  The
+head and body together must arrive within a 30 s read deadline, or the
+request is answered 408 and the connection closed.  While
 the ingest queue holds 4 Mi events, ``POST /ingest`` is answered 503
 with ``Retry-After: 1``.  A reply ends with a half-close
 (``write_eof``) right after its last byte, so a client reading to EOF
@@ -79,6 +81,7 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Content Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -96,6 +99,11 @@ _MAX_BODY = 16 * 1024 * 1024
 #: holds (two bytes per event, as in ``1,``).  A request whose ``counts``
 #: add up to more is answered 413 before anything is expanded.
 _MAX_EVENTS = _MAX_BODY // 2
+
+#: Seconds a client has to send a whole request, head and body; a
+#: connection that is silent, or sends a request only in part, is
+#: answered 408 and closed when they run out.
+_READ_DEADLINE_S = 30.0
 
 #: Events the ingest queue may hold before ``POST /ingest`` is refused
 #: with 503 and ``Retry-After`` (4 Mi, far above a healthy backlog).
@@ -115,6 +123,15 @@ Response = Tuple[int, str, bytes]
 _QUEUE_FULL: Response = (
     503, _JSON, canonical_json({"error": "ingest queue full, retry later"})
 )
+
+
+class _Refused(Exception):
+    """A request turned away while it was read: the answer to send, or
+    ``None`` to close without one."""
+
+    def __init__(self, response: Optional[Response]) -> None:
+        super().__init__()
+        self.response = response
 
 
 class OracleMismatch(AssertionError):
@@ -431,43 +448,17 @@ class ServingApp:
         """One connection: read a request, answer, half-close, close."""
         try:
             try:
-                raw = await reader.readuntil(b"\r\n\r\n")
-            except asyncio.IncompleteReadError as exc:
-                # EOF before the blank line: a bare connect is dropped, a
-                # truncated (or bare-LF) head is refused.
-                if exc.partial:
-                    await self._write(writer, self._bad_request("malformed request"))
-                return
-            except asyncio.LimitOverrunError:
-                await self._write(writer, self._bad_request("request head too large"))
-                return
-            request, *fields = raw.decode("latin-1").split("\r\n")
-            head = request.split()
-            if len(head) < 2:
-                await self._write(writer, self._bad_request("malformed request"))
-                return
-            method, target = head[0], head[1]
-            length = _content_length(fields)
-            if length is None:
+                async with asyncio.timeout(_READ_DEADLINE_S):
+                    method, target, body = await self._read_request(reader)
+            except TimeoutError:
                 await self._write(
                     writer,
-                    self._bad_request(
-                        "Content-Length must be one non-negative integer"
-                    ),
+                    (408, _JSON, canonical_json({"error": "request timeout"})),
                 )
                 return
-            if length > _MAX_BODY:
-                await self._write(
-                    writer,
-                    (413, _JSON, canonical_json({"error": "body too large"})),
-                )
-                return
-            try:
-                body = await reader.readexactly(length) if length else b""
-            except asyncio.IncompleteReadError:
-                await self._write(
-                    writer, self._bad_request("body shorter than Content-Length")
-                )
+            except _Refused as refused:
+                if refused.response is not None:
+                    await self._write(writer, refused.response)
                 return
             try:
                 response = self.respond(method, target, body)
@@ -485,6 +476,39 @@ class ServingApp:
                 writer.close()
             except RuntimeError:  # pragma: no cover - loop already closed
                 pass
+
+    @classmethod
+    async def _read_request(
+        cls, reader: asyncio.StreamReader
+    ) -> Tuple[str, str, bytes]:
+        """Read one request's ``(method, target, body)``, or raise
+        :class:`_Refused` with the answer to a bad one."""
+        try:
+            raw = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as exc:
+            # EOF before the blank line: a bare connect is dropped, a
+            # truncated (or bare-LF) head is refused.
+            raise _Refused(
+                cls._bad_request("malformed request") if exc.partial else None
+            )
+        except asyncio.LimitOverrunError:
+            raise _Refused(cls._bad_request("request head too large"))
+        request, *fields = raw.decode("latin-1").split("\r\n")
+        head = request.split()
+        if len(head) < 2:
+            raise _Refused(cls._bad_request("malformed request"))
+        length = _content_length(fields)
+        if length is None:
+            raise _Refused(
+                cls._bad_request("Content-Length must be one non-negative integer")
+            )
+        if length > _MAX_BODY:
+            raise _Refused((413, _JSON, canonical_json({"error": "body too large"})))
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise _Refused(cls._bad_request("body shorter than Content-Length"))
+        return head[0], head[1], body
 
     @staticmethod
     async def _write(writer: asyncio.StreamWriter, response: Response) -> None:

@@ -100,25 +100,6 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Mops" in out
 
-    def test_demo_workers(self, capsys):
-        """--workers routes demo through the multi-core sharded pipeline."""
-        code = main(
-            [
-                "demo",
-                "--dataset",
-                "caida",
-                "--memory-kb",
-                "8",
-                "-k",
-                "10",
-                "--workers",
-                "2",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "Sharded top items (2 workers" in out
-
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

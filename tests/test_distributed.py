@@ -11,11 +11,17 @@ from repro.distributed.coordinator import (
     MergingCoordinator,
     SamplingCoordinator,
 )
-from repro.distributed.partition import partition_random, partition_sharded
+from repro.distributed.partition import (
+    partition_random,
+    partition_sharded,
+    shard_of,
+)
 from repro.distributed.sampling import CoordinatedSampler, combine_reports
 from repro.streams.ground_truth import GroundTruth
 from repro.streams.synthetic import zipf_stream
 from tests.conftest import make_stream
+
+SHARD_SEED = 0xD15C
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +68,15 @@ class TestPartitioning:
             partition_sharded(logical_stream, 0)
         with pytest.raises(ValueError):
             partition_random(logical_stream, 0)
+
+    def test_owned_key_ranges_are_disjoint_and_stable(self, logical_stream):
+        """shard_of is the routing function partition_sharded applies."""
+        shards = partition_sharded(logical_stream, 4, seed=SHARD_SEED)
+        for index, shard in enumerate(shards):
+            assert all(
+                shard_of(item, 4, SHARD_SEED) == index
+                for item in set(shard.events)
+            )
 
 
 class TestCoordinatedSampler:
@@ -136,6 +151,20 @@ class TestMergingCoordinator:
         # orders of magnitude below shipping the 12k raw events.
         assert report.communication_bytes < 80_000
         assert report.num_sites == 4
+
+    def test_columnar_kernel_matches_reference(self, logical_stream):
+        """On item-sharded sites both kernels give the same report."""
+        sites = partition_sharded(logical_stream, 4)
+        config = self.make_config()
+        reference = MergingCoordinator(config).run(sites, 50)
+        columnar = MergingCoordinator(
+            config.with_options(kernel="columnar")
+        ).run(sites, 50)
+        assert columnar == reference
+
+    def test_rejects_empty_site_list(self):
+        with pytest.raises(ValueError, match="^no site streams to run$"):
+            MergingCoordinator(self.make_config()).run([], 10)
 
 
 class TestSamplingCoordinator:

@@ -293,89 +293,6 @@ class TestInstrumentedDistributed:
         assert metrics["coordinator_site_merge_seconds"]["count"] == len(sites)
         assert metrics["coordinator_merge_seconds"]["count"] == 1
 
-    def test_parallel_metrics(self):
-        from repro.distributed.parallel import (
-            ParallelMergingCoordinator,
-            worker_processes_available,
-        )
-        from repro.distributed.partition import partition_sharded
-        from repro.streams.synthetic import zipf_stream
-
-        if not worker_processes_available():  # pragma: no cover
-            pytest.skip("no worker processes on this platform")
-        stream = zipf_stream(
-            num_events=4_000, num_distinct=300, skew=1.0, num_periods=4, seed=5
-        )
-        config = LTCConfig(
-            num_buckets=32,
-            bucket_width=8,
-            items_per_period=stream.period_length,
-        )
-        sites = partition_sharded(stream, 2)
-        reg = obs.enable()
-        coordinator = ParallelMergingCoordinator(config, max_workers=2)
-        coordinator.run(sites, 20)
-        metrics = {m["name"]: m for m in reg.snapshot()["metrics"]}
-        assert metrics["coordinator_site_merge_seconds"]["count"] == len(sites)
-        assert metrics["coordinator_merge_seconds"]["count"] == 1
-
-    def test_in_process_fallback_metrics(self):
-        from repro.distributed.parallel import ParallelMergingCoordinator
-        from repro.distributed.partition import partition_sharded
-        from repro.streams.synthetic import zipf_stream
-
-        stream = zipf_stream(
-            num_events=4_000, num_distinct=300, skew=1.0, num_periods=4, seed=5
-        )
-        config = LTCConfig(
-            num_buckets=32,
-            bucket_width=8,
-            items_per_period=stream.period_length,
-        )
-        sites = partition_sharded(stream, 2)
-        reg = obs.enable()
-        report = ParallelMergingCoordinator(config, max_workers=1).run(
-            sites, 20
-        )
-        metrics = {m["name"]: m for m in reg.snapshot()["metrics"]}
-        # No worker processes: the same timer series, and nothing died.
-        assert report.worker_crashes == 0
-        assert metrics["coordinator_site_merge_seconds"]["count"] == len(sites)
-        assert metrics["coordinator_merge_seconds"]["count"] == 1
-
-    def test_worker_crash_and_retry_counters(self):
-        from repro.distributed.parallel import (
-            ParallelMergingCoordinator,
-            worker_processes_available,
-        )
-        from repro.distributed.partition import partition_sharded
-        from repro.streams.synthetic import zipf_stream
-
-        if not worker_processes_available():  # pragma: no cover
-            pytest.skip("no worker processes on this platform")
-        stream = zipf_stream(
-            num_events=2_000, num_distinct=200, skew=1.0, num_periods=4, seed=5
-        )
-        config = LTCConfig(
-            num_buckets=16,
-            bucket_width=8,
-            items_per_period=stream.period_length,
-        )
-        sites = partition_sharded(stream, 2)
-        reg = obs.enable()
-        coordinator = ParallelMergingCoordinator(
-            config, max_workers=2, max_retries=2
-        )
-        coordinator._crash_plan = {0: 1}  # shard 0 dies on its first attempt
-        coordinator.run(sites, 20)
-        values = {
-            m["name"]: m["value"]
-            for m in reg.snapshot()["metrics"]
-            if m["type"] == "counter"
-        }
-        assert values["coordinator_worker_crashes_total"] >= 1
-        assert values["coordinator_worker_retries_total"] >= 1
-
 
 class TestBatchSizeHistogram:
     """PR-4 batch paths record items-per-insert_many, labelled by class."""

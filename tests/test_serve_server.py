@@ -538,6 +538,61 @@ class TestEndpoints:
         asyncio.run(scenario())
 
 
+class TestReadDeadline:
+    """Every request must arrive whole within ``_READ_DEADLINE_S``.
+
+    The handler used to await the head and body with no timeout, so a
+    client that connected and then stalled held its coroutine and socket
+    forever.  The client side here gives up after a few seconds, so a
+    missing deadline fails the test instead of hanging it.
+    """
+
+    DEADLINE = 0.2
+
+    @pytest.fixture(autouse=True)
+    def short_deadline(self, monkeypatch):
+        monkeypatch.setattr(server, "_READ_DEADLINE_S", self.DEADLINE)
+
+    def stalled_reply(self, data):
+        """Send ``data`` (maybe nothing), keep the connection open, and
+        return the reply read to EOF with the seconds it took."""
+
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()))
+            async with _Server(app) as srv:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", srv.port
+                )
+                loop = asyncio.get_running_loop()
+                started = loop.time()
+                writer.write(data)
+                await writer.drain()
+                try:
+                    raw = await asyncio.wait_for(reader.read(), 5.0)
+                finally:
+                    writer.close()
+                return raw, loop.time() - started
+
+        return asyncio.run(scenario())
+
+    def assert_timed_out(self, raw, elapsed):
+        assert raw.startswith(b"HTTP/1.1 408 Request Timeout\r\n"), raw
+        assert b"request timeout" in raw
+        assert self.DEADLINE * 0.9 <= elapsed < self.DEADLINE + 2.0
+
+    def test_silent_connection_is_closed(self):
+        self.assert_timed_out(*self.stalled_reply(b""))
+
+    def test_truncated_head_is_408(self):
+        self.assert_timed_out(
+            *self.stalled_reply(b"GET /healthz HTTP/1.1\r\nHost: t\r\n")
+        )
+
+    def test_short_body_is_408(self):
+        head = b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        self.assert_timed_out(*self.stalled_reply(head + b'{"items": [1'))
+
+
 class TestShutdown:
     def test_shutdown_drains_queue_and_snapshots(self, tmp_path):
         async def scenario():

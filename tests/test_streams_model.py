@@ -4,8 +4,17 @@ from __future__ import annotations
 
 import pytest
 
+from repro.streams.io import TimeBinnedStream
 from repro.streams.model import PeriodicStream
+from repro.streams.synthetic import zipf_stream
 from tests.conftest import make_stream
+
+
+@pytest.fixture(scope="module")
+def logical_stream():
+    return zipf_stream(
+        num_events=8_000, num_distinct=1_500, skew=1.1, num_periods=8, seed=21
+    )
 
 
 class TestConstruction:
@@ -115,3 +124,38 @@ class TestHead:
     def test_head_longer_than_stream(self):
         stream = make_stream(range(10), num_periods=2)
         assert len(stream.head(50)) == 10
+
+
+class TestPeriodSlicing:
+    def test_iter_periods_on_count_based_remainder(self):
+        stream = make_stream([1, 2, 3, 4, 5, 6, 7], num_periods=3)
+        periods = [list(p) for p in stream.iter_periods()]
+        assert len(periods) == 3
+        assert periods[-1] == [5, 6, 7]  # last period absorbs the remainder
+
+    def test_iter_periods_on_time_binned_stream(self):
+        stream = TimeBinnedStream(
+            events=[10, 11, 12, 13], boundaries=[1, 1, 3], name="tb"
+        )
+        assert [list(p) for p in stream.iter_periods()] == [
+            [10],
+            [],
+            [11, 12],
+            [13],
+        ]
+
+    def test_period_slices_agree_with_iter_periods(self, logical_stream):
+        """period_slices is the single source of truth for period cuts."""
+        streams = [
+            logical_stream,
+            make_stream([1, 2, 3, 4, 5, 6, 7], num_periods=3),
+            TimeBinnedStream(
+                events=[10, 11, 12, 13], boundaries=[1, 1, 3], name="tb"
+            ),
+        ]
+        for stream in streams:
+            slices = stream.period_slices()
+            assert len(slices) == stream.num_periods
+            assert [stream.events[s:e] for s, e in slices] == [
+                list(p) for p in stream.iter_periods()
+            ]

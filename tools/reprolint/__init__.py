@@ -46,8 +46,7 @@ Rules (details in each :mod:`tools.reprolint.rules` module):
   coroutines through the call graph; waive with
   ``# reprolint: blocking-ok — <why>``.
 * **R008** — retired: it checked the shared-memory batch ring's segment
-  lifecycle; the parallel pipeline now forks workers that inherit their
-  sites, so no segment exists.
+  lifecycle, and no shared-memory segment exists any more.
 * **R009** — kernel parity: a class defining both ``insert`` and
   ``insert_many``/``update_many`` must touch the same state attributes
   in both (strict writes vs. strict∪may writes); waive with
