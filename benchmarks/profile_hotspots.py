@@ -18,9 +18,10 @@ the remaining replay loops do.
 
 ``--kernel`` pins the LTC implementation for the sweep (the line-up
 default otherwise).  For ``--kernel columnar`` the script additionally
-instruments the two steps of a batch — converting and checking the
-keys, and the compiled kernel call with the CLOCK state, counters and
-listener around it — and prints an exclusive-time breakdown.
+instruments the two steps of a period — the batch, whose keys are
+checked and applied in one call into the compiled kernel, and the
+period's end, whose sweep runs in the kernel too — and prints an
+exclusive-time breakdown.
 """
 
 from __future__ import annotations
@@ -33,13 +34,12 @@ import time
 from typing import Any, Callable, Dict, List, Tuple
 
 
-#: Columnar batch steps, in call order: (label, method names).  The
-#: kernel step is ``insert_many``'s own time: the compiled loop, the
-#: CLOCK state copied in and out around it, the counters and the
-#: listener.
+#: Columnar period steps, in call order: (label, method names).  Each
+#: is one compiled-kernel call plus the counters and listener around
+#: it; ``insert_many``'s includes the key checks.
 _PHASES: "List[Tuple[str, Tuple[str, ...]]]" = [
-    ("keys", ("_key_array",)),
-    ("kernel", ("insert_many",)),
+    ("batch", ("insert_many",)),
+    ("end_period", ("end_period",)),
 ]
 
 
@@ -87,7 +87,7 @@ class PhaseTimer:
 
     def report(self, out: Any) -> None:
         total = sum(self.totals.values())
-        print("\ncolumnar batch steps (exclusive time):", file=out)
+        print("\ncolumnar period steps (exclusive time):", file=out)
         print(
             f"  {'phase':<14}{'calls':>10}{'seconds':>12}{'share':>9}",
             file=out,

@@ -1,21 +1,27 @@
-/* The columnar LTC's batch update: one pass over a batch of keys.
+/* The columnar LTC's update, as a CPython extension type over its columns.
  *
  * Per arrival this is the reference update of src/repro/core/ltc.py, step
- * for step, over the four columns of ColumnarLTC: ltc_place is
- * LTC._place, decrement_smallest LTC._decrement_smallest,
- * longtail_initial LTC._longtail_initial, harvest LTC._harvest, and the
- * loop's tail the count-based ClockPointer.on_arrival (DESIGN.md 11.2).
- * Scores are alpha * f + beta * p rounded after the multiply and after
- * the add, as in Python: build with -ffp-contract=off.  An empty cell
- * holds EMPTY_KEY, which the caller guarantees no item takes.
+ * for step, over the four columns of ColumnarLTC: place is LTC._place,
+ * decrement_smallest LTC._decrement_smallest, longtail_initial
+ * LTC._longtail_initial, harvest LTC._harvest, and arrive's tail the
+ * count-based ClockPointer.on_arrival (DESIGN.md 11.2).  Scores are
+ * alpha * f + beta * p rounded after the multiply and after the add, as in
+ * Python: build with -ffp-contract=off.  An empty cell holds EMPTY_KEY,
+ * which no key passes as_key.
  *
- * Three entry points share these steps: ltc_insert_many (per-event and
- * batch inserts), ltc_place (timed inserts) and ltc_sweep (the timed
- * CLOCK and end_period).  Each adds to the ltc_* deltas, which the caller
- * reads and zeroes, and, when `touched` is not NULL, marks every slot
- * whose key, frequency or persistency it changed (the cell listener's
- * notification); the caller zeroes that mask.
+ * One Kernel object serves one table.  It holds the column buffers for its
+ * life and is the only home of the count-based CLOCK state (acc, hand,
+ * scanned) and the period's flag bits; its setters refuse values outside
+ * the CLOCK invariants, so the loops below never index out of range.  Its
+ * methods insert, insert_many, place and sweep add to the ltc_* deltas,
+ * which take_counts reads and zeroes, and, when a touched mask is set,
+ * mark every slot whose key, frequency or persistency they changed (the
+ * cell listener's notification); the caller zeroes that mask.  The module
+ * is a C extension, so every call holds the GIL.
  */
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #define EMPTY_KEY UINT64_MAX
@@ -28,11 +34,11 @@ typedef struct {
     double alpha, beta;
     int64_t policy;
     /* ClockPointer._acc, hand, scanned_in_period and the period's flag
-     * bits: copied in before and out after each call. */
+     * bits. */
     int64_t acc, hand, scanned, set_bit, harvest_bit;
     /* Deltas of the ltc_significance_decrements, ltc_evictions,
-     * ltc_longtail_replacements and ltc_harvests totals since the caller
-     * last zeroed them. */
+     * ltc_longtail_replacements and ltc_harvests totals since the last
+     * take_counts. */
     int64_t decrements, evictions, longtail, harvests;
     /* The columns (fixed for the table's life) and the touched mask. */
     uint64_t *keys;
@@ -133,7 +139,7 @@ static void decrement_smallest(ltc_state *s, uint64_t item, int64_t base)
     install(s, jmin, item);
 }
 
-void ltc_place(ltc_state *s, uint64_t item)
+static void place(ltc_state *s, uint64_t item)
 {
     uint64_t h = splitmix64(item ^ s->seed);
     uint64_t w = (uint64_t)s->w;
@@ -172,36 +178,360 @@ static void harvest(ltc_state *s, int64_t slot)
     }
 }
 
-/* Harvest the `count` slots from `start` on, wrapping at m.  The CLOCK
- * position is the caller's: count <= m. */
-void ltc_sweep(ltc_state *s, int64_t start, int64_t count)
+/* Harvest the next `steps` slots from the hand, wrapping at m, and move the
+ * hand past them: ClockPointer._take and LTC._sweep in one.  Never scans a
+ * slot twice within one period. */
+static void sweep(ltc_state *s, int64_t steps)
 {
-    for (int64_t k = 0, slot = start; k < count; k++) {
+    if (steps > s->m - s->scanned)
+        steps = s->m - s->scanned;
+    if (steps <= 0)
+        return;
+    int64_t slot = s->hand;
+    for (int64_t k = 0; k < steps; k++) {
         harvest(s, slot);
         slot = slot + 1 == s->m ? 0 : slot + 1;
     }
+    s->hand = slot;
+    s->scanned += steps;
 }
 
-/* Apply `count` arrivals of `items` in order.  The caller keeps the CLOCK
- * invariants 0 <= hand < m, 0 <= scanned <= m and 0 <= acc < n, with
- * n + m within int64, so `acc + m` cannot overflow. */
-void ltc_insert_many(ltc_state *s, const uint64_t *items, int64_t count)
+/* One count-based arrival: the place, then the CLOCK's m/n slots.  The
+ * setters keep 0 <= acc < n, and n + m fits an int64, so `acc + m` cannot
+ * overflow. */
+static void arrive(ltc_state *s, uint64_t item)
 {
-    int64_t m = s->m, n = s->n;
-    for (int64_t i = 0; i < count; i++) {
-        ltc_place(s, items[i]);
-        s->acc += m;
-        if (s->acc < n)
+    place(s, item);
+    s->acc += s->m;
+    if (s->acc < s->n)
+        return;
+    int64_t steps = s->acc / s->n;
+    s->acc -= steps * s->n;
+    sweep(s, steps);
+}
+
+/* The common case of as_key: a plain int in [0, INT64_MAX].  Runs no
+ * Python code and sets no error; returns 1 when it applies. */
+static int small_key(PyObject *obj, uint64_t *key)
+{
+    if (!PyLong_CheckExact(obj))
+        return 0;
+    int overflow;
+    long long small = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (overflow || small < 0)
+        return 0;
+    *key = (uint64_t)small;
+    return 1;
+}
+
+/* `obj` as a key: an int, or an object with __index__, in [0, EMPTY_KEY).
+ * TypeError for anything else, and ValueError (LTC's out_of_range message)
+ * outside the range. */
+static int as_key(PyObject *obj, uint64_t *key)
+{
+    if (small_key(obj, key))
+        return 0;
+    PyObject *num = PyNumber_Index(obj);
+    if (num == NULL)
+        return -1;
+    int overflow, bad;
+    long long small = PyLong_AsLongLongAndOverflow(num, &overflow);
+    unsigned long long k = (unsigned long long)small;
+    if (overflow > 0) { /* Above INT64_MAX: a uint64, or past 2**64. */
+        k = PyLong_AsUnsignedLongLong(num);
+        bad = PyErr_Occurred() != NULL;
+        PyErr_Clear();
+    } else {
+        bad = overflow < 0 || small < 0;
+    }
+    if (bad || k == EMPTY_KEY) {
+        PyErr_Format(PyExc_ValueError,
+                     "key %R is outside the LTC key range [0, %llu]", num,
+                     (unsigned long long)(EMPTY_KEY - 1));
+        Py_DECREF(num);
+        return -1;
+    }
+    Py_DECREF(num);
+    *key = k;
+    return 0;
+}
+
+typedef struct {
+    PyObject_HEAD
+    ltc_state s;
+    Py_buffer columns[4]; /* keys, freqs, counters, flags */
+    Py_buffer touched;    /* .obj is NULL while no mask is set */
+} Kernel;
+
+static PyObject *Kernel_insert(Kernel *self, PyObject *item)
+{
+    uint64_t key;
+    if (as_key(item, &key) < 0)
+        return NULL;
+    arrive(&self->s, key);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Kernel_place(Kernel *self, PyObject *item)
+{
+    uint64_t key;
+    if (as_key(item, &key) < 0)
+        return NULL;
+    place(&self->s, key);
+    Py_RETURN_NONE;
+}
+
+/* Every key of the sequence is checked before the first arrival, so a bad
+ * one raises with the table untouched.  Returns the number of arrivals. */
+static PyObject *Kernel_insert_many(Kernel *self, PyObject *items)
+{
+    PyObject *seq = PySequence_Fast(items, "insert_many() needs a sequence of keys");
+    if (seq == NULL)
+        return NULL;
+    Py_ssize_t count = PySequence_Fast_GET_SIZE(seq);
+    uint64_t *keys = PyMem_Malloc(count > 0 ? count * sizeof(uint64_t) : 1);
+    if (keys == NULL) {
+        Py_DECREF(seq);
+        return PyErr_NoMemory();
+    }
+    /* An __index__ method may change a list under us: re-read its size. */
+    Py_ssize_t i = 0;
+    for (; i < count && i < PySequence_Fast_GET_SIZE(seq); i++) {
+        PyObject *item = PySequence_Fast_GET_ITEM(seq, i);
+        if (small_key(item, &keys[i]))
             continue;
-        int64_t steps = s->acc / n;
-        s->acc -= steps * n;
-        /* Never scan a slot twice within one period. */
-        if (steps > m - s->scanned)
-            steps = m - s->scanned;
-        if (steps > 0) {
-            ltc_sweep(s, s->hand, steps);
-            s->hand = (s->hand + steps) % m;
-            s->scanned += steps;
+        Py_INCREF(item);
+        int bad = as_key(item, &keys[i]);
+        Py_DECREF(item);
+        if (bad) {
+            PyMem_Free(keys);
+            Py_DECREF(seq);
+            return NULL;
         }
     }
+    Py_DECREF(seq);
+    count = i;
+    for (i = 0; i < count; i++)
+        arrive(&self->s, keys[i]);
+    PyMem_Free(keys);
+    return PyLong_FromSsize_t(count);
+}
+
+static PyObject *Kernel_sweep(Kernel *self, PyObject *arg)
+{
+    int overflow;
+    long long steps = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    if (steps == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow < 0 || steps < 0) {
+        PyErr_SetString(PyExc_ValueError, "sweep() needs a non-negative step count");
+        return NULL;
+    }
+    sweep(&self->s, overflow > 0 ? INT64_MAX : steps);
+    Py_RETURN_NONE;
+}
+
+static PyObject *Kernel_take_counts(Kernel *self, PyObject *Py_UNUSED(ignored))
+{
+    ltc_state *s = &self->s;
+    PyObject *counts = Py_BuildValue("(LLLL)", (long long)s->decrements,
+                                     (long long)s->evictions,
+                                     (long long)s->longtail,
+                                     (long long)s->harvests);
+    if (counts != NULL)
+        s->decrements = s->evictions = s->longtail = s->harvests = 0;
+    return counts;
+}
+
+static PyMethodDef Kernel_methods[] = {
+    {"insert", (PyCFunction)Kernel_insert, METH_O,
+     "insert(key): one count-based arrival, CLOCK step included."},
+    {"insert_many", (PyCFunction)Kernel_insert_many, METH_O,
+     "insert_many(keys) -> count: the arrivals of a sequence, in order,\n"
+     "after every key is checked."},
+    {"place", (PyCFunction)Kernel_place, METH_O,
+     "place(key): one arrival's lossy-table update, no CLOCK step."},
+    {"sweep", (PyCFunction)Kernel_sweep, METH_O,
+     "sweep(steps): harvest up to `steps` slots from the hand, never past\n"
+     "the period's last unscanned slot, and advance the hand."},
+    {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
+     "take_counts() -> (decrements, evictions, longtail, harvests) since\n"
+     "the last call."},
+    {NULL, NULL, 0, NULL},
+};
+
+/* The CLOCK fields, each with the invariant its setter enforces: value in
+ * [0, bound(s)) or, with `inclusive`, [0, bound(s)]. */
+typedef struct {
+    size_t offset;
+    int which; /* 0: m, 1: n, 2: a flag bit (1 or 2) */
+    int inclusive;
+} clock_field;
+
+static const clock_field HAND = {offsetof(ltc_state, hand), 0, 0};
+static const clock_field ACC = {offsetof(ltc_state, acc), 1, 0};
+static const clock_field SCANNED = {offsetof(ltc_state, scanned), 0, 1};
+static const clock_field SET_BIT = {offsetof(ltc_state, set_bit), 2, 0};
+static const clock_field HARVEST_BIT = {offsetof(ltc_state, harvest_bit), 2, 0};
+
+static int64_t *field_of(Kernel *self, const clock_field *f)
+{
+    return (int64_t *)((char *)&self->s + f->offset);
+}
+
+static PyObject *Kernel_get(Kernel *self, void *closure)
+{
+    return PyLong_FromLongLong(*field_of(self, closure));
+}
+
+static int Kernel_set(Kernel *self, PyObject *value, void *closure)
+{
+    const clock_field *f = closure;
+    if (value == NULL) {
+        PyErr_SetString(PyExc_AttributeError, "cannot delete a CLOCK field");
+        return -1;
+    }
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(value, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    int ok;
+    if (f->which == 2)
+        ok = !overflow && (v == 1 || v == 2);
+    else {
+        int64_t bound = f->which == 0 ? self->s.m : self->s.n;
+        ok = !overflow && v >= 0 && (f->inclusive ? v <= bound : v < bound);
+    }
+    if (!ok) {
+        PyErr_Format(PyExc_ValueError, "CLOCK state out of range: %R", value);
+        return -1;
+    }
+    *field_of(self, f) = v;
+    return 0;
+}
+
+static PyObject *Kernel_get_touched(Kernel *self, void *Py_UNUSED(closure))
+{
+    PyObject *mask = self->touched.obj ? self->touched.obj : Py_None;
+    Py_INCREF(mask);
+    return mask;
+}
+
+static int Kernel_set_touched(Kernel *self, PyObject *value, void *Py_UNUSED(closure))
+{
+    Py_buffer view = {0};
+    if (value != NULL && value != Py_None) {
+        if (PyObject_GetBuffer(value, &view, PyBUF_CONTIG) < 0)
+            return -1;
+        if (view.len != self->s.m) {
+            PyBuffer_Release(&view);
+            PyErr_SetString(PyExc_ValueError, "touched mask needs one byte per cell");
+            return -1;
+        }
+    }
+    if (self->touched.obj)
+        PyBuffer_Release(&self->touched);
+    self->touched = view;
+    self->s.touched = view.obj ? view.buf : NULL;
+    return 0;
+}
+
+static PyGetSetDef Kernel_getset[] = {
+    {"hand", (getter)Kernel_get, (setter)Kernel_set, "next slot the CLOCK passes", (void *)&HAND},
+    {"acc", (getter)Kernel_get, (setter)Kernel_set, "arrival accumulator (1/n periods)", (void *)&ACC},
+    {"scanned", (getter)Kernel_get, (setter)Kernel_set, "slots swept this period", (void *)&SCANNED},
+    {"set_bit", (getter)Kernel_get, (setter)Kernel_set, "this period's flag bit", (void *)&SET_BIT},
+    {"harvest_bit", (getter)Kernel_get, (setter)Kernel_set, "the flag bit a sweep harvests", (void *)&HARVEST_BIT},
+    {"touched", (getter)Kernel_get_touched, (setter)Kernel_set_touched,
+     "a writable byte per cell marked by every change, or None", NULL},
+    {NULL},
+};
+
+static void Kernel_dealloc(Kernel *self)
+{
+    for (int c = 0; c < 4; c++)
+        if (self->columns[c].obj)
+            PyBuffer_Release(&self->columns[c]);
+    if (self->touched.obj)
+        PyBuffer_Release(&self->touched);
+    Py_TYPE(self)->tp_free((PyObject *)self);
+}
+
+static PyObject *Kernel_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    static char *names[] = {"keys", "freqs", "counters", "flags", "w", "d",
+                            "n", "seed", "alpha", "beta", "policy", NULL};
+    PyObject *cols[4];
+    long long w, d, n, policy;
+    unsigned long long seed;
+    double alpha, beta;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOLLLKddL", names,
+                                     &cols[0], &cols[1], &cols[2], &cols[3],
+                                     &w, &d, &n, &seed, &alpha, &beta, &policy))
+        return NULL;
+    if (w < 1 || d < 1 || n < 1 || w > INT64_MAX / d || n > INT64_MAX - w * d
+        || policy < POLICY_LONGTAIL || policy > POLICY_SPACE_SAVING) {
+        PyErr_SetString(PyExc_ValueError, "bad LTC kernel geometry or policy");
+        return NULL;
+    }
+    Kernel *self = (Kernel *)type->tp_alloc(type, 0);
+    if (self == NULL)
+        return NULL;
+    ltc_state *s = &self->s;
+    s->w = w, s->d = d, s->m = w * d, s->n = n, s->seed = seed;
+    s->alpha = alpha, s->beta = beta, s->policy = policy;
+    s->set_bit = s->harvest_bit = 1;
+    for (int c = 0; c < 4; c++) {
+        Py_buffer *view = &self->columns[c];
+        if (PyObject_GetBuffer(cols[c], view, PyBUF_CONTIG) < 0) {
+            view->obj = NULL;
+            Py_DECREF(self);
+            return NULL;
+        }
+        if (view->itemsize != 8 || view->len != s->m * 8) {
+            PyErr_SetString(PyExc_ValueError, "each column needs one 8-byte item per cell");
+            Py_DECREF(self);
+            return NULL;
+        }
+    }
+    s->keys = self->columns[0].buf;
+    s->freqs = self->columns[1].buf;
+    s->counters = self->columns[2].buf;
+    s->flags = self->columns[3].buf;
+    return (PyObject *)self;
+}
+
+static PyTypeObject KernelType = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "repro.core._ltc_kernel.Kernel",
+    .tp_doc = "Kernel(keys, freqs, counters, flags, w, d, n, seed, alpha, beta, policy)\n"
+              "--\n\n"
+              "One LTC table's update over its four writable 8-byte columns.",
+    .tp_basicsize = sizeof(Kernel),
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_new = Kernel_new,
+    .tp_dealloc = (destructor)Kernel_dealloc,
+    .tp_methods = Kernel_methods,
+    .tp_getset = Kernel_getset,
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_ltc_kernel",
+    .m_doc = "The columnar LTC's compiled update (see repro.core.ckernel).",
+    .m_size = -1,
+};
+
+PyMODINIT_FUNC PyInit__ltc_kernel(void)
+{
+    if (PyType_Ready(&KernelType) < 0)
+        return NULL;
+    PyObject *module = PyModule_Create(&kernel_module);
+    if (module == NULL)
+        return NULL;
+    if (PyModule_AddObjectRef(module, "Kernel", (PyObject *)&KernelType) < 0) {
+        Py_DECREF(module);
+        return NULL;
+    }
+    return module;
 }

@@ -1,28 +1,33 @@
 """Build and load the compiled LTC kernel (``_ltc_kernel.c``).
 
-The kernel ships as C source inside the package.  The first process that
-needs it compiles it with the system C compiler (``cc``) into
+The kernel is a CPython extension module that ships as C source inside
+the package.  The first process that needs it compiles it with the
+system C compiler (``cc``) against the interpreter's headers into
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``), under a name
-keyed by the hash of the source and the compiler flags; later processes
-only load the cached library through :mod:`ctypes`.  The build writes a
-temporary file next to the target and renames it into place, so
-processes racing on a cold cache each load a complete library.  Without
-a compiler :func:`load` raises :class:`RuntimeError`; only
-``kernel="columnar"`` needs the kernel.
+keyed by the hash of the source, the compiler flags, the machine and the
+interpreter ABI (``EXT_SUFFIX`` and ``SOABI``), so interpreters sharing
+a cache never load each other's module.  Later processes only import
+the cached module.  The build writes a temporary file next to the target
+and renames it into place, so processes racing on a cold cache each load
+a complete module.  Without a compiler or without ``Python.h``,
+:func:`load` raises :class:`RuntimeError`; only ``kernel="columnar"``
+needs the kernel.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import platform
 import shutil
 import subprocess
+import sysconfig
 import tempfile
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 SOURCE = Path(__file__).with_name("_ltc_kernel.c")
 
@@ -30,32 +35,27 @@ SOURCE = Path(__file__).with_name("_ltc_kernel.c")
 #: rounds twice, exactly as Python evaluates it.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
-#: ``KernelState.policy`` codes, as the C enum numbers them.
+#: The ``policy`` codes of the kernel's constructor, as the C enum
+#: numbers them.
 POLICIES = {"longtail": 0, "one": 1, "space-saving": 2}
-
-
-class KernelState(ctypes.Structure):
-    """Mirror of the C ``ltc_state`` struct, field for field."""
-
-    _fields_ = [(name, ctypes.c_int64) for name in ("w", "d", "m", "n")] + [
-        ("seed", ctypes.c_uint64),
-        ("alpha", ctypes.c_double),
-        ("beta", ctypes.c_double),
-    ] + [
-        (name, ctypes.c_int64)
-        for name in (
-            "policy", "acc", "hand", "scanned", "set_bit", "harvest_bit",
-            "decrements", "evictions", "longtail", "harvests",
-        )
-    ] + [
-        (name, ctypes.c_void_p)
-        for name in ("keys", "freqs", "counters", "flags", "touched")
-    ]
 
 
 def compiler() -> Optional[str]:
     """The C compiler the build uses, or ``None`` when there is none."""
     return shutil.which("cc")
+
+
+def include_dir() -> Path:
+    """Where this interpreter's ``Python.h`` should be."""
+    return Path(sysconfig.get_paths()["include"])
+
+
+def abi() -> Tuple[str, str]:
+    """This interpreter's extension-module ABI: ``(EXT_SUFFIX, SOABI)``."""
+    return (
+        sysconfig.get_config_var("EXT_SUFFIX") or ".so",
+        sysconfig.get_config_var("SOABI") or "",
+    )
 
 
 def cache_dir() -> Path:
@@ -73,12 +73,21 @@ def _build(target: Path) -> None:
             'kernel="columnar" needs a C compiler ("cc" on PATH) to build '
             f'its update loop from {SOURCE.name}; kernel="reference" needs none'
         )
+    include = include_dir()
+    if not (include / "Python.h").is_file():
+        raise RuntimeError(
+            f'kernel="columnar" builds {SOURCE.name} as a CPython extension '
+            f"and needs the interpreter's headers, but there is no Python.h "
+            f'in {include}; kernel="reference" needs none'
+        )
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
     os.close(fd)
     try:
         done = subprocess.run(
-            [cc, *FLAGS, "-o", tmp, str(SOURCE)], capture_output=True, text=True
+            [cc, *FLAGS, f"-I{include}", "-o", tmp, str(SOURCE)],
+            capture_output=True,
+            text=True,
         )
         if done.returncode:
             raise RuntimeError(f"building {SOURCE.name} failed:\n{done.stderr}")
@@ -90,31 +99,42 @@ def _build(target: Path) -> None:
 
 @lru_cache(maxsize=None)
 def load() -> Any:
-    """The kernel library, built on first use.  Its entry points take a
-    :class:`KernelState` first:
+    """The kernel module, built on first use.  Its one type,
+    ``Kernel(keys, freqs, counters, flags, w, d, n, seed, alpha, beta,
+    policy)``, holds a table's four columns and CLOCK state and has:
 
-    * ``ltc_insert_many(state, items, count)``: ``count`` count-based
-      arrivals from a ``uint64`` buffer, CLOCK steps included;
-    * ``ltc_place(state, item)``: one arrival's lossy-table update;
-    * ``ltc_sweep(state, start, count)``: harvest ``count`` slots from
-      ``start`` on (the CLOCK position stays the caller's).
+    * ``insert(key)``: one count-based arrival, CLOCK step included;
+    * ``insert_many(keys)``: a sequence's arrivals, every key checked
+      first; returns their number;
+    * ``place(key)``: one arrival's lossy-table update;
+    * ``sweep(steps)``: harvest up to ``steps`` slots from the hand;
+    * ``take_counts()``: the ``ltc_*`` counter deltas since the last call;
+    * the fields ``hand``, ``acc``, ``scanned``, ``set_bit`` and
+      ``harvest_bit``, whose setters refuse values outside the CLOCK
+      invariants, and ``touched``, an optional byte-per-cell change mask.
 
-    Loaded with :class:`ctypes.PyDLL`, so a call holds the GIL: no other
+    A key is an int in ``[0, MAX_KEY]`` (``TypeError`` otherwise,
+    ``ValueError`` out of range).  Every call holds the GIL, so no other
     thread sees the columns mid-call.
     """
-    key = SOURCE.read_bytes() + " ".join(FLAGS).encode() + platform.machine().encode()
-    target = cache_dir() / f"ltc_kernel-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    suffix, soabi = abi()
+    key = b"\0".join(
+        [
+            SOURCE.read_bytes(),
+            " ".join(FLAGS).encode(),
+            platform.machine().encode(),
+            suffix.encode(),
+            soabi.encode(),
+        ]
+    )
+    target = cache_dir() / f"ltc_kernel-{hashlib.sha256(key).hexdigest()[:16]}{suffix}"
     if not target.exists():
         _build(target)
-    lib = ctypes.PyDLL(str(target))
-    state = ctypes.POINTER(KernelState)
-    signatures = {
-        "ltc_insert_many": [ctypes.c_void_p, ctypes.c_int64],
-        "ltc_place": [ctypes.c_uint64],
-        "ltc_sweep": [ctypes.c_int64, ctypes.c_int64],
-    }
-    for name, args in signatures.items():
-        fn = getattr(lib, name)
-        fn.argtypes = [state, *args]
-        fn.restype = None
-    return lib
+    loader = importlib.machinery.ExtensionFileLoader(
+        "repro.core._ltc_kernel", str(target)
+    )
+    spec = importlib.util.spec_from_file_location(loader.name, target, loader=loader)
+    assert spec is not None
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module

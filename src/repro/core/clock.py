@@ -46,6 +46,10 @@ class ClockPointer:
             raise ValueError("items_per_period must be >= 1")
         self.num_cells = num_cells
         self.items_per_period = items_per_period
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the state of a fresh pointer, in place."""
         self.hand = 0  # next slot the pointer will pass
         self._acc = 0  # arrival accumulator (units of 1/n periods)
         self._tacc = 0  # time accumulator (ticks, < TICKS_PER_PERIOD)
@@ -89,12 +93,18 @@ class ClockPointer:
         split — integer floor sums telescope just like the count-based
         accumulator's, so jittered Δt sequences cannot drift the sweep.
         """
+        return self._take(self.elapsed_steps(delta_ticks))
+
+    def elapsed_steps(self, delta_ticks: int) -> int:
+        """Add ``delta_ticks`` to the time accumulator and return the
+        whole slots it yields, before :meth:`on_elapsed_ticks`' cap of
+        one pass per period (the columnar kernel's sweep applies it)."""
         if delta_ticks < 0:
             raise ValueError("time must not run backwards")
         self._tacc += delta_ticks * self.num_cells
         steps = self._tacc // self.TICKS_PER_PERIOD
         self._tacc -= steps * self.TICKS_PER_PERIOD
-        return self._take(steps)
+        return steps
 
     def on_elapsed(self, period_fraction: float) -> List[int]:
         """Slots to scan after ``period_fraction`` of a period elapsed.

@@ -25,6 +25,7 @@ API turns a free cell's key back into ``None``.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs, sanitize
@@ -164,8 +165,11 @@ class LTC(StreamSummary):
     def insert(self, item: int) -> None:
         """Process one arrival (count-based CLOCK advancement).
 
-        Raises ``ValueError`` for a key outside ``[0, MAX_KEY]``.
+        Raises ``TypeError`` for a key that is not an int (numpy integers
+        count, as plain ints) and ``ValueError`` for one outside ``[0,
+        MAX_KEY]``.
         """
+        item = operator.index(item)
         if not 0 <= item <= MAX_KEY:
             raise out_of_range(item)
         self._place(item)
@@ -185,14 +189,14 @@ class LTC(StreamSummary):
         exactly the arrival position where the one-at-a-time path would
         take them.  ``counts`` weights the batch as in
         :meth:`repro.summaries.base.StreamSummary.insert_many`.  The
-        whole batch is checked first, so a key outside ``[0, MAX_KEY]``
-        raises ``ValueError`` with the table untouched.
+        whole batch is checked first, so a key that is not an int raises
+        ``TypeError``, and one outside ``[0, MAX_KEY]`` ``ValueError``,
+        with the table untouched.
         """
         items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
-        if not isinstance(items, (list, tuple)):
-            items = list(items)
+        items = list(map(operator.index, items))
         total = len(items)
         if total and (min(items) < 0 or max(items) > MAX_KEY):
             raise out_of_range(next(k for k in items if not 0 <= k <= MAX_KEY))
@@ -235,10 +239,11 @@ class LTC(StreamSummary):
         are quantised to absolute integer ticks and the CLOCK is driven by
         the tick *delta*, so the sweep state depends only on the latest
         timestamp — not on how the interval happened to be split across
-        arrivals (or across a checkpoint/restore).  Raises ``ValueError``
-        for a key outside ``[0, MAX_KEY]``.
+        arrivals (or across a checkpoint/restore).  Keys are checked as
+        by :meth:`insert`.
         """
         ticks = self._elapsed_ticks(timestamp, period_seconds)
+        item = operator.index(item)
         if not 0 <= item <= MAX_KEY:
             raise out_of_range(item)
         self._place(item)
@@ -533,7 +538,9 @@ class LTC(StreamSummary):
         self._freqs[:] = [0] * m
         self._counters[:] = [0] * m
         self._flags[:] = [0] * m
-        self._clock = ClockPointer(m, self.config.items_per_period)
+        # In place too: the columnar kernel's CLOCK fields are views of
+        # its compiled state.
+        self._clock.reset()
         self._parity = 0
         self._set_bit = 1
         self._harvest_bit = 2 if self._de else 1

@@ -266,8 +266,7 @@ def install_ltc(ltc: "LTC") -> None:
     def _swept_since(start_hand: int, start_scanned: int) -> range:
         # The hand alone is ambiguous after a full-table sweep (it ends
         # where it started), so measure via the monotone per-period scan
-        # counter instead.  ltc._clock is re-read on every call because
-        # clear() replaces the ClockPointer instance.
+        # counter instead.
         swept = min(ltc._clock.scanned_in_period - start_scanned, m)
         return range(start_hand, start_hand + swept)
 

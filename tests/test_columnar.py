@@ -13,7 +13,9 @@ build is pinned too.
 
 from __future__ import annotations
 
+import operator
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +30,14 @@ from repro.core.keyed import KeyedSummary
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.core.merge import merge
-from repro.core.serialize import EMPTY_KEY, MAX_KEY, from_bytes, to_bytes
+from repro.core.serialize import (
+    EMPTY_KEY,
+    MAX_KEY,
+    from_bytes,
+    from_state,
+    to_bytes,
+    to_state,
+)
 from repro.hashing.family import splitmix64
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
@@ -752,6 +761,188 @@ class TestTimedDifferential:
         assert _counters(registries[0]) == _counters(registries[1])
 
 
+#: The paper's 8 KB point with a period short enough for four boundaries.
+PAPER_PERIOD = 1500
+PAPER_CONFIG = LTCConfig(
+    num_buckets=85, bucket_width=8, alpha=1.0, beta=1.0,
+    items_per_period=PAPER_PERIOD,
+)
+
+
+class TestPerEventPaperGeometry:
+    """``ColumnarLTC.insert`` is one kernel call; at w=85, d=8 and across
+    four period boundaries it must leave what the reference's per-event
+    ``insert`` leaves: counters, served answers and checkpoint bytes."""
+
+    EVENTS = bursty_churn(4 * PAPER_PERIOD, 3_000, seed=24)
+
+    def periods(self):
+        for start in range(0, len(self.EVENTS), PAPER_PERIOD):
+            yield self.EVENTS[start : start + PAPER_PERIOD]
+
+    def test_counters_equal(self):
+        (ref, col), registries = metered_pair(PAPER_CONFIG)
+        for period in self.periods():
+            for item in period:
+                ref.insert(item)
+                col.insert(item)
+            ref.end_period()
+            col.end_period()
+            assert _counters(registries[0]) == _counters(registries[1])
+        assert_identical(ref, col)
+        counts = _counters(registries[1])
+        assert all(
+            counts[name][1] > 0
+            for name in ("ltc_evictions_total", "ltc_longtail_replacements_total",
+                         "ltc_harvests_total")
+        )
+
+    def test_served_answers_equal_oracle(self):
+        from repro.serve.index import ServingIndex
+        from repro.serve.oracle import (
+            canonical_json,
+            oracle_query,
+            oracle_top_k,
+            query_payload,
+            reports_payload,
+        )
+
+        pair = [LTC(PAPER_CONFIG), ColumnarLTC(PAPER_CONFIG)]
+        indexes = [ServingIndex(ltc) for ltc in pair]
+
+        def answers(ltc, index):
+            served = [canonical_json(reports_payload(index.top_k(40)))]
+            assert served[0] == canonical_json(oracle_top_k(ltc, 40)["results"])
+            for item in self.EVENTS[:: PAPER_PERIOD // 4]:
+                got = canonical_json(query_payload(item, *index.query(item)))
+                assert got == canonical_json(oracle_query(ltc, item))
+                served.append(got)
+            return served
+
+        for period in self.periods():
+            for start in range(0, len(period), 500):
+                for item in period[start : start + 500]:
+                    for ltc in pair:
+                        ltc.insert(item)
+                assert answers(pair[0], indexes[0]) == answers(pair[1], indexes[1])
+            for ltc in pair:
+                ltc.end_period()
+            assert answers(pair[0], indexes[0]) == answers(pair[1], indexes[1])
+
+    def test_mid_period_checkpoint_matches_and_continues(self):
+        ref, col = LTC(PAPER_CONFIG), ColumnarLTC(PAPER_CONFIG)
+        cut = 2 * PAPER_PERIOD + PAPER_PERIOD // 3
+        for i, item in enumerate(self.EVENTS):
+            if i == cut:
+                blob = to_bytes(col)
+                assert blob == to_bytes(ref)
+                col = from_bytes(blob, cls=ColumnarLTC)
+                assert col.period_fill == ref.period_fill == PAPER_PERIOD // 3
+            ref.insert(item)
+            col.insert(item)
+            if (i + 1) % PAPER_PERIOD == 0:
+                ref.end_period()
+                col.end_period()
+        assert_identical(ref, col)
+        assert to_bytes(ref) == to_bytes(col)
+
+    def test_insert_is_one_kernel_call(self):
+        """With metrics off and no listener, ``insert`` calls into C once
+        and calls no Python function."""
+        col = ColumnarLTC(PAPER_CONFIG)
+        seen = []
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                seen.append((event, getattr(arg, "__qualname__", frame.f_code.co_name)))
+
+        sys.setprofile(profile)
+        try:
+            col.insert(7)
+        finally:
+            sys.setprofile(None)
+        assert seen[:2] == [("call", "insert"), ("c_call", "Kernel.insert")]
+        assert seen[2:] == [("c_call", "setprofile")]
+        assert col.estimate(7) == (1, 0)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("hand", 680), ("hand", -1), ("scanned_in_period", 681),
+         ("acc", PAPER_PERIOD), ("acc", -1)],
+    )
+    def test_out_of_range_clock_refused_at_restore(self, kernel, field, bad):
+        """The restore refuses a bad CLOCK before it writes any of it; the
+        compiled kernel's own fields refuse it too."""
+        ltc = build_ltc(PAPER_CONFIG.with_options(kernel=kernel))
+        ltc.insert_many(self.EVENTS[:100])
+        state = to_state(ltc)
+        state["clock"][field] = bad
+        with pytest.raises(ValueError, match="corrupt LTC image"):
+            from_state(state, cls=KERNELS[kernel])
+        if kernel == "columnar":
+            before = to_bytes(ltc)
+            with pytest.raises(ValueError, match="CLOCK state out of range"):
+                setattr(ltc._clock, {"acc": "_acc"}.get(field, field), bad)
+            assert to_bytes(ltc) == before
+
+
+#: One step of an interleaved drive: (operation, key or keys, time step).
+OPS = st.one_of(
+    st.tuples(st.just("insert"), st.integers(0, 60)),
+    st.tuples(st.just("insert_many"), st.lists(st.integers(0, 60), max_size=40)),
+    st.tuples(st.just("insert_timed"), st.integers(0, 60),
+              st.floats(0.0, 0.4, allow_nan=False)),
+    st.tuples(st.just("end_period")),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("restore")),
+)
+
+
+class TestInterleavedDifferential:
+    """Every mutator, interleaved at random, checkpoint restores and
+    ``clear`` included: both kernels end in the same state."""
+
+    @given(
+        w=st.sampled_from([1, 3, 85]),
+        d=st.sampled_from([1, 2, 8]),
+        period=st.integers(1, 40),
+        policy=st.sampled_from(["longtail", "one", "space-saving"]),
+        de=st.booleans(),
+        ops=st.lists(OPS, max_size=60),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_same_state_on_both_kernels(self, w, d, period, policy, de, ops):
+        config = LTCConfig(
+            num_buckets=w, bucket_width=d, alpha=1.0, beta=1.0,
+            items_per_period=period, replacement_policy=policy,
+            deviation_eliminator=de,
+        )
+        pair, registries = metered_pair(config)
+        now = 0.0
+        for op in ops:
+            if op[0] == "restore":
+                pair = [
+                    TestTimedDifferential._restore(ltc, registry)
+                    for ltc, registry in zip(pair, registries)
+                ]
+                continue
+            if op[0] == "insert_timed":
+                now += op[2]
+            for ltc in pair:
+                if op[0] == "insert_timed":
+                    ltc.insert_timed(op[1], now, 1.0)
+                else:
+                    getattr(ltc, op[0])(*op[1:])
+        ref, col = pair
+        assert type(col) is ColumnarLTC
+        assert_identical(ref, col)
+        assert ref._clock._tacc == col._clock._tacc
+        assert ref._last_timestamp == col._last_timestamp
+        assert to_bytes(ref) == to_bytes(col)
+        assert _counters(registries[0]) == _counters(registries[1])
+
+
 class TestKeyDomain:
     @pytest.mark.parametrize(
         "batch",
@@ -804,6 +995,58 @@ class TestKeyDomain:
         assert keyed.query(-1) == keyed.query(2**64 - 1) > 0
 
 
+#: Keys that index to plain ints: numpy integers of both signs and a bool.
+INDEX_KEYS = [np.int64(5), np.uint64(2**63 + 7), True, np.int64(5),
+              np.uint64(9), True, np.int32(5), np.uint64(2**63 + 7)]
+
+
+class TestKeyNormalisation:
+    """Both kernels take a key that is an int by ``__index__`` as that
+    int: a numpy integer never reaches the hash or a cell, per event,
+    batched or timed."""
+
+    @staticmethod
+    def _drive(ltc, keys, mode):
+        if mode == "batch":
+            ltc.insert_many(keys)
+        for i, key in enumerate(keys):
+            if mode == "per-event":
+                ltc.insert(key)
+            elif mode == "timed":
+                ltc.insert_timed(key, 0.3 * i, 1.0)
+        ltc.end_period()
+        return ltc
+
+    @pytest.mark.parametrize("mode", ["per-event", "batch", "timed"])
+    def test_index_keys_match_plain_ints(self, mode):
+        config = LTCConfig(num_buckets=4, bucket_width=2, items_per_period=4)
+        plain = self._drive(
+            LTC(config), [operator.index(k) for k in INDEX_KEYS], mode
+        )
+        for cls in (LTC, ColumnarLTC):
+            fed = self._drive(cls(config), INDEX_KEYS, mode)
+            assert list(fed.cells()) == list(plain.cells())
+            assert {type(cv.key) for cv in fed.cells() if not cv.empty} == {int}
+            assert all(type(r.item) is int for r in fed.top_k(8))
+            assert to_bytes(fed) == to_bytes(plain)
+        assert plain.estimate(2**63 + 7) == (2, 0)
+
+    @pytest.mark.parametrize("kernel", [LTC, ColumnarLTC], ids=["reference", "columnar"])
+    def test_non_int_keys_refused_by_both_kernels(self, kernel):
+        config = LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
+        ltc = kernel(config)
+        ltc.insert_many([3, 4, 3])
+        before = to_bytes(ltc)
+        for bad in (1.5, "7", np.float64(2.0)):
+            with pytest.raises(TypeError):
+                ltc.insert(bad)
+            with pytest.raises(TypeError):
+                ltc.insert_timed(bad, 1.0, 1.0)
+            with pytest.raises(TypeError):
+                ltc.insert_many([1, bad])
+        assert to_bytes(ltc) == before
+
+
 class TestBuild:
     """The compiled kernel's loader (``repro.core.ckernel``)."""
 
@@ -834,6 +1077,46 @@ class TestBuild:
             assert not (tmp_path / "repro").exists() or not any(
                 (tmp_path / "repro").iterdir()
             )
+        finally:
+            ckernel.load.cache_clear()
+
+    def test_no_python_headers_is_a_clear_error(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ckernel, "include_dir", lambda: tmp_path / "include")
+        ckernel.load.cache_clear()
+        try:
+            config = LTCConfig(num_buckets=2, bucket_width=4, kernel="columnar")
+            with pytest.raises(RuntimeError, match="Python.h"):
+                build_ltc(config)
+            ref = build_ltc(config.with_options(kernel="reference"))
+            ref.insert_many([1, 2, 1])
+            assert ref.estimate(1) == (2, 0)
+            assert not (tmp_path / "repro").exists() or not any(
+                (tmp_path / "repro").iterdir()
+            )
+        finally:
+            ckernel.load.cache_clear()
+
+    def test_interpreter_abi_keys_the_cache(self, tmp_path, monkeypatch):
+        """Interpreters sharing a cache never load each other's module:
+        the extension suffix and the SOABI both change the name."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        suffix, soabi = ckernel.abi()
+        built = []
+        try:
+            for abi in (
+                (suffix, soabi),
+                (suffix, soabi + "-other"),
+                (".cpython-399-other.so", soabi),
+            ):
+                monkeypatch.setattr(ckernel, "abi", lambda abi=abi: abi)
+                ckernel.load.cache_clear()
+                module = ckernel.load()
+                names = {p.name for p in (tmp_path / "repro").iterdir()}
+                (new,) = names - set(built)
+                assert new.endswith(abi[0])
+                assert module.__file__ == str(tmp_path / "repro" / new)
+                built.append(new)
         finally:
             ckernel.load.cache_clear()
 
@@ -988,3 +1271,27 @@ class TestHooksContractSynchronousListener:
             if rng.random() < 0.2:
                 col.end_period()
                 self._assert_mirror_settled(mirror, col)
+
+    def test_each_call_reports_only_the_cells_it_changed(self):
+        """The touched mask is cleared after every call, per event or
+        batched, and a call that changes no cell notifies nobody."""
+        config = LTCConfig(num_buckets=8, bucket_width=2, items_per_period=1000)
+        col = ColumnarLTC(config)
+        (a,), (b,) = colliding_keys(col, 0, 1), colliding_keys(col, 5, 1)
+        seen = []
+
+        class Recorder:
+            def cells_touched(self, slots):
+                seen.append(sorted(slots))
+
+            def cells_reset(self):
+                seen.append("reset")
+
+        col.attach_cell_listener(Recorder())
+        col.insert(a)
+        col.insert(b)
+        col.insert_many([b, b])
+        col.insert_timed(a, 0.0, 1.0)
+        col.end_period()  # harvests nothing: no flag is a harvest flag yet
+        col.clear()
+        assert seen == [[0], [10], [10], [0], "reset"]
