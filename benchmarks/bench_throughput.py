@@ -25,6 +25,7 @@ from repro.metrics.throughput import (
     ThroughputResult,
     measure_query_throughput,
     measure_throughput,
+    run_per_event,
 )
 
 BENCH_JSON = pathlib.Path(__file__).parent.parent / "BENCH_throughput.json"
@@ -423,8 +424,8 @@ def test_throughput_columnar(benchmark):
     for label, buckets in gated.items():
         config = config_for(buckets)
         ref, col = LTC(config), ColumnarLTC(config)
-        stream.run(ref, batched=True)
-        stream.run(col, batched=True)
+        stream.run(ref)
+        stream.run(col)
         assert list(ref.cells()) == list(col.cells()), (
             f"columnar diverged from the reference LTC at {label}"
         )
@@ -598,8 +599,8 @@ def test_throughput_baselines(benchmark):
     # Differential gate: outside the timed region, fresh instances.
     for name, factory in factories.items():
         one, many = factory(), factory()
-        stream.run(one)
-        stream.run(many, batched=True)
+        run_per_event(stream, one)
+        stream.run(many)
         assert one.reported_pairs(100) == many.reported_pairs(100), (
             f"{name}: batched ingestion diverged from per-event"
         )

@@ -9,12 +9,14 @@ optimisation:
     PYTHONPATH=src python benchmarks/profile_hotspots.py \
         --lineup persistent --events 200000 --top 30
 
-It profiles one full ``run_and_evaluate`` sweep (the unit every figure
-benchmark repeats) and prints the top-N functions by cumulative time.
-Comparing the default and ``--batched`` outputs shows exactly which
-per-event loops the PR-4 batch paths removed — in per-event mode the
-summaries' ``insert`` frames dominate; batched, the numpy kernels and
-the remaining replay loops do.
+It profiles one ingest sweep over a comparison line-up — every summary
+fed the whole stream through ``repro.metrics.throughput.measure_throughput``
+— and prints the top-N functions by cumulative time.  By default each
+arrival goes through ``insert`` (the per-event replay); ``--batched``
+feeds each period to ``insert_many`` as ``PeriodicStream.run`` does.
+Comparing the two outputs shows exactly which per-event loops the batch
+paths remove — per event the summaries' ``insert`` frames dominate;
+batched, the numpy kernels and the remaining replay loops do.
 
 ``--kernel`` pins the LTC implementation for the sweep (the line-up
 default otherwise).  For ``--kernel columnar`` the script additionally
@@ -123,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--batched",
         action="store_true",
-        help="drive the sweep through the insert_many fast paths",
+        help="feed each period to insert_many (PeriodicStream.run) instead "
+        "of replaying it one insert at a time",
     )
     parser.add_argument(
         "--kernel",
@@ -162,9 +165,8 @@ def main(argv: "list[str] | None" = None) -> int:
         default_algorithms_persistent,
         default_algorithms_significant,
     )
-    from repro.experiments.runner import run_and_evaluate
     from repro.metrics.memory import MemoryBudget, kb
-    from repro.streams.ground_truth import GroundTruth
+    from repro.metrics.throughput import measure_throughput
     from repro.streams.synthetic import zipf_stream
 
     stream = zipf_stream(
@@ -188,12 +190,9 @@ def main(argv: "list[str] | None" = None) -> int:
         factories = default_algorithms_significant(
             budget, stream, args.k, 1.0, 1.0, **ltc_options
         )
-    # Oracle outside the profile: it is setup, not sweep work.
-    truth = GroundTruth(stream)
-
     mode = "batched" if args.batched else "per-event"
     print(
-        f"profiling run_and_evaluate: {args.lineup} line-up, "
+        f"profiling ingest: {args.lineup} line-up, "
         f"{args.events} events ({mode})",
         file=sys.stderr,
     )
@@ -209,15 +208,10 @@ def main(argv: "list[str] | None" = None) -> int:
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        results = run_and_evaluate(
-            factories,
-            stream,
-            args.k,
-            1.0,
-            1.0,
-            truth=truth,
-            batched=args.batched,
-        )
+        results = [
+            measure_throughput(factory, stream, name=name, batched=args.batched)
+            for name, factory in factories.items()
+        ]
     finally:
         profiler.disable()
         if timer is not None:
@@ -231,10 +225,7 @@ def main(argv: "list[str] | None" = None) -> int:
         stats.dump_stats(args.out)
         print(f"raw pstats written to {args.out}", file=sys.stderr)
     for result in results:
-        print(
-            f"# {result.name}: precision={result.precision:.3f} "
-            f"are={result.are:.3g}"
-        )
+        print(f"# {result}")
     return 0
 
 

@@ -23,9 +23,10 @@ ltc = LTC.from_memory(
 #   ltc = LTC(LTCConfig(num_buckets=213, bucket_width=8, alpha=1.0,
 #                       beta=1.0, items_per_period=stream.period_length))
 
-# 3. Feed the stream.  stream.run() calls insert() per arrival,
+# 3. Feed the stream.  stream.run() hands each period to insert_many()
+#    (identical, cell for cell, to calling insert() per arrival), calls
 #    end_period() at boundaries and finalize() at the end; you can also
-#    drive those three methods yourself.
+#    drive those methods yourself.
 stream.run(ltc)
 
 # 4. Query.

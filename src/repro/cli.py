@@ -16,10 +16,9 @@ Subcommands:
 
 Every run subcommand accepts ``--metrics-out PATH``: observability is
 enabled for the run (:mod:`repro.obs`) and the registry snapshot is
-written to ``PATH`` as JSON on the way out.  It also accepts
-``--batched``: summaries ingest whole-period batches through their
-``insert_many`` fast paths; results are differentially pinned identical
-to per-event ingestion, so only wall-clock changes.
+written to ``PATH`` as JSON on the way out.  Summaries ingest each period
+as one ``insert_many`` batch (``PeriodicStream.run``); ``throughput``
+times that path beside the per-event ``insert`` replay.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from repro.experiments.configs import (
 from repro.experiments.report import format_table
 from repro.experiments.runner import run_and_evaluate
 from repro.metrics.memory import MemoryBudget, kb
-from repro.metrics.throughput import measure_throughput
+from repro.metrics.throughput import compare_modes
 from repro.streams.ground_truth import GroundTruth
 
 
@@ -60,13 +59,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="LTC implementation to build (repro.core.kernels): the "
         "paper-faithful reference or the columnar kernel, whose update is "
         "one compiled C loop — observably identical",
-    )
-    parser.add_argument(
-        "--batched",
-        action="store_true",
-        help="feed summaries whole-period batches through their insert_many "
-        "fast path (results are pinned identical to per-event ingestion; "
-        "only wall-clock changes)",
     )
     parser.add_argument(
         "--metrics-out",
@@ -183,7 +175,7 @@ def _demo(args: argparse.Namespace) -> int:
     stream = make_dataset(args.dataset)
     budget = MemoryBudget(kb(args.memory_kb))
     ltc = ltc_factory(budget, stream, args.alpha, args.beta, kernel=args.kernel)()
-    stream.run(ltc, batched=args.batched)
+    stream.run(ltc)
     truth = GroundTruth(stream)
     rows = []
     for report in ltc.top_k(args.k)[:20]:
@@ -222,9 +214,7 @@ def _line_up(args: argparse.Namespace, stream):
 def _compare(args: argparse.Namespace) -> int:
     stream = make_dataset(args.dataset)
     factories = _line_up(args, stream)
-    results = run_and_evaluate(
-        factories, stream, args.k, args.alpha, args.beta, batched=args.batched
-    )
+    results = run_and_evaluate(factories, stream, args.k, args.alpha, args.beta)
     print(stream.stats)
     print(
         format_table(
@@ -244,11 +234,15 @@ def _throughput(args: argparse.Namespace) -> int:
     factories = _line_up(args, stream)
     rows = []
     for name, factory in factories.items():
-        result = measure_throughput(
-            factory, stream, name=name, batched=args.batched
+        per_event, many = compare_modes(factory, stream, name=name, repeats=1)
+        rows.append((name, f"{per_event.mops:.3f}", f"{many.mops:.3f}"))
+    print(
+        format_table(
+            ["algorithm", "per-event Mops", "batched Mops"],
+            rows,
+            title=str(stream.stats),
         )
-        rows.append((name, f"{result.mops:.3f}"))
-    print(format_table(["algorithm", "Mops"], rows, title=str(stream.stats)))
+    )
     return 0
 
 

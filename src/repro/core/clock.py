@@ -62,29 +62,6 @@ class ClockPointer:
         self._acc -= steps * self.items_per_period
         return self._take(steps)
 
-    def on_arrivals(self, count: int) -> List[int]:
-        """Slots to scan for ``count`` count-based arrivals at once.
-
-        Floor sums telescope, so the returned slots are exactly the
-        concatenation of ``count`` successive :meth:`on_arrival` results —
-        one accumulator update instead of ``count``.
-        """
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        self._acc += count * self.num_cells
-        steps = self._acc // self.items_per_period
-        self._acc -= steps * self.items_per_period
-        return self._take(steps)
-
-    def arrivals_until_harvest(self) -> int:
-        """Future count-based arrivals guaranteed to harvest zero slots.
-
-        Batched ingestion places this many items back to back with no
-        CLOCK interaction, then lets the next arrival trigger the sweep
-        step — preserving the per-arrival harvest schedule exactly.
-        """
-        return (self.items_per_period - 1 - self._acc) // self.num_cells
-
     def on_elapsed_ticks(self, delta_ticks: int) -> List[int]:
         """Slots to scan after ``delta_ticks`` integer ticks elapsed.
 

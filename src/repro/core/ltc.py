@@ -184,22 +184,27 @@ class LTC(StreamSummary):
 
         Equivalent to ``insert`` per item, cell for cell: arrivals that
         provably trigger no CLOCK step are placed in a tight loop, then the
-        chunk's sweep steps are taken in one amortised pass (the inlined
-        form of :meth:`~repro.core.clock.ClockPointer.on_arrivals`) at
+        chunk's sweep steps are taken in one amortised pass (floor sums
+        telescope, so one accumulator update stands for the chunk's
+        :meth:`~repro.core.clock.ClockPointer.on_arrival` calls) at
         exactly the arrival position where the one-at-a-time path would
         take them.  ``counts`` weights the batch as in
         :meth:`repro.summaries.base.StreamSummary.insert_many`.  The
-        whole batch is checked first, so a key that is not an int raises
-        ``TypeError``, and one outside ``[0, MAX_KEY]`` ``ValueError``,
-        with the table untouched.
+        whole batch is checked first, in arrival order as the compiled
+        kernel does, so the first bad key raises — ``TypeError`` for a
+        key that is not an int, ``ValueError`` for one outside ``[0,
+        MAX_KEY]`` — with the table untouched.
         """
         items = as_items(items)
         if counts is not None:
             items = expand_counts(items, counts)
-        items = list(map(operator.index, items))
+        keys: List[int] = []
+        for key in map(operator.index, items):
+            if not 0 <= key <= MAX_KEY:
+                raise out_of_range(key)
+            keys.append(key)
+        items = keys
         total = len(items)
-        if total and (min(items) < 0 or max(items) > MAX_KEY):
-            raise out_of_range(next(k for k in items if not 0 <= k <= MAX_KEY))
         if self._m_batch is not None:
             self._m_batch.observe(total)
         place = self._place
@@ -214,9 +219,9 @@ class LTC(StreamSummary):
             obs_inserts.inc(total)
         i = 0
         while i < total:
-            # Inlined clock arithmetic (arrivals_until_harvest/on_arrivals):
-            # place every arrival that provably triggers no sweep step,
-            # plus the one that does, then take that chunk's steps at once.
+            # (n - 1 - acc) // m arrivals provably trigger no sweep step:
+            # place them, plus the one that does, then take that chunk's
+            # steps at once.
             j = i + (n - 1 - acc) // m + 1
             if j > total:
                 j = total

@@ -151,9 +151,11 @@ class WindowedLTC(StreamSummary):
         Consecutive duplicates fold: as soon as one arrival of a run
         lands the item in its bucket, every remaining copy is a pure
         hit — frequency += 1 with the period-presence bit already set —
-        so the tail collapses to a single float addition.  Only the
-        order-sensitive arrivals (misses that trigger the windowed
-        significance decrement) are replayed singly.
+        so the tail skips the hash and the bucket probe.  The ``1.0``s
+        are still added one at a time: once frequencies have decayed to
+        non-integers, ``f + 1.0 + 1.0`` and ``f + 2.0`` can round
+        differently.  Only the order-sensitive arrivals (misses that
+        trigger the windowed significance decrement) are replayed singly.
         """
         if counts is not None:
             items = expand_counts(items, counts)
@@ -176,8 +178,11 @@ class WindowedLTC(StreamSummary):
                 if i < run:
                     j = self._slot(item)
                     if j >= 0:
-                        freqs[j] += float(run - i)
-                        i = run
+                        freq = freqs[j]
+                        while i < run:
+                            freq += 1.0
+                            i += 1
+                        freqs[j] = freq
 
     def end_period(self) -> None:
         """Shift the window: age rings, decay frequencies, drop dead cells.

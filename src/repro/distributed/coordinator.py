@@ -44,14 +44,10 @@ class MergingCoordinator:
         config: The LTC configuration every site instantiates.  The
             count-based CLOCK needs each site's own period length, so the
             per-site config overrides ``items_per_period``.
-        batched: Ship each period to its site as one ``insert_many``
-            batch (the default; differentially tested to be identical to
-            per-event insertion, just faster).
     """
 
-    def __init__(self, config: LTCConfig, batched: bool = True) -> None:
+    def __init__(self, config: LTCConfig) -> None:
         self.config = config
-        self.batched = batched
 
     def run(
         self, site_streams: Sequence[PeriodicStream], k: int
@@ -82,7 +78,7 @@ class MergingCoordinator:
             )
             started = time.perf_counter()
             ltc = build_ltc(site_config)
-            stream.run(ltc, batched=self.batched)
+            stream.run(ltc)
             communication += len(to_bytes(ltc))
             site_timer.observe(time.perf_counter() - started)
             summaries.append(ltc)

@@ -12,7 +12,7 @@ converged; heavy churn flags regime change (or an attack — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Set
+from typing import Any, Iterable, List, Optional, Sequence, Set
 
 from repro.summaries.base import ItemReport
 
@@ -51,6 +51,12 @@ class TopKMonitor:
     def insert(self, item: int) -> None:
         """Forwarded arrival."""
         self.summary.insert(item)
+
+    def insert_many(
+        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
+    ) -> None:
+        """Forwarded batch of arrivals."""
+        self.summary.insert_many(items, counts)
 
     def end_period(self) -> None:
         """Forward the boundary, then snapshot the top-k and diff it."""

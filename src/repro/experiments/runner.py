@@ -71,12 +71,11 @@ def _run_metered(
     alpha: float,
     beta: float,
     name: str,
-    batched: bool = False,
 ) -> None:
     """Drive ``summary`` period by period, recording recall/ARE series.
 
-    Arrival for arrival this is exactly ``stream.run(summary)`` (insert
-    per event, ``end_period`` at each boundary, ``finalize`` at the end),
+    Call for call this is ``stream.run(summary)`` (``insert_many`` per
+    period, ``end_period`` at each boundary, ``finalize`` at the end),
     so the final report is identical to the unmetered path — the extra
     work is only the per-boundary top-k probe.  After every boundary the
     current report is scored against the *final* oracle: recall
@@ -107,15 +106,10 @@ def _run_metered(
         "runner_last_are", "ARE at the most recent boundary", labels=labels
     )
     exact = truth.top_k_items(k, alpha, beta)
+    insert_many = summary.insert_many
     end_period = getattr(summary, "end_period", None)
-    insert = summary.insert
-    insert_many = getattr(summary, "insert_many", None) if batched else None
     for period in stream.iter_periods():
-        if insert_many is not None:
-            insert_many(period)
-        else:
-            for item in period:
-                insert(item)
+        insert_many(period)
         if end_period is not None:
             end_period()
         reported = summary.reported_pairs(k)
@@ -139,7 +133,6 @@ def run_and_evaluate(
     alpha: float,
     beta: float,
     truth: GroundTruth | None = None,
-    batched: bool = False,
 ) -> "list[EvalResult]":
     """Build, run and score every summary in ``factories``.
 
@@ -157,21 +150,14 @@ def run_and_evaluate(
         beta: Persistency weight.
         truth: Pre-computed oracle (recomputed when omitted — pass it when
             sweeping many configurations over one stream).
-        batched: Feed each summary whole-period batches through its
-            ``insert_many`` fast path instead of per-event ``insert``.
-            Every summary's batch path is differentially pinned to the
-            per-event replay, so results are identical — only wall-clock
-            changes.
     """
     truth = truth or GroundTruth(stream)
     results = []
     for name, factory in factories.items():
         summary = factory()
         if obs.is_enabled():
-            _run_metered(
-                summary, stream, truth, k, alpha, beta, name, batched=batched
-            )
+            _run_metered(summary, stream, truth, k, alpha, beta, name)
         else:
-            stream.run(summary, batched=batched)
+            stream.run(summary)
         results.append(evaluate(summary, truth, k, alpha, beta, name=name))
     return results

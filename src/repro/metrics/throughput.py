@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.streams.model import PeriodicStream
 
@@ -78,6 +79,27 @@ def measure_query_throughput(
     return ThroughputResult(name=name, events=len(items), seconds=best)
 
 
+def run_per_event(stream: PeriodicStream, summary: Any) -> None:
+    """Replay ``stream`` through ``summary`` one ``insert(item)`` at a time.
+
+    The per-event twin of :meth:`PeriodicStream.run`: the same
+    ``end_period()`` at each boundary and ``finalize()`` at the end, but
+    every arrival goes through ``insert``.  It is the per-event side of
+    :func:`measure_throughput` and the reference every batch path is
+    differentially tested against.
+    """
+    insert = summary.insert
+    end_period = getattr(summary, "end_period", None)
+    for period in stream.iter_periods():
+        for item in period:
+            insert(item)
+        if end_period is not None:
+            end_period()
+    finalize = getattr(summary, "finalize", None)
+    if finalize is not None:
+        finalize()
+
+
 def measure_throughput(
     factory,
     stream: PeriodicStream,
@@ -89,19 +111,20 @@ def measure_throughput(
 
     Args:
         factory: Zero-argument callable building a fresh summary.
-        stream: The workload, driven through ``PeriodicStream.run``.
+        stream: The workload.
         name: Label for the result.
         repeats: Number of fresh runs; the fastest is reported (standard
             practice to suppress scheduler noise).
-        batched: Drive the stream through the ``insert_many`` fast path
-            (``PeriodicStream.run(batched=True)``) instead of per-event
-            inserts.
+        batched: Time ``PeriodicStream.run`` (one ``insert_many`` per
+            period) instead of the per-event replay
+            :func:`run_per_event`.
     """
+    drive = PeriodicStream.run if batched else run_per_event
     best = float("inf")
     for _ in range(max(1, repeats)):
         summary = factory()
         start = time.perf_counter()
-        stream.run(summary, batched=batched)
+        drive(stream, summary)
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
     return ThroughputResult(

@@ -100,10 +100,12 @@ class SmallSpacePersistent(StreamSummary):
         if self._m_batch is not None:
             self._m_batch.observe(len(items))
         arr = as_key_array(items)
-        if arr.size == 0:
+        if arr.size == 0 or self._threshold == 0:
             return
         hashes = self._family.hash_array(0, arr)
-        candidates = _np.flatnonzero(hashes < _np.uint64(self._threshold))
+        # hash < threshold, as ``<=`` so that the full-rate threshold
+        # 2**64 still fits in a uint64.
+        candidates = _np.flatnonzero(hashes <= _np.uint64(self._threshold - 1))
         if candidates.size == 0:
             return
         freq = self._freq

@@ -4,7 +4,7 @@ Following the paper's problem definition, a stream is a sequence of item
 arrivals divided into ``T`` equal-sized periods.  :class:`PeriodicStream`
 stores the arrivals (integer item identifiers) together with the period
 structure and knows how to drive any summary that implements the small
-protocol ``insert(item)`` / ``end_period()`` / ``finalize()``.
+protocol ``insert_many(items)`` / ``end_period()`` / ``finalize()``.
 """
 
 from __future__ import annotations
@@ -101,29 +101,20 @@ class PeriodicStream:
         for start, end in self.period_slices():
             yield self.events[start:end]
 
-    def run(self, summary: Any, *, batched: bool = False) -> None:
-        """Feed the entire stream through ``summary``.
+    def run(self, summary: Any) -> None:
+        """Feed the entire stream through ``summary``, one period at a time.
 
-        Calls ``summary.insert(item)`` for every arrival, ``end_period()``
-        after each period boundary if the summary defines it, and
-        ``finalize()`` once at the end if defined.
-
-        With ``batched=True`` each whole-period slice is handed to
-        ``summary.insert_many(items)`` instead — the amortised fast path
-        for summaries that override it (LTC, ColumnarLTC, and via the
-        :class:`~repro.summaries.base.StreamSummary` default every other
-        summary).  Both modes produce identical summary state; batched
-        mode only changes the per-arrival interpreter overhead.
+        Calls ``summary.insert_many(period)`` with each period's arrivals,
+        ``end_period()`` after each period boundary if the summary defines
+        it, and ``finalize()`` once at the end if defined.  Every
+        summary's ``insert_many`` is pinned replay-identical to per-event
+        ``insert`` (the per-event replay itself is
+        :func:`repro.metrics.throughput.run_per_event`).
         """
+        insert_many = summary.insert_many
         end_period = getattr(summary, "end_period", None)
-        insert_many = getattr(summary, "insert_many", None) if batched else None
-        insert = summary.insert
         for period in self.iter_periods():
-            if insert_many is not None:
-                insert_many(period)
-            else:
-                for item in period:
-                    insert(item)
+            insert_many(period)
             if end_period is not None:
                 end_period()
         finalize = getattr(summary, "finalize", None)

@@ -1,14 +1,15 @@
 """Every baseline's ``insert_many`` ≡ per-event ``insert``, state for state.
 
-The PR-4 batched baseline engine gives every comparison summary a
-vectorised (or run-folded) batch fast path.  Correctness bar: not just
-equal reports, but *bit-identical internal state* after the batch — the
-same evictions must happen on any future suffix.  Each test drives one
-copy per event and one copy through whole-period ``insert_many`` batches
-(``PeriodicStream.run(batched=True)``) and compares full internals:
-counter dicts in insertion order, linked-list bucket order for
-Space-Saving, sketch tables, heap arrays + index, Bloom filter bits and
-STBF cell arrays.
+Every comparison summary has a vectorised (or run-folded) batch fast
+path.  Correctness bar: not just equal reports, but *bit-identical
+internal state* after the batch — the same evictions must happen on any
+future suffix.  Each test drives one copy per event
+(:func:`repro.metrics.throughput.run_per_event`) and one copy through
+whole-period ``insert_many`` batches (``PeriodicStream.run``) and
+compares full internals: counter dicts in insertion order, linked-list
+bucket order for Space-Saving, sketch tables, heap arrays + index, Bloom
+filter bits, STBF cell arrays, sampler dicts, the keyed adapter's
+reverse map and the windowed LTC's decayed frequencies.
 """
 
 from __future__ import annotations
@@ -20,9 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.combined.two_structure import TwoStructureSignificant
+from repro.core.keyed import KeyedSummary
+from repro.core.windowed import WindowedLTC
+from repro.distributed.sampling import CoordinatedSampler
 from repro.membership.bloom import BloomFilter
 from repro.membership.stbf import SpaceTimeBloomFilter
 from repro.metrics.memory import MemoryBudget, kb
+from repro.metrics.throughput import run_per_event
 from repro.persistent.pie import PIE
 from repro.persistent.sketch_persistent import SketchPersistent
 from repro.persistent.small_space import SmallSpacePersistent
@@ -92,6 +97,16 @@ def state_of(summary):
             summary._threshold,
             sorted(summary._seen_this_period),
         )
+    if isinstance(summary, CoordinatedSampler):
+        return (
+            list(summary._freq.items()),
+            list(summary._presence.items()),
+            summary._period,
+        )
+    if isinstance(summary, KeyedSummary):
+        return (list(summary._original.items()), state_of(summary.inner))
+    if isinstance(summary, WindowedLTC):
+        return (summary._keys, summary._freqs, summary._rings)
     if isinstance(summary, TwoStructureSignificant):
         return (
             summary.freq_sketch._tables,
@@ -124,9 +139,20 @@ def lineup(period_length):
         "SmallSpace": lambda: SmallSpacePersistent(
             capacity=48, sample_rate=0.4
         ),
+        # Full rate: the sampling threshold starts at 2**64.
+        "SmallSpace-full": lambda: SmallSpacePersistent(
+            capacity=48, sample_rate=1.0
+        ),
         "CU+CU": lambda: TwoStructureSignificant.from_memory(
             CUSketch, BUDGET, 32, 1.0, 1.0
         ),
+        "Sampler": lambda: CoordinatedSampler(sample_rate=0.3),
+        "Keyed-SS": lambda: KeyedSummary(
+            SpaceSaving.from_memory(BUDGET), reverse_capacity=64
+        ),
+        # window=3 decays frequencies by 2/3 at every boundary, so hits
+        # after the first period add 1.0 to non-integer floats.
+        "Windowed": lambda: WindowedLTC.from_memory(BUDGET, window=3),
     }
 
 
@@ -152,8 +178,8 @@ class TestBatchedRunIdentity:
         )
         factory = lineup(stream.period_length)[name]
         one, many = factory(), factory()
-        stream.run(one)
-        stream.run(many, batched=True)
+        run_per_event(stream, one)
+        stream.run(many)
         assert state_of(one) == state_of(many)
         assert one.reported_pairs(32) == many.reported_pairs(32)
 
@@ -351,17 +377,27 @@ class TestRunnerBatchedMode:
             factories[f"s:{name}"] = f
         return stream, factories
 
+    @staticmethod
+    def per_event_results(stream, factories, truth):
+        """``run_and_evaluate``'s results with every summary replayed one
+        ``insert`` at a time."""
+        from repro.experiments.runner import evaluate
+
+        results = []
+        for name, factory in factories.items():
+            summary = factory()
+            run_per_event(stream, summary)
+            results.append(evaluate(summary, truth, 20, 1.0, 1.0, name=name))
+        return results
+
     def test_run_and_evaluate_batched_identical(self):
         from repro.experiments.runner import run_and_evaluate
         from repro.streams.ground_truth import GroundTruth
 
         stream, factories = self.make()
         truth = GroundTruth(stream)
-        plain = run_and_evaluate(factories, stream, 20, 1.0, 1.0, truth=truth)
-        batched = run_and_evaluate(
-            factories, stream, 20, 1.0, 1.0, truth=truth, batched=True
-        )
-        assert batched == plain
+        batched = run_and_evaluate(factories, stream, 20, 1.0, 1.0, truth=truth)
+        assert batched == self.per_event_results(stream, factories, truth)
 
     def test_metered_batched_identical(self):
         """The obs-enabled runner path feeds insert_many too."""
@@ -373,12 +409,10 @@ class TestRunnerBatchedMode:
         truth = GroundTruth(stream)
         try:
             obs.enable()
-            plain = run_and_evaluate(
-                factories, stream, 20, 1.0, 1.0, truth=truth
-            )
+            plain = self.per_event_results(stream, factories, truth)
             obs.enable()
             batched = run_and_evaluate(
-                factories, stream, 20, 1.0, 1.0, truth=truth, batched=True
+                factories, stream, 20, 1.0, 1.0, truth=truth
             )
         finally:
             obs.disable()

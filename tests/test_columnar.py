@@ -39,13 +39,14 @@ from repro.core.serialize import (
     to_state,
 )
 from repro.hashing.family import splitmix64
+from repro.metrics.throughput import run_per_event
 from repro.obs.registry import MetricsRegistry
 from tests.conftest import make_stream
 
 def run_pair(events, num_periods, *, batch=None, per_event=False, **cfg):
     """Drive LTC / ColumnarLTC over the same stream.
 
-    The reference copy ingests per event through ``PeriodicStream.run``;
+    The reference copy ingests per event through ``run_per_event``;
     the columnar copy ingests through ``insert_many`` in batches of
     ``batch`` (whole periods when ``None``) with ``end_period`` at every
     boundary — the exact call pattern whose reordering is under test —
@@ -64,9 +65,9 @@ def run_pair(events, num_periods, *, batch=None, per_event=False, **cfg):
     slow, col = LTC(config), ColumnarLTC(config)
     if events:
         stream = make_stream(events, num_periods=num_periods)
-        stream.run(slow)
+        run_per_event(stream, slow)
         if per_event:
-            stream.run(col)
+            run_per_event(stream, col)
             return slow, col
         for period in stream.iter_periods():
             if batch is None:
@@ -169,8 +170,8 @@ class TestEquivalence:
             items_per_period=small_zipf.period_length,
         )
         ref, col = LTC(config), ColumnarLTC(config)
-        small_zipf.run(ref, batched=True)
-        small_zipf.run(col, batched=True)
+        small_zipf.run(ref)
+        small_zipf.run(col)
         assert_identical(ref, col)
         assert ref.top_k(50) == col.top_k(50)
 
@@ -206,8 +207,8 @@ class TestEquivalence:
         plain = ColumnarLTC(config.with_options(sanitize=False))
         checked = ColumnarLTC(config)
         stream = make_stream(events, num_periods=10)
-        stream.run(plain, batched=True)
-        stream.run(checked, batched=True)
+        stream.run(plain)
+        stream.run(checked)
         assert_identical(plain, checked)
 
     def test_counts_form_matches_expansion(self):
@@ -286,8 +287,8 @@ class TestAdversarialMissHeavy:
         rng = random.Random(17)
         events = [rng.choice(keys) for _ in range(5_000)]
         stream = make_stream(events, num_periods=10)
-        stream.run(ref, batched=True)
-        stream.run(col, batched=True)
+        stream.run(ref)
+        stream.run(col)
         assert_identical(ref, col)
         assert {cv.bucket for cv in col.cells() if not cv.empty} == {3}
 
@@ -1046,6 +1047,31 @@ class TestKeyNormalisation:
                 ltc.insert_many([1, bad])
         assert to_bytes(ltc) == before
 
+    @pytest.mark.parametrize("kernel", [LTC, ColumnarLTC], ids=["reference", "columnar"])
+    @pytest.mark.parametrize(
+        "batch, error",
+        [
+            ([-5, 1.5], ValueError),
+            ([1.5, -5], TypeError),
+            ([2, 2**64, "7"], ValueError),
+            ([2, "7", 2**64], TypeError),
+            ([1, np.int64(-1), np.float64(2.0)], ValueError),
+        ],
+        ids=["range-first", "type-first", "over-max-first", "str-first", "numpy"],
+    )
+    def test_first_bad_key_in_a_batch_decides_the_error(self, kernel, batch, error):
+        """Both kernels check a batch's keys in arrival order, so the
+        first bad key picks ``ValueError`` (out of range) or ``TypeError``
+        (not an int), and the table is left untouched."""
+        ltc = kernel(LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16))
+        ltc.insert_many([3, 4, 3])
+        before = to_bytes(ltc)
+        with pytest.raises(error):
+            ltc.insert_many(batch)
+        with pytest.raises(error):
+            ltc.insert_many(iter(batch))
+        assert to_bytes(ltc) == before
+
 
 class TestBuild:
     """The compiled kernel's loader (``repro.core.ckernel``)."""
@@ -1131,8 +1157,8 @@ class TestLifecycle:
         events = [rng.randrange(200) for _ in range(1_500)]
         ref, col = LTC(config), ColumnarLTC(config)
         stream = make_stream(events, num_periods=5)
-        stream.run(ref, batched=True)
-        stream.run(col, batched=True)
+        stream.run(ref)
+        stream.run(col)
         return ref, col
 
     def test_checkpoint_roundtrip_continues_identically(self):

@@ -81,7 +81,7 @@ class TestStreamModelAbuse:
 
     def test_run_propagates_summary_errors(self):
         class Exploding:
-            def insert(self, item):
+            def insert_many(self, items):
                 raise RuntimeError("boom")
 
         stream = PeriodicStream(events=[1, 2], num_periods=1)

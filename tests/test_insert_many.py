@@ -1,9 +1,11 @@
 """Batched ingestion ≡ per-event ingestion, cell for cell.
 
 The batch fast paths (``StreamSummary.insert_many`` overrides, the
-sketches' ``update_many``, ``PeriodicStream.run(batched=True)``) are pure
-mechanical accelerations: every test here pins their output exactly equal
-to the one-at-a-time reference on arbitrary streams and chunkings.
+sketches' ``update_many``, ``PeriodicStream.run``) are pure mechanical
+accelerations: every test here pins their output exactly equal to the
+one-at-a-time reference (``insert`` per event, or
+:func:`repro.metrics.throughput.run_per_event` for a whole stream) on
+arbitrary streams and chunkings.
 """
 
 from __future__ import annotations
@@ -15,59 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.clock import ClockPointer
 from repro.core.config import LTCConfig
 from repro.core.columnar import ColumnarLTC
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
+from repro.metrics.throughput import run_per_event
 from repro.sketches.count_min import CountMinSketch
 from repro.sketches.count_sketch import CountSketch
 from repro.sketches.cu import CUSketch
 from repro.streams.synthetic import zipf_stream
-
-# ----------------------------------------------------------------- clock
-
-
-class TestClockOnArrivals:
-    @given(
-        st.integers(1, 40),
-        st.integers(1, 60),
-        st.lists(st.integers(0, 25), max_size=60),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_on_arrivals_equals_repeated_on_arrival(self, m, n, counts):
-        a = ClockPointer(m, n)
-        b = ClockPointer(m, n)
-        for count in counts:
-            expected = []
-            for _ in range(count):
-                expected.extend(a.on_arrival())
-            assert b.on_arrivals(count) == expected
-            assert (a.hand, a._acc, a.scanned_in_period) == (
-                b.hand,
-                b._acc,
-                b.scanned_in_period,
-            )
-
-    @given(st.integers(1, 40), st.integers(1, 60), st.integers(0, 200))
-    @settings(max_examples=100, deadline=None)
-    def test_arrivals_until_harvest_is_exact(self, m, n, warmup):
-        """The promised free arrivals harvest nothing; the next one does
-        (unless the sweep is already complete for the period)."""
-        clock = ClockPointer(m, n)
-        for _ in range(warmup):
-            clock.on_arrival()
-        free = clock.arrivals_until_harvest()
-        assert free >= 0
-        for _ in range(free):
-            assert clock.on_arrival() == []
-        if clock.scanned_in_period < clock.num_cells:
-            assert clock.on_arrival() != []
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            ClockPointer(4, 10).on_arrivals(-1)
-
 
 # ------------------------------------------------------------- LTC family
 
@@ -357,8 +315,8 @@ class TestBatchedRun:
         )
         config = self.ltc_config(stream)
         one, many = LTC(config), cls(config)
-        stream.run(one)
-        stream.run(many, batched=True)
+        run_per_event(stream, one)
+        stream.run(many)
         assert list(one.cells()) == list(many.cells())
         assert one.top_k(50) == many.top_k(50)
 
@@ -373,8 +331,8 @@ class TestBatchedRun:
         )
         one = SketchTopK.from_memory(CountMinSketch, MemoryBudget(kb(2)), k=20)
         many = SketchTopK.from_memory(CountMinSketch, MemoryBudget(kb(2)), k=20)
-        stream.run(one)
-        stream.run(many, batched=True)
+        run_per_event(stream, one)
+        stream.run(many)
         assert one.top_k(20) == many.top_k(20)
         assert one.sketch._tables == many.sketch._tables
 
@@ -388,11 +346,13 @@ class TestBatchedRun:
         stream = TimeBinnedStream(events=events, boundaries=boundaries)
         config = self.ltc_config(stream)
         one, many = LTC(config), LTC(config)
-        stream.run(one)
-        stream.run(many, batched=True)
+        run_per_event(stream, one)
+        stream.run(many)
         assert list(one.cells()) == list(many.cells())
 
     def test_merging_coordinator_batched_matches_per_event(self):
+        from repro.core.merge import merge
+        from repro.core.serialize import to_bytes
         from repro.distributed.coordinator import MergingCoordinator
         from repro.distributed.partition import partition_sharded
 
@@ -404,7 +364,18 @@ class TestBatchedRun:
             num_buckets=16, bucket_width=4, alpha=1.0, beta=1.0,
             items_per_period=1,
         )
-        batched = MergingCoordinator(config).run(sites, k=30)
-        per_event = MergingCoordinator(config, batched=False).run(sites, k=30)
-        assert batched.top_k == per_event.top_k
-        assert batched.communication_bytes == per_event.communication_bytes
+        report = MergingCoordinator(config).run(sites, k=30)
+        tables = []
+        for site in sites:
+            ltc = build_ltc(
+                config.with_options(items_per_period=site.period_length)
+            )
+            run_per_event(site, ltc)
+            tables.append(ltc)
+        merged = merge(
+            tables,
+            num_periods=max(s.num_periods for s in sites),
+            check_period=False,
+        )
+        assert report.top_k == [(r.item, r.significance) for r in merged.top_k(30)]
+        assert report.communication_bytes == sum(len(to_bytes(t)) for t in tables)

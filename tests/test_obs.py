@@ -11,6 +11,7 @@ from repro import obs
 from repro.core.config import LTCConfig
 from repro.core.columnar import ColumnarLTC
 from repro.core.ltc import LTC
+from repro.metrics.throughput import run_per_event
 from repro.obs.registry import MetricsRegistry, NullRegistry, _NULL_METRIC
 from tests.conftest import make_stream
 
@@ -199,7 +200,7 @@ class TestInstrumentedLTC:
             items_per_period=max(1, len(events) // periods),
         )
         summary = cls(config)
-        make_stream(events, num_periods=periods).run(summary)
+        run_per_event(make_stream(events, num_periods=periods), summary)
         summary.finalize()
         return summary
 
@@ -233,7 +234,7 @@ class TestInstrumentedLTC:
         config = LTCConfig(num_buckets=2, bucket_width=2, items_per_period=100)
         col = ColumnarLTC(config)
         stream = make_stream(events, num_periods=4)
-        stream.run(col, batched=True)
+        stream.run(col)
         col.finalize()
         colv = {
             m["name"]: m["value"]
@@ -348,7 +349,7 @@ class TestBatchSizeHistogram:
         factories.update(default_algorithms_persistent(budget, stream, 10))
         reg = obs.enable()
         for factory in factories.values():
-            stream.run(factory(), batched=True)
+            stream.run(factory())
         labels = {
             m["labels"]["summary"]
             for m in reg.snapshot()["metrics"]
@@ -388,10 +389,10 @@ class TestBatchSizeHistogram:
         ):
             obs.disable()
             plain = factory()
-            stream.run(plain, batched=True)
+            stream.run(plain)
             obs.enable()
             metered = factory()
-            stream.run(metered, batched=True)
+            stream.run(metered)
             obs.disable()
             assert plain.reported_pairs(32) == metered.reported_pairs(32)
             assert vars(plain).keys() == vars(metered).keys()

@@ -71,8 +71,8 @@ class _Recorder:
     def __init__(self):
         self.log = []
 
-    def insert(self, item):
-        self.log.append(("insert", item))
+    def insert_many(self, items):
+        self.log.append(("insert_many", list(items)))
 
     def end_period(self):
         self.log.append(("end_period",))
@@ -87,11 +87,9 @@ class TestRunDriver:
         recorder = _Recorder()
         stream.run(recorder)
         assert recorder.log == [
-            ("insert", 1),
-            ("insert", 2),
+            ("insert_many", [1, 2]),
             ("end_period",),
-            ("insert", 3),
-            ("insert", 4),
+            ("insert_many", [3, 4]),
             ("end_period",),
             ("finalize",),
         ]
@@ -101,8 +99,8 @@ class TestRunDriver:
             def __init__(self):
                 self.count = 0
 
-            def insert(self, item):
-                self.count += 1
+            def insert_many(self, items):
+                self.count += len(items)
 
         stream = make_stream(range(6), num_periods=2)
         bare = Bare()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.windowed import WindowedLTC
 from repro.metrics.memory import MemoryBudget, kb
+from repro.metrics.throughput import run_per_event
 from tests.conftest import make_stream
 
 
@@ -184,3 +185,42 @@ class TestEviction:
         top = wltc.top_k(5)
         sigs = [r.significance for r in top]
         assert sigs == sorted(sigs, reverse=True)
+
+
+class TestInsertManyReplay:
+    def test_run_of_hits_on_decayed_frequency_adds_ones_singly(self):
+        """After a boundary the frequency is 2/3; eight more hits add
+        ``1.0`` eight times (8.666666666666668), which rounds differently
+        from one ``+ 8.0`` (8.666666666666666)."""
+        one = fresh(window=3, w=1, d=2, alpha=1.0, beta=1.0)
+        many = fresh(window=3, w=1, d=2, alpha=1.0, beta=1.0)
+        for wltc in (one, many):
+            wltc.insert(5)
+            wltc.end_period()
+        for _ in range(8):
+            one.insert(5)
+        many.insert_many([5] * 8)
+        assert many._freqs == one._freqs
+        assert many.estimate(5) == one.estimate(5)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 11), st.integers(1, 20)), max_size=40
+        ),
+        st.integers(1, 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_runs_across_boundaries_match_per_event(self, runs, periods):
+        events = [item for item, length in runs for _ in range(length)]
+        if not events:
+            return
+        stream = make_stream(events, num_periods=min(periods, len(events)))
+        one = fresh(window=3, w=4, d=2, alpha=1.0, beta=1.0)
+        many = fresh(window=3, w=4, d=2, alpha=1.0, beta=1.0)
+        run_per_event(stream, one)
+        stream.run(many)
+        assert (many._keys, many._freqs, many._rings) == (
+            one._keys,
+            one._freqs,
+            one._rings,
+        )
