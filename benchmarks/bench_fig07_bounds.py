@@ -40,7 +40,7 @@ def run_ltc(stream, w, d):
             alpha=1.0,
             beta=0.0,
             items_per_period=stream.period_length,
-            longtail_replacement=False,  # the bounds are for the basic+DE version
+            replacement_policy="one",  # the bounds are for the basic+DE version
         )
     )
     stream.run(ltc)

@@ -20,13 +20,13 @@ K = 200
 def run_pair(stream, truth, mem_kb, alpha, beta):
     exact = truth.top_k_items(K, alpha, beta)
     out = []
-    for ltr in (True, False):
+    for policy in ("longtail", "one"):
         ltc = ltc_factory(
             MemoryBudget(kb(mem_kb)),
             stream,
             alpha=alpha,
             beta=beta,
-            longtail_replacement=ltr,
+            replacement_policy=policy,
         )()
         stream.run(ltc)
         out.append(precision((r.item for r in ltc.top_k(K)), exact))

@@ -32,7 +32,7 @@ print(f"loaded {stream.stats} from {trace_path}")
 # --- 2. distribution check ------------------------------------------------
 report = is_long_tailed(sample_frequencies(stream.events, sample_size=20_000))
 print(f"distribution check: {report}")
-use_ltr = report.long_tailed
+policy = "longtail" if report.long_tailed else "one"
 
 # --- 3. checkpoint / restore ----------------------------------------------
 config = LTCConfig(
@@ -41,7 +41,7 @@ config = LTCConfig(
     alpha=1.0,
     beta=1.0,
     items_per_period=stream.period_length,
-    longtail_replacement=use_ltr,
+    replacement_policy=policy,
 )
 
 periods = list(stream.iter_periods())

@@ -264,7 +264,7 @@ def _check_longtail(args: argparse.Namespace) -> int:
         return 0
     print(
         "Distribution is not long-tailed; consider running LTC with "
-        "longtail_replacement=False (paper §III-D, Shortcoming)."
+        "replacement_policy='one' (paper §III-D, Shortcoming)."
     )
     return 1
 

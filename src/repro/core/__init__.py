@@ -19,7 +19,7 @@ from repro.core.kernels import build_ltc
 from repro.core.keyed import KeyedSummary
 from repro.core.ltc import LTC
 from repro.core.merge import merge
-from repro.core.serialize import from_bytes, from_state, to_bytes, to_state
+from repro.core.serialize import from_bytes, to_bytes
 from repro.core.windowed import WindowedLTC
 
 __all__ = [
@@ -32,8 +32,6 @@ __all__ = [
     "WindowedLTC",
     "KeyedSummary",
     "merge",
-    "to_state",
-    "from_state",
     "to_bytes",
     "from_bytes",
 ]

@@ -102,7 +102,7 @@ class ColumnarLTC(LTC):
             w=config.num_buckets, d=config.bucket_width,
             n=config.items_per_period, seed=splitmix64(config.seed),
             alpha=config.alpha, beta=config.beta,
-            policy=ckernel.POLICIES[config.effective_replacement_policy],
+            policy=ckernel.POLICIES[config.replacement_policy],
         )
         super().__init__(config)
         self._keys = memoryview(self._kcol)  # type: ignore[assignment]

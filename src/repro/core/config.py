@@ -22,11 +22,10 @@ class LTCConfig:
             (count-based periods).  Ignored when driving the structure with
             :meth:`repro.core.ltc.LTC.insert_timed`.
         deviation_eliminator: Enable Optimization I (two flags per cell).
-        longtail_replacement: Enable Optimization II (second-smallest − 1
-            initialisation on replacement).
-        replacement_policy: Overrides ``longtail_replacement`` for ablation
-            studies.  ``"longtail"`` = Optimization II; ``"one"`` = the
-            basic version's 1/0 initialisation; ``"space-saving"`` = no
+        replacement_policy: How a newcomer takes over a cell.
+            ``"longtail"`` (default) = Optimization II, the second-smallest
+            − 1 initialisation; ``"one"`` = the basic version's 1/0
+            initialisation; ``"space-saving"`` = the ablation with no
             Significance Decrementing at all — a full-bucket miss directly
             replaces the minimum cell and inherits its value + 1 (the
             Space-Saving strategy the paper argues against, §I-C).
@@ -54,8 +53,7 @@ class LTCConfig:
     beta: float = 1.0
     items_per_period: int = 1
     deviation_eliminator: bool = True
-    longtail_replacement: bool = True
-    replacement_policy: "str | None" = None
+    replacement_policy: str = "longtail"
     seed: int = 0x17C
     sanitize: bool = field(default=False, compare=False)
     kernel: str = field(default="reference", compare=False)
@@ -73,7 +71,7 @@ class LTCConfig:
             raise ValueError("alpha and beta cannot both be zero")
         if self.items_per_period < 1:
             raise ValueError("items_per_period must be >= 1")
-        if self.replacement_policy not in (None, "longtail", "one", "space-saving"):
+        if self.replacement_policy not in ("longtail", "one", "space-saving"):
             raise ValueError(
                 "replacement_policy must be 'longtail', 'one' or 'space-saving'"
             )
@@ -87,13 +85,6 @@ class LTCConfig:
         # checkpoint and `repro.core.merge._check_compatible` would
         # refuse the restore-then-merge flow.
         object.__setattr__(self, "seed", self.seed & 0xFFFFFFFFFFFFFFFF)
-
-    @property
-    def effective_replacement_policy(self) -> str:
-        """The policy in force (explicit override wins over the boolean)."""
-        if self.replacement_policy is not None:
-            return self.replacement_policy
-        return "longtail" if self.longtail_replacement else "one"
 
     @property
     def total_cells(self) -> int:

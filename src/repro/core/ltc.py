@@ -82,7 +82,7 @@ class LTC(StreamSummary):
         self._flags = bytearray(m)
         self._clock = ClockPointer(m, config.items_per_period)
         self._de = config.deviation_eliminator
-        self._policy = config.effective_replacement_policy
+        self._policy = config.replacement_policy
         self._ltr = self._policy == "longtail"
         self._parity = 0
         self._set_bit = 1

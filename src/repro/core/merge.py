@@ -108,9 +108,8 @@ def _check_compatible(a: LTC, b: LTC, *, check_period: bool = True) -> None:
         # the defensive pending-flag fold to mean the same thing.
         "deviation_eliminator",
         # Different policies produce cells with incomparable biases
-        # (e.g. space-saving overestimates); compare the *effective*
-        # policy so longtail_replacement=False equals policy="one".
-        "effective_replacement_policy",
+        # (e.g. space-saving overestimates).
+        "replacement_policy",
     ]
     if check_period:
         fields.append("items_per_period")

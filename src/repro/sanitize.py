@@ -199,7 +199,9 @@ def _check_ltc_clock(ltc: "LTC") -> None:
         )
 
 
-def check_ltc(ltc: "LTC", cells: Optional[Iterable[int]] = None) -> None:
+def check_ltc(
+    ltc: "LTC", cells: Optional[Iterable[int]] = None, *, persistency: bool = True
+) -> None:
     """Validate the structural invariants of an LTC (or subclass).
 
     ``cells`` restricts the scan to the given slot indices; the default
@@ -210,9 +212,10 @@ def check_ltc(ltc: "LTC", cells: Optional[Iterable[int]] = None) -> None:
     is caught at the mutation site — before the harvest that would
     materialise the violation.  The check is skipped for the
     ``space-saving`` ablation policy, which overestimates by design
-    (§I-C).
+    (§I-C), and when ``persistency`` is false (checkpoint restore, which
+    must read images written by builds that did not keep it).
     """
-    strong = ltc._policy != "space-saving"
+    strong = persistency and ltc._policy != "space-saving"
     for j in range(ltc.total_cells) if cells is None else cells:
         _check_ltc_cell(ltc, j, strong)
     _check_ltc_clock(ltc)

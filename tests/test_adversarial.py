@@ -83,7 +83,7 @@ class TestLTCRobustness:
         stream = grinder(num_periods=20, targets=15, grind_burst=40)
         truth = GroundTruth(stream)
         ltc = run_ltc(
-            stream, alpha=1.0, beta=1.0, buckets=16, longtail_replacement=False
+            stream, alpha=1.0, beta=1.0, buckets=16, replacement_policy="one"
         )
         exact = truth.top_k_items(15, 1.0, 1.0)
         suppressed = precision((r.item for r in ltc.top_k(15)), exact)

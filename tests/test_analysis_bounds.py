@@ -137,7 +137,7 @@ class TestBoundsAreConservative:
                 alpha=1.0,
                 beta=0.0,
                 items_per_period=stream.period_length,
-                longtail_replacement=False,
+                replacement_policy="one",
             )
         )
         stream.run(ltc)
@@ -161,7 +161,7 @@ class TestBoundsAreConservative:
                 alpha=1.0,
                 beta=0.0,
                 items_per_period=stream.period_length,
-                longtail_replacement=False,
+                replacement_policy="one",
             )
         )
         stream.run(ltc)

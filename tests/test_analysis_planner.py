@@ -77,7 +77,7 @@ class TestRecommendation:
                 alpha=1.0,
                 beta=0.0,
                 items_per_period=stream.period_length,
-                longtail_replacement=False,  # the bound's regime
+                replacement_policy="one",  # the bound's regime
             )
         )
         stream.run(ltc)

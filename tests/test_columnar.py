@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 import random
+import struct
 import sys
 
 import numpy as np
@@ -30,14 +31,7 @@ from repro.core.keyed import KeyedSummary
 from repro.core.kernels import KERNELS, build_ltc
 from repro.core.ltc import LTC
 from repro.core.merge import merge
-from repro.core.serialize import (
-    EMPTY_KEY,
-    MAX_KEY,
-    from_bytes,
-    from_state,
-    to_bytes,
-    to_state,
-)
+from repro.core.serialize import EMPTY_KEY, MAX_KEY, from_bytes, to_bytes
 from repro.hashing.family import splitmix64
 from repro.metrics.throughput import run_per_event
 from repro.obs.registry import MetricsRegistry
@@ -129,7 +123,7 @@ class TestEquivalence:
         slow, col = run_pair(
             events,
             periods,
-            longtail_replacement=ltr,
+            replacement_policy="longtail" if ltr else "one",
             deviation_eliminator=de,
         )
         assert_identical(slow, col)
@@ -270,7 +264,8 @@ class TestAdversarialMissHeavy:
         rng = random.Random(seed)
         events = rng.sample(range(10 * n), n)
         slow, col = run_pair(
-            events, periods, num_buckets=2, longtail_replacement=ltr
+            events, periods, num_buckets=2,
+            replacement_policy="longtail" if ltr else "one",
         )
         assert_identical(slow, col)
 
@@ -877,10 +872,16 @@ class TestPerEventPaperGeometry:
         compiled kernel's own fields refuse it too."""
         ltc = build_ltc(PAPER_CONFIG.with_options(kernel=kernel))
         ltc.insert_many(self.EVENTS[:100])
-        state = to_state(ltc)
-        state["clock"][field] = bad
+        # The image's header holds hand and scanned_in_period as uint32s
+        # at offsets 40 and 44 (-1 lands as 2**32 - 1) and acc as an
+        # int64 at 48.
+        offset, fmt = {
+            "hand": (40, "<i"), "scanned_in_period": (44, "<i"), "acc": (48, "<q")
+        }[field]
+        blob = bytearray(to_bytes(ltc))
+        struct.pack_into(fmt, blob, offset, bad)
         with pytest.raises(ValueError, match="corrupt LTC image"):
-            from_state(state, cls=KERNELS[kernel])
+            from_bytes(bytes(blob), cls=KERNELS[kernel])
         if kernel == "columnar":
             before = to_bytes(ltc)
             with pytest.raises(ValueError, match="CLOCK state out of range"):

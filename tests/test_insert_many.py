@@ -35,9 +35,7 @@ CONFIG_STRATEGY = st.fixed_dictionaries(
         "bucket_width": st.integers(1, 6),
         "items_per_period": st.integers(1, 60),
         "deviation_eliminator": st.booleans(),
-        "replacement_policy": st.sampled_from(
-            [None, "longtail", "one", "space-saving"]
-        ),
+        "replacement_policy": st.sampled_from(["longtail", "one", "space-saving"]),
     }
 )
 

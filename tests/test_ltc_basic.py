@@ -21,7 +21,7 @@ def one_bucket_ltc(
             alpha=alpha,
             beta=beta,
             items_per_period=items_per_period,
-            longtail_replacement=ltr,
+            replacement_policy="longtail" if ltr else "one",
             deviation_eliminator=de,
         )
     )
@@ -163,9 +163,9 @@ class TestFromMemory:
         ltc = LTC.from_memory(
             MemoryBudget(kb(12)),
             items_per_period=100,
-            longtail_replacement=False,
+            replacement_policy="one",
         )
-        assert not ltc.config.longtail_replacement
+        assert ltc.config.replacement_policy == "one"
 
 
 class TestSpaceSavingPolicy:

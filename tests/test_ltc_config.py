@@ -13,7 +13,7 @@ class TestValidation:
         config = LTCConfig(num_buckets=10, items_per_period=100)
         assert config.bucket_width == 8
         assert config.deviation_eliminator
-        assert config.longtail_replacement
+        assert config.replacement_policy == "longtail"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -44,30 +44,20 @@ class TestValidation:
     def test_with_options(self):
         config = LTCConfig(num_buckets=10, items_per_period=1)
         basic = config.with_options(
-            deviation_eliminator=False, longtail_replacement=False
+            deviation_eliminator=False, replacement_policy="one"
         )
         assert not basic.deviation_eliminator
-        assert not basic.longtail_replacement
+        assert basic.replacement_policy == "one"
         assert basic.num_buckets == 10
         assert config.deviation_eliminator  # original untouched
 
 
 class TestReplacementPolicy:
-    def test_default_policy_follows_boolean(self):
-        config = LTCConfig(num_buckets=1, items_per_period=1)
-        assert config.effective_replacement_policy == "longtail"
-        basic = config.with_options(longtail_replacement=False)
-        assert basic.effective_replacement_policy == "one"
-
-    def test_explicit_policy_overrides(self):
-        config = LTCConfig(
-            num_buckets=1,
-            items_per_period=1,
-            longtail_replacement=True,
-            replacement_policy="space-saving",
-        )
-        assert config.effective_replacement_policy == "space-saving"
-
     def test_rejects_unknown_policy(self):
         with pytest.raises(ValueError):
             LTCConfig(num_buckets=1, items_per_period=1, replacement_policy="x")
+
+    def test_rejects_none(self):
+        """One field names the policy; there is no unset value to resolve."""
+        with pytest.raises(ValueError):
+            LTCConfig(num_buckets=1, items_per_period=1, replacement_policy=None)

@@ -179,16 +179,6 @@ class TestKeyDomain:
         assert self.state(ltc) == before
         assert ltc._last_timestamp == 0.25
 
-    @pytest.mark.parametrize("key", BAD, ids=IDS)
-    def test_from_state(self, key):
-        from repro.core.serialize import from_state, to_state
-
-        state = to_state(self.seeded())
-        cell = next(c for c in state["cells"] if c["key"] is not None)
-        cell["key"] = key
-        with pytest.raises(ValueError, match=f"key {key} is outside"):
-            from_state(state)
-
     def test_free_cells_read_as_none(self):
         ltc = self.seeded()
         keys = [cv.key for cv in ltc.cells()]

@@ -17,7 +17,7 @@ def one_bucket(d, ltr, alpha=1.0, beta=0.0, n=1000) -> LTC:
             alpha=alpha,
             beta=beta,
             items_per_period=n,
-            longtail_replacement=ltr,
+            replacement_policy="longtail" if ltr else "one",
             deviation_eliminator=True,
         )
     )
@@ -123,7 +123,7 @@ class TestAccuracyEffect:
                     alpha=1.0,
                     beta=0.0,
                     items_per_period=stream.period_length,
-                    longtail_replacement=ltr,
+                    replacement_policy="longtail" if ltr else "one",
                 )
             )
             stream.run(ltc)
@@ -147,7 +147,7 @@ class TestAccuracyEffect:
                     alpha=1.0,
                     beta=0.0,
                     items_per_period=stream.period_length,
-                    longtail_replacement=ltr,
+                    replacement_policy="longtail" if ltr else "one",
                 )
             )
             stream.run(ltc)

@@ -74,16 +74,11 @@ class TestValidation:
             )
 
     def test_effective_policy_comparison(self):
-        """policy=None with longtail_replacement=False equals an explicit
-        'one' policy — and differs from the longtail default."""
-        merge(
-            [
-                self.make(longtail_replacement=False),
-                self.make(replacement_policy="one"),
-            ]
-        )
+        """'one' merges with 'one' and differs from the longtail default."""
+        one = dict(replacement_policy="one")
+        merge([self.make(**one), self.make(**one)])
         with pytest.raises(ValueError, match="replacement_policy"):
-            merge([self.make(), self.make(longtail_replacement=False)])
+            merge([self.make(), self.make(**one)])
 
     def test_incompatible_items_per_period(self):
         with pytest.raises(ValueError, match="items_per_period"):

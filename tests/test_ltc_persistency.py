@@ -17,7 +17,7 @@ def run_ltc(events, num_periods, **cfg) -> LTC:
         alpha=0.0,
         beta=1.0,
         items_per_period=stream.period_length,
-        longtail_replacement=False,
+        replacement_policy="one",
     )
     defaults.update(cfg)
     ltc = LTC(LTCConfig(**defaults))
@@ -111,7 +111,7 @@ class TestFinalize:
                 alpha=0.0,
                 beta=1.0,
                 items_per_period=2,
-                longtail_replacement=False,
+                replacement_policy="one",
             )
         )
         for period in stream.iter_periods():

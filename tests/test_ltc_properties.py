@@ -27,7 +27,7 @@ def build_and_run(events, num_periods, w, d, alpha, beta, ltr, de) -> LTC:
             alpha=alpha,
             beta=beta,
             items_per_period=stream.period_length,
-            longtail_replacement=ltr,
+            replacement_policy="longtail" if ltr else "one",
             deviation_eliminator=de,
         )
     )

@@ -30,7 +30,7 @@ def run_both(events, num_periods, w, d, alpha, beta, ltr, de, finalize=True):
             alpha=alpha,
             beta=beta,
             items_per_period=n,
-            longtail_replacement=ltr,
+            replacement_policy="longtail" if ltr else "one",
             deviation_eliminator=de,
         )
     )

@@ -1,4 +1,5 @@
-"""LTC serialization: state and binary round-trips."""
+"""LTC serialization: binary checkpoint round-trips, legacy images and
+corrupt-image refusal."""
 
 from __future__ import annotations
 
@@ -9,17 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.clock import ClockPointer
+from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
 from repro.core.kernels import KERNELS
 from repro.core.ltc import LTC
 from repro.core.serialize import (
+    _CELL,
+    _HEADER,
+    _HEADER_V1,
+    _HEADER_V2,
+    _HEADER_V3,
     EMPTY_KEY,
     MAX_KEY,
     from_bytes,
-    from_state,
     to_bytes,
-    to_state,
 )
+from repro.hashing.family import splitmix64
 from tests.conftest import make_stream
 
 
@@ -46,25 +53,26 @@ def snapshots_equal(a: LTC, b: LTC) -> bool:
     return list(a.cells()) == list(b.cells())
 
 
+def legacy_image(blob: bytes, magic: bytes) -> bytes:
+    """Re-encode a v3 image as the legacy ``LTC1`` or ``LTC2`` image of
+    the same structure (v1 drops the timed-mode fields; v2 stores the
+    accumulator as a fraction of a period)."""
+    fields = _HEADER_V3.unpack_from(blob)
+    cells = blob[_HEADER_V3.size :]
+    if magic == b"LTC1":
+        return _HEADER_V1.pack(magic, *fields[1:14]) + cells
+    tacc, has_ts, ts = fields[14:]
+    facc = tacc / ClockPointer.TICKS_PER_PERIOD
+    return _HEADER_V2.pack(magic, *fields[1:14], facc, has_ts, ts) + cells
+
+
 class TestStateRoundTrip:
-    def test_cells_survive(self):
-        ltc = build_ltc([1, 2, 1, 3, 1, 2, 4, 5])
-        restored = from_state(to_state(ltc))
-        assert snapshots_equal(ltc, restored)
-
-    def test_json_safe(self):
-        import json
-
-        ltc = build_ltc([1, 2, 3])
-        blob = json.dumps(to_state(ltc))
-        restored = from_state(json.loads(blob))
-        assert snapshots_equal(ltc, restored)
+    """A checkpoint of a live structure's state, restored."""
 
     def test_rejects_mismatched_cells(self):
-        state = to_state(build_ltc([1, 2]))
-        state["cells"] = state["cells"][:-1]
-        with pytest.raises(ValueError):
-            from_state(state)
+        blob = to_bytes(build_ltc([1, 2]))
+        with pytest.raises(ValueError, match="truncated"):
+            from_bytes(blob[: -_CELL.size])
 
     def test_resumed_ltc_continues_identically(self):
         """A checkpoint/restore mid-stream must not change the outcome."""
@@ -75,7 +83,7 @@ class TestStateRoundTrip:
         straight = build_ltc(events, num_periods=8)
 
         first = build_ltc(events[:half], num_periods=4)
-        resumed = from_state(to_state(first))
+        resumed = from_bytes(to_bytes(first))
         stream2 = make_stream(events[half:], num_periods=4)
         for period in stream2.iter_periods():
             for item in period:
@@ -119,8 +127,6 @@ class TestBytesRoundTrip:
     def test_size_matches_cell_count(self):
         ltc = build_ltc([1, 2, 3])
         blob = to_bytes(ltc)
-        from repro.core.serialize import _CELL, _HEADER
-
         assert len(blob) == _HEADER.size + ltc.total_cells * _CELL.size
 
     @given(st.lists(st.integers(0, 40), max_size=200), st.integers(1, 6))
@@ -154,8 +160,11 @@ class TestTimedStateRoundTrip:
 
     @pytest.mark.parametrize(
         "roundtrip",
-        [lambda l: from_state(to_state(l)), lambda l: from_bytes(to_bytes(l))],
-        ids=["state", "bytes"],
+        [
+            lambda l: from_bytes(to_bytes(l)),
+            lambda l: from_bytes(to_bytes(l), cls=ColumnarLTC),
+        ],
+        ids=["bytes", "columnar"],
     )
     def test_tacc_and_timestamp_survive(self, roundtrip):
         ltc = self.timed_ltc()
@@ -166,8 +175,11 @@ class TestTimedStateRoundTrip:
 
     @pytest.mark.parametrize(
         "roundtrip",
-        [lambda l: from_state(to_state(l)), lambda l: from_bytes(to_bytes(l))],
-        ids=["state", "bytes"],
+        [
+            lambda l: from_bytes(to_bytes(l)),
+            lambda l: from_bytes(to_bytes(l), cls=ColumnarLTC),
+        ],
+        ids=["bytes", "columnar"],
     )
     def test_restored_rejects_backwards_timestamps(self, roundtrip):
         restored = roundtrip(self.timed_ltc())
@@ -180,25 +192,23 @@ class TestTimedStateRoundTrip:
         assert restored._last_timestamp is None
 
     def test_state_without_timed_fields_still_restores(self):
-        """Dict states written by the v1 format lack the timed-mode
-        accumulator and last_timestamp; they restore with fresh defaults."""
-        state = to_state(build_ltc([1, 2, 1]))
-        del state["last_timestamp"]
-        del state["clock"]["tacc"]
-        restored = from_state(state)
+        """``LTC1`` images lack the timed-mode accumulator and
+        last_timestamp; they restore with fresh defaults."""
+        ltc = self.timed_ltc()
+        restored = from_bytes(legacy_image(to_bytes(ltc), b"LTC1"))
         assert restored._clock._tacc == 0
         assert restored._last_timestamp is None
+        assert snapshots_equal(ltc, restored)
 
     def test_legacy_facc_state_restores_as_ticks(self):
-        """Dict states written by the v2 format carry a float ``facc``;
-        it restores as the nearest integer tick count."""
-        from repro.core.clock import ClockPointer
-
-        state = to_state(self.timed_ltc())
-        tacc = state["clock"].pop("tacc")
-        state["clock"]["facc"] = tacc / ClockPointer.TICKS_PER_PERIOD
-        restored = from_state(state)
-        assert restored._clock._tacc == tacc
+        """``LTC2`` images carry the accumulator as a float fraction of a
+        period; it restores as the nearest integer tick count."""
+        ltc = self.timed_ltc()
+        assert ltc._clock._tacc  # the conversion has something to round
+        restored = from_bytes(legacy_image(to_bytes(ltc), b"LTC2"))
+        assert restored._clock._tacc == ltc._clock._tacc
+        assert restored._last_timestamp == ltc._last_timestamp
+        assert to_bytes(restored) == to_bytes(ltc)
 
 
 class TestSubclassRestore:
@@ -226,14 +236,15 @@ class TestSubclassRestore:
     @pytest.mark.parametrize(
         "roundtrip",
         [
-            lambda l, cls: from_state(to_state(l), cls=cls),
             lambda l, cls: from_bytes(to_bytes(l), cls=cls),
+            # A restored columnar structure checkpoints as the reference.
+            lambda l, cls: from_bytes(
+                to_bytes(from_bytes(to_bytes(l), cls=cls)), cls=cls
+            ),
         ],
-        ids=["state", "bytes"],
+        ids=["bytes", "bytes-twice"],
     )
     def test_columnar_ltc_roundtrip(self, roundtrip):
-        from repro.core.columnar import ColumnarLTC
-
         ref = self.reference_ltc()
         columnar = roundtrip(ref, ColumnarLTC)
         assert type(columnar) is ColumnarLTC
@@ -241,8 +252,6 @@ class TestSubclassRestore:
         self.assert_same_lookups(columnar, ref)
 
     def test_restored_columnar_ltc_continues_identically(self):
-        from repro.core.columnar import ColumnarLTC
-
         ref = self.reference_ltc()
         restored = from_bytes(to_bytes(ref), cls=ColumnarLTC)
         restored.insert_many([1, 7, 1, 8, 2])
@@ -251,8 +260,6 @@ class TestSubclassRestore:
         assert snapshots_equal(ref, restored)
 
     def test_restored_columnar_ltc_continues_per_event(self):
-        from repro.core.columnar import ColumnarLTC
-
         ref = self.reference_ltc()
         restored = from_bytes(to_bytes(ref), cls=ColumnarLTC)
         for item in (1, 7, 1, 8, 2):
@@ -336,11 +343,70 @@ class TestCorruptionRobustness:
         from_bytes(bytes(blob), cls=KERNELS[kernel]).insert_many([4, 5, 6])
 
     def test_header_only_blob_rejected(self):
-        from repro.core.serialize import _HEADER
-
         blob = to_bytes(build_ltc([1]))
         with pytest.raises(Exception):
             from_bytes(blob[: _HEADER.size - 1])
+
+    # Each corruption rewrites one header field or one field of a cell
+    # record ("<QiiB": key at +0, frequency at +8, persistency at +12,
+    # flags at +16) of an occupied or a free cell; a key of None stands
+    # for one that hashes to another bucket than the cell's.
+    CORRUPTIONS = {
+        "parity": ("header", 36, "<I", 2),
+        "tacc": ("header", 64, "<Q", ClockPointer.TICKS_PER_PERIOD),
+        "flags-0xff": ("occupied", 16, "<B", 0xFF),
+        "odd-flag-without-de": ("occupied", 16, "<B", 0b10),
+        "negative-frequency": ("occupied", 8, "<i", -7),
+        "negative-persistency": ("occupied", 12, "<i", -1),
+        "free-cell-with-count": ("free", 8, "<i", 3),
+        "key-in-foreign-bucket": ("occupied", 0, "<Q", None),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupt_image_refused(self, kernel, corruption):
+        ltc = build_ltc(
+            [1, 2, 3, 1, 4],
+            deviation_eliminator=corruption != "odd-flag-without-de",
+        )
+        where, offset, fmt, value = self.CORRUPTIONS[corruption]
+        if where != "header":
+            j = next(
+                j for j, key in enumerate(ltc._keys)
+                if (key == EMPTY_KEY) == (where == "free")
+            )
+            offset += _cell_at(j)
+            if value is None:
+                value = next(
+                    key for key in range(1000)
+                    if _home_base(ltc, key) != j - j % ltc._d
+                )
+        blob = bytearray(to_bytes(ltc))
+        struct.pack_into(fmt, blob, offset, value)
+        with pytest.raises(ValueError, match="corrupt LTC image"):
+            from_bytes(bytes(blob), cls=KERNELS[kernel])
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_persistency_above_frequency_still_restores(self, kernel):
+        """Older builds could write a persistency above the frequency;
+        their images stay readable."""
+        ltc = build_ltc([1, 2, 3, 1, 4])
+        j = next(j for j, key in enumerate(ltc._keys) if key != EMPTY_KEY)
+        blob = bytearray(to_bytes(ltc))
+        struct.pack_into("<i", blob, _cell_at(j) + 12, ltc._freqs[j] + 5)
+        restored = from_bytes(bytes(blob), cls=KERNELS[kernel])
+        assert restored._counters[j] == ltc._freqs[j] + 5
+        assert to_bytes(restored) == bytes(blob)
+
+
+def _cell_at(j: int) -> int:
+    """Offset of cell ``j``'s record in a v3 image."""
+    return _HEADER.size + j * _CELL.size
+
+
+def _home_base(ltc: LTC, key: int) -> int:
+    """The first cell of the bucket ``key`` hashes to."""
+    return (splitmix64(key ^ ltc._seed) % ltc._w) * ltc._d
 
 
 class _GeometryGuard(LTC):
@@ -370,8 +436,6 @@ class TestHeaderGeometryCheck:
 
     @pytest.mark.parametrize("magic", [b"LTC1", b"LTC2", b"LTC3"])
     def test_every_format_version_checks_length(self, magic):
-        from repro.core.serialize import _HEADER_V1, _HEADER_V2, _HEADER_V3
-
         header = {b"LTC1": _HEADER_V1, b"LTC2": _HEADER_V2, b"LTC3": _HEADER_V3}
         # A valid config (alpha = beta = 1, one item per period) on a
         # 0x00FFFFFF x 8 table, with no cell bytes behind the header.
@@ -382,8 +446,6 @@ class TestHeaderGeometryCheck:
 
     def test_single_byte_header_flips_never_allocate(self):
         """Any one-byte header corruption restores or raises ValueError."""
-        from repro.core.serialize import _HEADER
-
         blob = to_bytes(build_ltc([1, 2, 3, 1, 4]))
         for offset in range(4, _HEADER.size):
             for value in (0x00, 0x01, 0x7F, 0x80, 0xFF):
@@ -422,6 +484,84 @@ class TestFormatStability:
         "000000000000000000000000000a000000000000000200000000000000010b000000"
         "00000000010000000000000001"
     )
+
+    # v3 images of one policy each: a bucket of three cells after ten
+    # arrivals, where the newcomer 13 starts at 2 under "longtail" and at
+    # 1 under "one".  The header's ltr and policy-code bytes (offsets 33
+    # and 34) are (1, 0), (0, 0) and (1, 3): the bytes builds with a
+    # separate ``longtail_replacement`` flag wrote for the default, for
+    # that flag off, and for "space-saving".
+    GOLDEN_POLICY_HEX = {
+        "longtail": (
+            "4c5443330100000003000000000000000000f03f0000000000000040050000000101"
+            "00000000000000000000000000000000000000000000070000000000000000000000"
+            "000000000000000000000000000a000000000000000400000001000000000b000000"
+            "000000000300000001000000020d00000000000000030000000000000002"
+        ),
+        "one": (
+            "4c5443330100000003000000000000000000f03f0000000000000040050000000100"
+            "00000000000000000000000000000000000000000000070000000000000000000000"
+            "000000000000000000000000000a000000000000000400000001000000000b000000"
+            "000000000300000001000000020d00000000000000020000000000000002"
+        ),
+        "space-saving": (
+            "4c5443330100000003000000000000000000f03f0000000000000040050000000101"
+            "03000000000000000000000000000000000000000000070000000000000000000000"
+            "000000000000000000000000000a000000000000000400000001000000000b000000"
+            "000000000300000001000000020d00000000000000030000000000000002"
+        ),
+    }
+    # What those builds wrote when the policy was named explicitly:
+    # policy code 1 ("longtail") or 2 ("one"), the ltr byte left at 1.
+    EXPLICIT_POLICY_HEX = {
+        "longtail": (
+            "4c5443330100000003000000000000000000f03f0000000000000040050000000101"
+            "01000000000000000000000000000000000000000000070000000000000000000000"
+            "000000000000000000000000000a000000000000000400000001000000000b000000"
+            "000000000300000001000000020d00000000000000030000000000000002"
+        ),
+        "one": (
+            "4c5443330100000003000000000000000000f03f0000000000000040050000000101"
+            "02000000000000000000000000000000000000000000070000000000000000000000"
+            "000000000000000000000000000a000000000000000400000001000000000b000000"
+            "000000000300000001000000020d00000000000000020000000000000002"
+        ),
+    }
+
+    @staticmethod
+    def make_policy_ltc(policy: str, cls=LTC) -> LTC:
+        ltc = cls(
+            LTCConfig(
+                num_buckets=1,
+                bucket_width=3,
+                alpha=1.0,
+                beta=2.0,
+                items_per_period=5,
+                replacement_policy=policy,
+                seed=7,
+            )
+        )
+        for i, item in enumerate((10, 10, 10, 10, 11, 11, 11, 12, 13, 13)):
+            ltc.insert(item)
+            if i % 5 == 4:
+                ltc.end_period()
+        return ltc
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("policy", sorted(GOLDEN_POLICY_HEX))
+    def test_policy_images_match_golden(self, policy, kernel):
+        ltc = self.make_policy_ltc(policy, KERNELS[kernel])
+        golden = self.GOLDEN_POLICY_HEX[policy]
+        assert to_bytes(ltc).hex() == golden
+        restored = from_bytes(bytes.fromhex(golden), cls=KERNELS[kernel])
+        assert restored.config == ltc.config
+        assert snapshots_equal(restored, ltc)
+
+    @pytest.mark.parametrize("policy", sorted(EXPLICIT_POLICY_HEX))
+    def test_explicit_policy_codes_read_back(self, policy):
+        restored = from_bytes(bytes.fromhex(self.EXPLICIT_POLICY_HEX[policy]))
+        assert restored.config.replacement_policy == policy
+        assert to_bytes(restored).hex() == self.GOLDEN_POLICY_HEX[policy]
 
     def make_golden_ltc(self) -> LTC:
         ltc = LTC(
@@ -502,12 +642,6 @@ class TestSeedRoundTrip:
             mf, mp = merged.estimate(item)
             assert mf == 2 * f
             assert mp == min(2 * (p + pending), 4)
-
-    @pytest.mark.parametrize("seed", [-1, 2**64 + 17])
-    def test_state_roundtrip_preserves_config(self, seed):
-        original = build_ltc([1, 2, 3, 4, 5, 6], seed=seed)
-        restored = from_state(to_state(original))
-        assert restored.config == original.config
 
     def test_masked_and_raw_seed_hash_identically(self):
         """The normalization is behavior-preserving: splitmix64 already

@@ -16,7 +16,7 @@ def timed_ltc(**overrides) -> LTC:
         alpha=0.0,
         beta=1.0,
         items_per_period=1,  # unused in timed mode
-        longtail_replacement=False,
+        replacement_policy="one",
     )
     cfg.update(overrides)
     return LTC(LTCConfig(**cfg))

@@ -299,7 +299,7 @@ def test_sanitizer_catches_old_decrement_bug():
             num_buckets=2,
             bucket_width=4,
             items_per_period=stream.period_length,
-            longtail_replacement=False,
+            replacement_policy="one",
             sanitize=True,
         )
     )
@@ -316,7 +316,7 @@ def test_fixed_decrement_passes_same_stream():
             num_buckets=2,
             bucket_width=4,
             items_per_period=stream.period_length,
-            longtail_replacement=False,
+            replacement_policy="one",
             sanitize=True,
         )
     )
@@ -333,7 +333,7 @@ def test_sanitized_run_is_bit_identical_to_plain_run():
             num_buckets=2,
             bucket_width=4,
             items_per_period=max(1, len(events) // 4),
-            longtail_replacement=bool(trial % 2),
+            replacement_policy="longtail" if trial % 2 else "one",
             deviation_eliminator=bool((trial // 2) % 2),
             seed=trial,
         )

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.config import LTCConfig
 from repro.core.kernels import KERNELS, build_ltc
-from repro.core.serialize import to_bytes
+from repro.core.serialize import EMPTY_KEY, to_bytes
 from repro.serve import snapshots
 from repro.serve.oracle import canonical_json, oracle_top_k
 from repro.serve.snapshots import SnapshotStore
@@ -108,6 +108,33 @@ class TestCrashWindow:
         # num_buckets is the uint32 right after the 4-byte magic.
         bad.write_bytes(blob[:4] + (0x00FFFFFF).to_bytes(4, "little") + blob[8:])
         restored = store.restore(cls=GeometryGuard)
+        assert restored is not None
+        assert to_bytes(restored) == good.read_bytes()
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_rewritten_cell_key_falls_back(self, tmp_path, kernel):
+        """A whole image whose one cell key now hashes to another bucket
+        is corrupt: restoring it would report that item twice."""
+        from repro.core.serialize import _CELL, _HEADER
+        from repro.hashing.family import splitmix64
+
+        store = SnapshotStore(tmp_path, retain=3)
+        ltc = build_ltc(_cfg(kernel=kernel))
+        ltc.insert_many(list(range(40)))
+        good = store.save(ltc)
+        ltc.insert_many(list(range(40, 80)))
+        bad = store.save(ltc)
+        j = next(j for j, key in enumerate(ltc._keys) if key != EMPTY_KEY)
+        bucket = j // ltc._d
+        foreign = next(
+            key for key in range(1000)
+            if splitmix64(key ^ ltc._seed) % ltc._w != bucket
+        )
+        blob = bytearray(bad.read_bytes())
+        offset = _HEADER.size + j * _CELL.size
+        blob[offset : offset + 8] = foreign.to_bytes(8, "little")
+        bad.write_bytes(bytes(blob))
+        restored = store.restore(cls=KERNELS[kernel])
         assert restored is not None
         assert to_bytes(restored) == good.read_bytes()
 

@@ -13,7 +13,7 @@ class TestSection1DecrementMechanism:
                 bucket_width=2,
                 alpha=1.0,
                 beta=0.0,
-                longtail_replacement=False,
+                replacement_policy="one",
                 items_per_period=1000,
             )
         )
