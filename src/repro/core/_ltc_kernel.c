@@ -16,13 +16,19 @@
  * methods insert, insert_many, place and sweep add to the ltc_* deltas,
  * which take_counts reads and zeroes, and, when a touched mask is set,
  * mark every slot whose key, frequency or persistency they changed (the
- * cell listener's notification); the caller zeroes that mask.  The module
- * is a C extension, so every call holds the GIL.
+ * cell listener's notification); the caller zeroes that mask.  When a
+ * watch is set, insert, insert_many and sweep then call it with their
+ * number of arrivals, so a bound Kernel.insert is a whole insert, metrics
+ * and listener included; place leaves that to the sweep that completes
+ * its timed arrival, so the watch runs once per arrival.  insert_many reads a uint64 buffer in place; pack_keys makes
+ * one from a list of ints.  The module is a C extension, so every call
+ * holds the GIL.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #define EMPTY_KEY UINT64_MAX
 
@@ -256,12 +262,57 @@ static int as_key(PyObject *obj, uint64_t *key)
     return 0;
 }
 
+/* Whether `obj` exports a C-contiguous one-dimensional buffer of 8-byte
+ * unsigned ints (struct format Q, or L where a long is 64 bits), as a
+ * numpy uint64 array and pack_keys' result do; fills `view` when it does.
+ * Any other object is left to the sequence path, with no error set. */
+static int key_buffer(PyObject *obj, Py_buffer *view)
+{
+    if (!PyObject_CheckBuffer(obj))
+        return 0;
+    if (PyObject_GetBuffer(obj, view, PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    const char *format = view->format ? view->format : "B";
+    if (*format == '@' || *format == '=')
+        format++;
+    int ok = view->ndim == 1 && view->itemsize == 8
+             && (!strcmp(format, "Q") || (!strcmp(format, "L") && sizeof(long) == 8));
+    if (!ok)
+        PyBuffer_Release(view);
+    return ok;
+}
+
 typedef struct {
     PyObject_HEAD
     ltc_state s;
     Py_buffer columns[4]; /* keys, freqs, counters, flags */
     Py_buffer touched;    /* .obj is NULL while no mask is set */
+    PyObject *watch;      /* called with each call's arrivals, or NULL */
 } Kernel;
+
+/* The end of every mutating method: `result` (a new reference, or NULL
+ * for an error already set) after the watch has seen `arrivals`; NULL
+ * when the watch raises. */
+static PyObject *watched(Kernel *self, Py_ssize_t arrivals, PyObject *result)
+{
+    PyObject *watch = self->watch;
+    if (result == NULL || watch == NULL)
+        return result;
+    /* The watch may replace itself: hold it for the call. */
+    Py_INCREF(watch);
+    PyObject *count = PyLong_FromSsize_t(arrivals);
+    PyObject *done = count ? PyObject_CallOneArg(watch, count) : NULL;
+    Py_XDECREF(count);
+    Py_DECREF(watch);
+    if (done == NULL) {
+        Py_DECREF(result);
+        return NULL;
+    }
+    Py_DECREF(done);
+    return result;
+}
 
 static PyObject *Kernel_insert(Kernel *self, PyObject *item)
 {
@@ -269,7 +320,7 @@ static PyObject *Kernel_insert(Kernel *self, PyObject *item)
     if (as_key(item, &key) < 0)
         return NULL;
     arrive(&self->s, key);
-    Py_RETURN_NONE;
+    return watched(self, 1, Py_NewRef(Py_None));
 }
 
 static PyObject *Kernel_place(Kernel *self, PyObject *item)
@@ -281,10 +332,35 @@ static PyObject *Kernel_place(Kernel *self, PyObject *item)
     Py_RETURN_NONE;
 }
 
-/* Every key of the sequence is checked before the first arrival, so a bad
+/* A uint64 buffer's arrivals, read in place once no key in it is
+ * EMPTY_KEY.  Releases the buffer. */
+static PyObject *insert_buffer(Kernel *self, Py_buffer *view)
+{
+    const uint64_t *keys = view->buf;
+    Py_ssize_t count = view->len / 8;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        if (keys[i] == EMPTY_KEY) {
+            PyBuffer_Release(view);
+            PyErr_Format(PyExc_ValueError,
+                         "key %llu is outside the LTC key range [0, %llu]",
+                         (unsigned long long)EMPTY_KEY,
+                         (unsigned long long)(EMPTY_KEY - 1));
+            return NULL;
+        }
+    }
+    for (Py_ssize_t i = 0; i < count; i++)
+        arrive(&self->s, keys[i]);
+    PyBuffer_Release(view);
+    return watched(self, count, PyLong_FromSsize_t(count));
+}
+
+/* Every key of the batch is checked before the first arrival, so a bad
  * one raises with the table untouched.  Returns the number of arrivals. */
 static PyObject *Kernel_insert_many(Kernel *self, PyObject *items)
 {
+    Py_buffer view;
+    if (key_buffer(items, &view))
+        return insert_buffer(self, &view);
     PyObject *seq = PySequence_Fast(items, "insert_many() needs a sequence of keys");
     if (seq == NULL)
         return NULL;
@@ -314,21 +390,32 @@ static PyObject *Kernel_insert_many(Kernel *self, PyObject *items)
     for (i = 0; i < count; i++)
         arrive(&self->s, keys[i]);
     PyMem_Free(keys);
-    return PyLong_FromSsize_t(count);
+    return watched(self, count, PyLong_FromSsize_t(count));
 }
 
-static PyObject *Kernel_sweep(Kernel *self, PyObject *arg)
+/* sweep(steps, arrivals=0): the watch sees `arrivals`, so a timed arrival
+ * (place, then its sweep) reaches the watch once, with 1. */
+static PyObject *Kernel_sweep(Kernel *self, PyObject *const *args, Py_ssize_t nargs)
 {
+    if (nargs < 1 || nargs > 2) {
+        PyErr_SetString(PyExc_TypeError, "sweep() takes steps and optional arrivals");
+        return NULL;
+    }
+    Py_ssize_t arrivals = nargs == 2 ? PyLong_AsSsize_t(args[1]) : 0;
+    if (arrivals == -1 && PyErr_Occurred())
+        return NULL;
     int overflow;
-    long long steps = PyLong_AsLongLongAndOverflow(arg, &overflow);
+    long long steps = PyLong_AsLongLongAndOverflow(args[0], &overflow);
     if (steps == -1 && PyErr_Occurred())
         return NULL;
-    if (overflow < 0 || steps < 0) {
-        PyErr_SetString(PyExc_ValueError, "sweep() needs a non-negative step count");
+    /* Past INT64_MAX, `steps` reads -1 with `overflow` set: a full sweep. */
+    if (overflow < 0 || (!overflow && steps < 0) || arrivals < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "sweep() needs non-negative step and arrival counts");
         return NULL;
     }
     sweep(&self->s, overflow > 0 ? INT64_MAX : steps);
-    Py_RETURN_NONE;
+    return watched(self, arrivals, Py_NewRef(Py_None));
 }
 
 static PyObject *Kernel_take_counts(Kernel *self, PyObject *Py_UNUSED(ignored))
@@ -347,13 +434,15 @@ static PyMethodDef Kernel_methods[] = {
     {"insert", (PyCFunction)Kernel_insert, METH_O,
      "insert(key): one count-based arrival, CLOCK step included."},
     {"insert_many", (PyCFunction)Kernel_insert_many, METH_O,
-     "insert_many(keys) -> count: the arrivals of a sequence, in order,\n"
-     "after every key is checked."},
+     "insert_many(keys) -> count: the arrivals of a sequence, or of a\n"
+     "uint64 buffer read in place, in order, after every key is checked."},
     {"place", (PyCFunction)Kernel_place, METH_O,
-     "place(key): one arrival's lossy-table update, no CLOCK step."},
-    {"sweep", (PyCFunction)Kernel_sweep, METH_O,
-     "sweep(steps): harvest up to `steps` slots from the hand, never past\n"
-     "the period's last unscanned slot, and advance the hand."},
+     "place(key): one arrival's lossy-table update, no CLOCK step and no\n"
+     "watch call: the sweep that follows it reports the arrival."},
+    {"sweep", (PyCFunction)(void (*)(void))Kernel_sweep, METH_FASTCALL,
+     "sweep(steps, arrivals=0): harvest up to `steps` slots from the hand,\n"
+     "never past the period's last unscanned slot, and advance the hand;\n"
+     "the watch sees `arrivals` (1 when this sweep ends a timed arrival)."},
     {"take_counts", (PyCFunction)Kernel_take_counts, METH_NOARGS,
      "take_counts() -> (decrements, evictions, longtail, harvests) since\n"
      "the last call."},
@@ -436,6 +525,23 @@ static int Kernel_set_touched(Kernel *self, PyObject *value, void *Py_UNUSED(clo
     return 0;
 }
 
+static PyObject *Kernel_get_watch(Kernel *self, void *Py_UNUSED(closure))
+{
+    return Py_NewRef(self->watch ? self->watch : Py_None);
+}
+
+static int Kernel_set_watch(Kernel *self, PyObject *value, void *Py_UNUSED(closure))
+{
+    if (value == Py_None)
+        value = NULL;
+    if (value != NULL && !PyCallable_Check(value)) {
+        PyErr_SetString(PyExc_TypeError, "watch must be callable or None");
+        return -1;
+    }
+    Py_XSETREF(self->watch, Py_XNewRef(value));
+    return 0;
+}
+
 static PyGetSetDef Kernel_getset[] = {
     {"hand", (getter)Kernel_get, (setter)Kernel_set, "next slot the CLOCK passes", (void *)&HAND},
     {"acc", (getter)Kernel_get, (setter)Kernel_set, "arrival accumulator (1/n periods)", (void *)&ACC},
@@ -444,11 +550,30 @@ static PyGetSetDef Kernel_getset[] = {
     {"harvest_bit", (getter)Kernel_get, (setter)Kernel_set, "the flag bit a sweep harvests", (void *)&HARVEST_BIT},
     {"touched", (getter)Kernel_get_touched, (setter)Kernel_set_touched,
      "a writable byte per cell marked by every change, or None", NULL},
+    {"watch", (getter)Kernel_get_watch, (setter)Kernel_set_watch,
+     "called with the arrival count after insert, insert_many and sweep, or None",
+     NULL},
     {NULL},
 };
 
+/* The watch is usually a bound method of the table that owns this
+ * kernel: a cycle, so the type takes part in garbage collection. */
+static int Kernel_traverse(Kernel *self, visitproc visit, void *arg)
+{
+    Py_VISIT(self->watch);
+    return 0;
+}
+
+static int Kernel_clear(Kernel *self)
+{
+    Py_CLEAR(self->watch);
+    return 0;
+}
+
 static void Kernel_dealloc(Kernel *self)
 {
+    PyObject_GC_UnTrack(self);
+    Kernel_clear(self);
     for (int c = 0; c < 4; c++)
         if (self->columns[c].obj)
             PyBuffer_Release(&self->columns[c]);
@@ -508,11 +633,73 @@ static PyTypeObject KernelType = {
               "--\n\n"
               "One LTC table's update over its four writable 8-byte columns.",
     .tp_basicsize = sizeof(Kernel),
-    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_new = Kernel_new,
     .tp_dealloc = (destructor)Kernel_dealloc,
+    .tp_traverse = (traverseproc)Kernel_traverse,
+    .tp_clear = (inquiry)Kernel_clear,
     .tp_methods = Kernel_methods,
     .tp_getset = Kernel_getset,
+};
+
+/* A list of exact ints in [0, EMPTY_KEY) as a read-only uint64 buffer (a
+ * memoryview of format Q).  A non-int anywhere raises TypeError, even
+ * after a key out of range; otherwise such a key raises ValueError. */
+static PyObject *pack_keys(PyObject *Py_UNUSED(module), PyObject *list)
+{
+    if (!PyList_Check(list)) {
+        PyErr_SetString(PyExc_TypeError, "pack_keys() needs a list");
+        return NULL;
+    }
+    Py_ssize_t count = PyList_GET_SIZE(list), bad = -1;
+    PyObject *bytes = PyBytes_FromStringAndSize(NULL, count * 8);
+    if (bytes == NULL)
+        return NULL;
+    uint64_t *keys = (uint64_t *)PyBytes_AS_STRING(bytes);
+    /* Exact ints run no Python code, so the list cannot change here. */
+    for (Py_ssize_t i = 0; i < count; i++) {
+        PyObject *item = PyList_GET_ITEM(list, i);
+        if (!PyLong_CheckExact(item)) {
+            PyErr_Format(PyExc_TypeError, "pack_keys() takes ints, not %.100s",
+                         Py_TYPE(item)->tp_name);
+            Py_DECREF(bytes);
+            return NULL;
+        }
+        if (bad >= 0 || small_key(item, &keys[i]))
+            continue;
+        unsigned long long k = PyLong_AsUnsignedLongLong(item);
+        if (PyErr_Occurred()) { /* negative, or past 2**64 */
+            PyErr_Clear();
+            bad = i;
+        } else if (k == EMPTY_KEY) {
+            bad = i;
+        } else {
+            keys[i] = k;
+        }
+    }
+    if (bad >= 0) {
+        Py_DECREF(bytes);
+        PyErr_Format(PyExc_ValueError,
+                     "key at index %zd is outside the LTC key range [0, %llu]",
+                     bad, (unsigned long long)(EMPTY_KEY - 1));
+        return NULL;
+    }
+    PyObject *view = PyMemoryView_FromObject(bytes);
+    Py_DECREF(bytes);
+    if (view == NULL)
+        return NULL;
+    PyObject *packed = PyObject_CallMethod(view, "cast", "s", "Q");
+    Py_DECREF(view);
+    return packed;
+}
+
+static PyMethodDef module_methods[] = {
+    {"pack_keys", pack_keys, METH_O,
+     "pack_keys(keys) -> memoryview: a list of ints in the LTC key range\n"
+     "as a uint64 buffer that Kernel.insert_many reads in place.  TypeError\n"
+     "for any item that is not exactly an int (bool included), else\n"
+     "ValueError for a key outside [0, 2**64 - 2]."},
+    {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
@@ -520,6 +707,7 @@ static struct PyModuleDef kernel_module = {
     .m_name = "_ltc_kernel",
     .m_doc = "The columnar LTC's compiled update (see repro.core.ckernel).",
     .m_size = -1,
+    .m_methods = module_methods,
 };
 
 PyMODINIT_FUNC PyInit__ltc_kernel(void)

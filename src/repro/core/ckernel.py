@@ -10,8 +10,10 @@ a cache never load each other's module.  Later processes only import
 the cached module.  The build writes a temporary file next to the target
 and renames it into place, so processes racing on a cold cache each load
 a complete module.  Without a compiler or without ``Python.h``,
-:func:`load` raises :class:`RuntimeError`; only ``kernel="columnar"``
-needs the kernel.
+:func:`load` raises :class:`RuntimeError`.  ``kernel="columnar"`` needs
+the module, and so does ``repro serve`` whichever kernel it runs, since
+``POST /ingest`` packs its keys with ``pack_keys``; the reference kernel
+needs it nowhere else.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ SOURCE = Path(__file__).with_name("_ltc_kernel.c")
 #: ``-ffp-contract=off``: no fused multiply-add, so ``alpha*f + beta*p``
 #: rounds twice, exactly as Python evaluates it.
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+#: What needs the module, for the build's error messages.
+_NEEDS = 'kernel="columnar" and repro serve (with either kernel) need'
+_SPARED = 'kernel="reference" needs none outside repro serve'
 
 #: The ``policy`` codes of the kernel's constructor, as the C enum
 #: numbers them.
@@ -70,15 +76,15 @@ def _build(target: Path) -> None:
     cc = compiler()
     if cc is None:
         raise RuntimeError(
-            'kernel="columnar" needs a C compiler ("cc" on PATH) to build '
-            f'its update loop from {SOURCE.name}; kernel="reference" needs none'
+            f'{_NEEDS} a C compiler ("cc" on PATH) to build the compiled '
+            f"module from {SOURCE.name}; {_SPARED}"
         )
     include = include_dir()
     if not (include / "Python.h").is_file():
         raise RuntimeError(
-            f'kernel="columnar" builds {SOURCE.name} as a CPython extension '
-            f"and needs the interpreter's headers, but there is no Python.h "
-            f'in {include}; kernel="reference" needs none'
+            f"{_NEEDS} {SOURCE.name} built as a CPython extension, which "
+            f"needs the interpreter's headers, but there is no Python.h "
+            f"in {include}; {_SPARED}"
         )
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, suffix=".tmp")
@@ -105,13 +111,29 @@ def load() -> Any:
 
     * ``insert(key)``: one count-based arrival, CLOCK step included;
     * ``insert_many(keys)``: a sequence's arrivals, every key checked
-      first; returns their number;
+      first; returns their number.  A C-contiguous buffer of uint64
+      (struct format ``Q``, or ``L`` where a long is 64 bits, as a numpy
+      ``uint64`` array exports) is read in place, after a scan that
+      refuses ``EMPTY_KEY``;
     * ``place(key)``: one arrival's lossy-table update;
-    * ``sweep(steps)``: harvest up to ``steps`` slots from the hand;
+    * ``sweep(steps, arrivals=0)``: harvest up to ``steps`` slots from
+      the hand (``arrivals`` is 1 when it completes a timed arrival);
     * ``take_counts()``: the ``ltc_*`` counter deltas since the last call;
     * the fields ``hand``, ``acc``, ``scanned``, ``set_bit`` and
       ``harvest_bit``, whose setters refuse values outside the CLOCK
-      invariants, and ``touched``, an optional byte-per-cell change mask.
+      invariants, ``touched``, an optional byte-per-cell change mask,
+      and ``watch``, a callable or ``None``: after each of ``insert``,
+      ``insert_many`` and ``sweep`` the kernel calls it with that call's
+      number of arrivals, so a bound ``insert`` is a whole insert
+      (``ColumnarLTC`` folds metrics and notifies its listener there).
+      ``place`` does not: the sweep that completes its timed arrival
+      reports it, so the watch runs once per arrival.
+
+    The module function ``pack_keys(list)`` checks a list of keys, as
+    ``POST /ingest`` decodes them, and packs it into a read-only uint64
+    memoryview (format ``Q``): ``TypeError`` for any item that is not
+    exactly an int (``bool`` included), wherever it is, else
+    ``ValueError`` for a key out of range.
 
     A key is an int in ``[0, MAX_KEY]`` (``TypeError`` otherwise,
     ``ValueError`` out of range).  Every call holds the GIL, so no other

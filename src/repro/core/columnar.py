@@ -8,9 +8,12 @@ that column, so the inherited read paths see Python ints.  Every update
 runs in C: ``_ltc_kernel.c`` is a CPython extension module, built on
 first use by :mod:`repro.core.ckernel`, whose ``Kernel`` object holds
 the column buffers and is the only home of the count-based CLOCK state
-and the period's flag bits.  ``insert`` is one call into it and
-``insert_many`` one per batch; ``insert_timed`` uses its place and sweep
-steps, and ``end_period`` its sweep.  ``_clock`` is a
+and the period's flag bits.  ``insert`` is the kernel's own bound method
+and ``insert_many`` one call per batch (a ``uint64`` array is read in
+place); ``insert_timed`` uses its place and sweep steps, and
+``end_period`` its sweep.  Each kernel call ends in the kernel's
+``watch``, set while metrics are on or a listener is attached, so a
+bound ``insert`` is a whole insert.  ``_clock`` is a
 :class:`~repro.core.clock.ClockPointer` whose count-based fields are
 views of the kernel's, so checkpoints, the sanitizer and
 ``period_fill`` read and restore it as they do the reference's.  The
@@ -27,7 +30,7 @@ it changes anything.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as _np
 
@@ -111,30 +114,29 @@ class ColumnarLTC(LTC):
         # The cells a call changed, for the listener (bool: numpy finds
         # the set bytes of a bool array ~20x faster than of a uint8 one).
         self._touched = _np.zeros(m, dtype=_np.bool_)
-        # What runs after a kernel call: ``_leave`` while metrics are on
-        # or a listener is attached, else None (one test per call).
-        self._watch: Optional[Callable[[int], None]] = (
-            None if self._obs is None else self._leave
-        )
+        # Every kernel call ends in ``_leave`` while metrics are on or a
+        # listener is attached, so the kernel's own ``insert`` is a whole
+        # insert: bind it, unless a subclass or a class-level wrapper
+        # overrides ``insert``, or the sanitizer wrapped this instance.
+        self._kernel.watch = None if self._obs is None else self._leave
+        if type(self).insert is _forward_insert and "insert" not in vars(self):
+            self.insert = self._kernel.insert  # type: ignore[method-assign]
 
     # ----------------------------------------------------------------- hooks
     def attach_cell_listener(self, listener: CellListener) -> None:
         super().attach_cell_listener(listener)
         self._kernel.touched = self._touched
-        self._watch = self._leave
+        self._kernel.watch = self._leave
 
     def detach_cell_listener(self) -> None:
         super().detach_cell_listener()
         self._kernel.touched = None
-        self._watch = None if self._obs is None else self._leave
+        self._kernel.watch = None if self._obs is None else self._leave
 
     # ----------------------------------------------------------- insertion
     def insert(self, item: int) -> None:
-        """Single arrival, as :meth:`repro.core.ltc.LTC.insert`: one call
-        into the kernel."""
+        """Single arrival, as :meth:`repro.core.ltc.LTC.insert`."""
         self._kernel.insert(item)
-        if self._watch is not None:
-            self._watch(1)
 
     # reprolint: parity-ok — the C kernel writes the columns through their buffers
     def insert_many(
@@ -144,25 +146,26 @@ class ColumnarLTC(LTC):
 
         Replay-identical to per-event :meth:`insert` (same cells, same
         CLOCK state, same metrics).  The whole batch is checked first, so
-        a bad key raises with the table untouched.
+        a bad key raises with the table untouched.  A ``uint64`` ndarray
+        or memoryview goes to the kernel as it is, which reads its buffer
+        in place.
         """
-        items = as_items(items)
         if counts is not None:
-            items = expand_counts(items, counts)
+            items = expand_counts(as_items(items), counts)
+        elif not (
+            isinstance(items, memoryview) or getattr(items, "dtype", None) == _np.uint64
+        ):
+            items = as_items(items)
         total = self._kernel.insert_many(items)
         if self._m_batch is not None:
             self._m_batch.observe(total)
-        if self._watch is not None:
-            self._watch(total)
 
     def insert_timed(self, item: int, timestamp: float, period_seconds: float) -> None:
         """One arrival with a wall-clock timestamp, as
         :meth:`repro.core.ltc.LTC.insert_timed`."""
         ticks = self._elapsed_ticks(timestamp, period_seconds)
         self._kernel.place(item)
-        self._kernel.sweep(self._clock.elapsed_steps(ticks))
-        if self._watch is not None:
-            self._watch(1)
+        self._kernel.sweep(self._clock.elapsed_steps(ticks), 1)
         self._last_timestamp = timestamp
 
     def end_period(self) -> None:
@@ -170,8 +173,6 @@ class ColumnarLTC(LTC):
         period's sweep run in C first (the inherited one then finds no
         slot left)."""
         self._kernel.sweep(self.total_cells)
-        if self._watch is not None:
-            self._watch(0)
         super().end_period()
 
     def _leave(self, arrivals: int) -> None:
@@ -197,3 +198,9 @@ class ColumnarLTC(LTC):
             if len(slots):
                 touched[slots] = False
                 self._cell_listener.cells_touched(slots.tolist())
+
+
+#: The class's own ``insert``, which ``__init__`` replaces with the
+#: kernel's bound method where nothing overrides it.
+_forward_insert = ColumnarLTC.insert
+

@@ -19,7 +19,14 @@ the later ``close()`` would only land after that step (DESIGN.md
 Ingestion and queries share one event loop: ``POST /ingest`` enqueues a
 batch and returns immediately; a background worker applies batches
 through ``insert_many`` in chunks, yielding to the loop between chunks
-so queries interleave.  Queries are answered **synchronously** inside
+so queries interleave.  An ingest's keys are checked and packed once,
+in C: the compiled module's ``pack_keys`` refuses a non-int (``bool``
+included) or a key outside ``[0, MAX_KEY]`` and packs the rest into a
+uint64 buffer, so ``repro serve`` needs that module whichever kernel
+it runs.  ``counts`` are packed the same way and expanded with
+``np.repeat``; the queue holds the buffers, and the worker hands
+memoryview slices of them to ``insert_many``, which the columnar
+kernel reads in place.  Queries are answered **synchronously** inside
 the handler — the event loop never switches tasks mid-answer, so every
 response reflects one consistent table state (this is also what lets
 the oracle self-check compare served bytes against a full scan of the
@@ -58,10 +65,13 @@ import json
 import math
 import re
 import signal
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
+import numpy as _np
+
 from repro import obs
+from repro.core import ckernel
 from repro.core.ltc import LTC
 from repro.core.serialize import MAX_KEY
 from repro.serve.index import Report, ServingIndex
@@ -74,7 +84,6 @@ from repro.serve.oracle import (
     reports_payload,
 )
 from repro.serve.snapshots import SnapshotStore
-from repro.summaries.base import expand_counts
 
 _REASONS = {
     200: "OK",
@@ -116,8 +125,11 @@ _ITEM = re.compile(r"-?[0-9]+")
 _COUNT = re.compile(r"[0-9]+")
 
 #: Queue item: a batch of events, or ``None`` = drain-and-exit sentinel.
-_Batch = Optional[List[int]]
+_Batch = Optional[Sequence[int]]
 Response = Tuple[int, str, bytes]
+
+#: An ingest whose ``counts`` add up to more than :data:`_MAX_EVENTS`.
+_TOO_MANY: Response = (413, _JSON, canonical_json({"error": "too many events"}))
 
 #: The ingest queue is full: the one reply sent with ``Retry-After``.
 _QUEUE_FULL: Response = (
@@ -160,6 +172,9 @@ class ServingApp:
         #: query, so off in production).
         self.check_oracle = check_oracle
         self.ingest_chunk = ingest_chunk
+        # Checks and packs an ingest's keys; needs the compiled module
+        # whichever kernel the table runs.
+        self._pack_keys = ckernel.load().pack_keys
         self.ingested = 0
         self.queued = 0
         self.batches = 0
@@ -192,10 +207,17 @@ class ServingApp:
         )
 
     # ---------------------------------------------------------------- ingest
-    def submit(self, items: List[int], counts: Optional[List[int]] = None) -> int:
-        """Queue one batch for the worker; returns the event count."""
+    def submit(
+        self, items: Sequence[int], counts: Optional[Sequence[int]] = None
+    ) -> int:
+        """Queue one batch for the worker; returns the event count.
+
+        ``items`` is a sequence of keys or, from ``POST /ingest``, their
+        uint64 buffer; ``counts[i]`` arrivals of ``items[i]`` expand into
+        one with ``np.repeat``.
+        """
         if counts is not None:
-            items = list(expand_counts(items, counts))
+            items = memoryview(_np.repeat(items, counts))
         self._queue.put_nowait(items)
         self.queued += len(items)
         return len(items)
@@ -217,7 +239,7 @@ class ServingApp:
             finally:
                 self._queue.task_done()
 
-    async def _apply(self, items: List[int]) -> None:
+    async def _apply(self, items: Sequence[int]) -> None:
         total = len(items)
         i = 0
         while i < total:
@@ -397,26 +419,39 @@ class ServingApp:
             not isinstance(counts, list) or len(counts) != len(items)
         ):
             return self._bad_request("counts must parallel items")
-        # Exact types, not isinstance: JSON booleans decode to bool, an
-        # int subclass, and must not be queued as keys 1 and 0.  Every
-        # check is a C-level pass over the decoded lists.
-        if not set(map(type, items)) <= {int}:
+        # One C pass per list checks exact types (JSON booleans decode to
+        # bool, an int subclass, and must not be queued as keys 1 and 0)
+        # and the range, and packs the keys into a uint64 buffer.  Keys a
+        # checkpoint cannot store would fail every later snapshot (the
+        # shutdown one included), or restore as an empty cell.
+        try:
+            keys = self._pack_keys(items)
+        except TypeError:
             return self._bad_request("items must be integers")
-        # Keys a checkpoint cannot store would fail every later snapshot
-        # (the shutdown one included), or restore as an empty cell.
-        if items and (min(items) < 0 or max(items) > MAX_KEY):
+        except ValueError:
             return self._bad_request(f"items must lie in [0, {MAX_KEY}]")
-        if counts is not None and not (
-            set(map(type, counts)) <= {int} and min(counts, default=0) >= 0
-        ):
-            return self._bad_request("counts must be non-negative integers")
-        if counts is not None and sum(counts) > _MAX_EVENTS:
-            # Checked before expand_counts: a few bytes of counts would
-            # otherwise expand to an unbounded list.
-            return 413, _JSON, canonical_json({"error": "too many events"})
+        repeats = None
+        if counts is not None:
+            try:
+                packed = _np.asarray(self._pack_keys(counts))
+            except TypeError:
+                return self._bad_request("counts must be non-negative integers")
+            except ValueError:  # a negative count, or one past 2**64 - 2
+                if min(counts) < 0:
+                    return self._bad_request("counts must be non-negative integers")
+                return _TOO_MANY
+            # Checked before np.repeat: a few bytes of counts would
+            # otherwise expand to an unbounded batch.  The maximum goes
+            # first: with every count at most _MAX_EVENTS (2**23), the
+            # uint64 sum of any list that fits in memory cannot wrap.
+            if len(packed) and (
+                packed.max() > _MAX_EVENTS or packed.sum() > _MAX_EVENTS
+            ):
+                return _TOO_MANY
+            repeats = packed.astype(_np.intp)
         if self.queued >= _MAX_QUEUED:
             return _QUEUE_FULL
-        queued = self.submit(items, counts)
+        queued = self.submit(keys, repeats)
         return 200, _JSON, canonical_json(
             {"queued": queued, "pending": self.queued}
         )

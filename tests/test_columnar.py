@@ -757,6 +757,19 @@ class TestTimedDifferential:
         assert _counters(registries[0]) == _counters(registries[1])
 
 
+    def test_time_jump_past_int64_steps_matches_reference(self):
+        """A timestamp jump whose slot count overflows an int64 sweeps a
+        whole period, as the reference's Python ints do; the kernel used
+        to refuse it after the place had already run."""
+        config = LTCConfig(num_buckets=4, bucket_width=2, items_per_period=8)
+        ref, col = LTC(config), ColumnarLTC(config)
+        for item, now in ((1, 0.0), (2, 0.5), (1, 0.75), (3, 1e250)):
+            ref.insert_timed(item, now, 1.0)
+            col.insert_timed(item, now, 1.0)
+        assert_identical(ref, col)
+        assert to_bytes(ref) == to_bytes(col)
+
+
 #: The paper's 8 KB point with a period short enough for four boundaries.
 PAPER_PERIOD = 1500
 PAPER_CONFIG = LTCConfig(
@@ -843,8 +856,8 @@ class TestPerEventPaperGeometry:
         assert to_bytes(ref) == to_bytes(col)
 
     def test_insert_is_one_kernel_call(self):
-        """With metrics off and no listener, ``insert`` calls into C once
-        and calls no Python function."""
+        """``insert`` is the kernel's own bound method: one C call and no
+        Python frame (with metrics off and no listener, no watch runs)."""
         col = ColumnarLTC(PAPER_CONFIG)
         seen = []
 
@@ -857,8 +870,7 @@ class TestPerEventPaperGeometry:
             col.insert(7)
         finally:
             sys.setprofile(None)
-        assert seen[:2] == [("call", "insert"), ("c_call", "Kernel.insert")]
-        assert seen[2:] == [("c_call", "setprofile")]
+        assert seen == [("c_call", "Kernel.insert"), ("c_call", "setprofile")]
         assert col.estimate(7) == (1, 0)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -887,6 +899,87 @@ class TestPerEventPaperGeometry:
             with pytest.raises(ValueError, match="CLOCK state out of range"):
                 setattr(ltc._clock, {"acc": "_acc"}.get(field, field), bad)
             assert to_bytes(ltc) == before
+
+
+class TestPerEventDispatch:
+    """``ColumnarLTC.insert`` is bound to the kernel's ``insert``, whose
+    watch folds metrics and notifies the listener, so a bound insert is
+    a whole insert on both kernels; an override of ``insert`` and the
+    sanitizer's wrapper are never bypassed."""
+
+    EVENTS = bursty_churn(3 * PAPER_PERIOD, 3_000, seed=7)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_hoisted_insert_notifies_a_later_listener(self, kernel):
+        ltc = build_ltc(PAPER_CONFIG.with_options(kernel=kernel))
+        insert = ltc.insert
+        mirror = SynchronousMirror(ltc)
+        ltc.attach_cell_listener(mirror)
+        for item in self.EVENTS[:PAPER_PERIOD]:
+            insert(item)
+        occupied = {
+            slot for slot in range(ltc.total_cells)
+            if ltc.cell_state(slot)[0] is not None
+        }
+        assert occupied and occupied <= mirror.state.keys()
+        for slot, seen in mirror.state.items():
+            assert seen == ltc.cell_state(slot), f"slot {slot}"
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_run_per_event_counters_match_reference(self, kernel):
+        registries, built = [], []
+        try:
+            for config in (PAPER_CONFIG, PAPER_CONFIG.with_options(kernel=kernel)):
+                registries.append(obs.enable(MetricsRegistry()))
+                built.append(build_ltc(config))
+        finally:
+            obs.disable()
+        stream = make_stream(self.EVENTS, num_periods=3)
+        for ltc in built:
+            run_per_event(stream, ltc)
+        assert_identical(*built)
+        assert _counters(registries[0]) == _counters(registries[1])
+        assert _counters(registries[1])["ltc_inserts_total"][1] == len(self.EVENTS)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_overriding_insert_is_not_bypassed(self, kernel, monkeypatch):
+        seen = []
+
+        class Spy(KERNELS[kernel]):
+            def insert(self, item):
+                seen.append(item)
+                super().insert(item)
+
+        spy = Spy(PAPER_CONFIG)
+        spy.insert(3)
+        assert seen == [3] and spy.estimate(3) == (1, 0)
+        # A class-level wrapper, as a tracer installs one.
+        forward = KERNELS[kernel].insert
+
+        def traced(self, item):
+            seen.append(-item)
+            forward(self, item)
+
+        monkeypatch.setattr(KERNELS[kernel], "insert", traced)
+        ltc = build_ltc(PAPER_CONFIG.with_options(kernel=kernel))
+        ltc.insert(4)
+        assert seen == [3, -4] and ltc.estimate(4) == (1, 0)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_sanitized_instance_keeps_its_checking_wrapper(self, kernel, monkeypatch):
+        from repro import sanitize
+
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        checked = []
+        check = sanitize.check_ltc_bucket
+        monkeypatch.setattr(
+            sanitize, "check_ltc_bucket",
+            lambda ltc, item: checked.append(item) or check(ltc, item),
+        )
+        ltc = build_ltc(PAPER_CONFIG.with_options(kernel=kernel))
+        assert "install_ltc" in ltc.insert.__qualname__
+        ltc.insert(9)
+        assert checked == [9] and ltc.estimate(9) == (1, 0)
 
 
 #: One step of an interleaved drive: (operation, key or keys, time step).
@@ -965,6 +1058,29 @@ class TestKeyDomain:
             col.insert(list(batch)[0])
         assert (to_bytes(col), _counters(registries[1])) == before
         assert 1 not in col and 7 not in col
+
+    def test_uint64_buffer_read_in_place(self):
+        """A ``uint64`` array, ``pack_keys``' memoryview and a strided
+        ``uint64`` view leave the cells the same keys as a list leave,
+        and ``EMPTY_KEY`` anywhere in a buffer refuses the batch before
+        any write."""
+        keys = [MAX_KEY, 2**63 + 7, 5, MAX_KEY, 9, 5, 2**40] * 30
+        array = np.array(keys, dtype=np.uint64)
+        config = LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
+        images = set()
+        for batch in (keys, array, ckernel.load().pack_keys(keys),
+                      np.repeat(array, 2)[::2]):
+            col = ColumnarLTC(config)
+            col.insert_many(batch)
+            col.end_period()
+            images.add(to_bytes(col))
+        assert len(images) == 1
+        before = to_bytes(col)
+        bad = np.array([1, EMPTY_KEY, 2], dtype=np.uint64)
+        for batch in (bad, memoryview(bad)):
+            with pytest.raises(ValueError, match=str(EMPTY_KEY)):
+                col.insert_many(batch)
+        assert to_bytes(col) == before
 
     def test_int64_clock_bound_rejected_at_construction(self):
         """The compiled CLOCK accumulator is an int64: ``acc + m`` must

@@ -461,9 +461,10 @@ class TestEndpoints:
         # check must come before anything is expanded.
         cap = 16 * 1024 * 1024 // 2
         expanded = []
+        # submit is where counts expand (np.repeat): it must not be reached.
         monkeypatch.setattr(
-            server, "expand_counts",
-            lambda items, counts: expanded.append(len(items)) or [],
+            ServingApp, "submit",
+            lambda self, items, counts=None: expanded.append(len(items)) or 0,
         )
         app = ServingApp(build_ltc(_cfg()))
         body = json.dumps({"items": [1, 2], "counts": [cap, 1]}).encode()
