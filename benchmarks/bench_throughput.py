@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import time
 
 import numpy as np
@@ -69,6 +70,53 @@ def usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1  # pragma: no cover - non-Linux
+
+
+#: Alternated (per-event, batched) pairs behind every gated batch ratio.
+PAIRS = 5
+
+
+def alternated_pairs(factory, per_event, batched, pairs=PAIRS):
+    """Time ``per_event(s)`` and ``batched(s)`` on fresh ``factory()``
+    instances, back to back in ``pairs`` pairs whose order swaps each time.
+
+    A shared host's speed shifts by up to 1.4x within seconds, so two
+    best-of-N figures timed in turn can disagree by more than a gate's
+    margin; the two runs of one pair see nearly the same host.  Each run
+    is timed in process CPU seconds, which leave out the time other
+    tenants hold the core.  Returns the per-event and batched seconds
+    and the last pair's two instances, for a differential check outside
+    the timed region.
+    """
+    sides = (per_event, batched)
+    seconds = ([], [])
+    last = [None, None]
+    for pair in range(pairs):
+        for side in (0, 1) if pair % 2 == 0 else (1, 0):
+            summary = factory()
+            start = time.process_time()
+            sides[side](summary)
+            seconds[side].append(time.process_time() - start)
+            last[side] = summary
+    return seconds, last
+
+
+def median_ratio(seconds) -> float:
+    """Median over the pairs of per-event seconds / batched seconds."""
+    return statistics.median(p / b for p, b in zip(*seconds))
+
+
+def median_results(name, events, seconds):
+    """Per-event and batched results at each side's median seconds."""
+    return tuple(
+        ThroughputResult(
+            name=name,
+            events=events,
+            seconds=statistics.median(times),
+            mode=mode,
+        )
+        for mode, times in zip(("per-event", "batched"), seconds)
+    )
 
 
 def test_throughput_frequent(benchmark, bench_caida):
@@ -150,6 +198,8 @@ def test_throughput_batched(benchmark):
     compiled kernel's own method, at least ``PER_EVENT_FLOOR`` times
     per-event ``LTC.insert``, and batched ``ColumnarLTC`` fed ``uint64``
     arrays at least ``UINT64_FLOOR`` times the same keys fed as lists.
+    The sketches' speedups, CU's gated floor among them, are medians of
+    ``PAIRS`` alternated pairs (:func:`alternated_pairs`).
     """
     from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
@@ -179,25 +229,21 @@ def test_throughput_batched(benchmark):
         "Count": lambda: CountSketch(width=2_048, rows=3),
     }
 
-    def measure_sketch(name, factory, batched) -> ThroughputResult:
-        best = float("inf")
-        for _ in range(3):
-            sketch = factory()
-            start = time.perf_counter()
-            if batched:
-                for period in stream.iter_periods():
-                    sketch.update_many(period)
-            else:
-                update = sketch.update
-                for item in stream.events:
-                    update(item)
-            best = min(best, time.perf_counter() - start)
-        return ThroughputResult(
-            name=name,
-            events=len(stream),
-            seconds=best,
-            mode="batched" if batched else "per-event",
-        )
+    def sketch_pairs(factory):
+        """``update`` per event against ``update_many`` per period, in
+        alternated pairs."""
+
+        def per_event(sketch):
+            update = sketch.update
+            for item in stream.events:
+                update(item)
+
+        def batched(sketch):
+            for period in stream.iter_periods():
+                sketch.update_many(period)
+
+        seconds, _ = alternated_pairs(factory, per_event, batched)
+        return seconds
 
     def run():
         results = {}
@@ -208,12 +254,10 @@ def test_throughput_batched(benchmark):
                     factory, stream, name=name, repeats=3, batched=True
                 ),
             )
-        for name, factory in sketches.items():
-            results[name] = (
-                measure_sketch(name, factory, batched=False),
-                measure_sketch(name, factory, batched=True),
-            )
-        return results
+        sketch_seconds = {
+            name: sketch_pairs(factory) for name, factory in sketches.items()
+        }
+        return results, sketch_seconds
 
     def measure_key_inputs():
         """Batched ColumnarLTC Mops over the same periods as lists of
@@ -234,13 +278,16 @@ def test_throughput_batched(benchmark):
                 best[kind] = min(best[kind], time.perf_counter() - start)
         return {kind: len(stream) / seconds / 1e6 for kind, seconds in best.items()}
 
-    results = once(benchmark, run)
+    results, sketch_seconds = once(benchmark, run)
     key_inputs = measure_key_inputs()
     uint64_ratio = key_inputs["uint64"] / key_inputs["list"]
     speedups = {
         name: batched.ops / per_event.ops
         for name, (per_event, batched) in results.items()
     }
+    for name, seconds in sketch_seconds.items():
+        results[name] = median_results(name, len(stream), seconds)
+        speedups[name] = median_ratio(seconds)
     per_event_ratio = results["ColumnarLTC"][0].ops / results["LTC"][0].ops
     emit(
         "throughput",
@@ -312,7 +359,9 @@ def test_throughput_batched(benchmark):
     )
     # CU's conservative update is order-dependent, so its batch path runs
     # the sort-and-segment fixpoint kernel rather than a one-shot fold —
-    # still worth a large factor over the per-event loop.
+    # still worth a large factor over the per-event loop.  Best-of-3
+    # rates timed in turn missed the 5.0x floor in 2 of 32 runs on a
+    # shared host; the median of alternated pairs does not.
     cu_floor = float(os.environ.get("REPRO_CU_SPEEDUP_FLOOR", "5.0"))
     assert speedups["CU"] >= cu_floor, (
         f"CU batched speedup {speedups['CU']:.2f}x below the "
@@ -564,27 +613,14 @@ def test_throughput_columnar(benchmark):
         )
 
 
-def test_throughput_baselines(benchmark):
-    """Per-event vs batched ingestion for *every* comparison summary.
+#: Events of the network substitute behind ``test_throughput_baselines``'
+#: second point: 20 periods of 1,000, where Space-Saving's and
+#: Frequent's 1,024 counters fill in the second period and stay full.
+NETWORK_HEAD = 20_000
 
-    PR-4's batched baseline engine: each summary in the paper's
-    comparison line-ups (counter-based, sketch+heap, persistent,
-    two-structure) is driven through ``PeriodicStream.run`` in both modes
-    on the batched bench's Zipf workload at the 8KB operating point.
-    Results land in the ``baselines`` section of
-    ``BENCH_throughput.json``.
 
-    Gates (also the CI throughput smoke):
-
-    * **differential** — for every summary, the batched run's reported
-      pairs are identical to the per-event run's (always enforced; the
-      deep state equality lives in ``tests/test_batched_baselines.py``);
-    * **speedup** — Space-Saving and the CM sketch+heap pipeline must
-      beat per-event by ``REPRO_BASELINE_SPEEDUP_FLOOR`` (default 2.0;
-      the CI smoke exports 1.2 for noisy shared runners, the nightly
-      job runs the full 2.0), and no summary may be slower batched
-      than per-event.
-    """
+def baseline_lineup(stream, distinct: int) -> dict:
+    """One factory per comparison summary at the 8KB operating point."""
     from repro.combined.two_structure import TwoStructureSignificant
     from repro.persistent.pie import PIE
     from repro.persistent.sketch_persistent import SketchPersistent
@@ -594,17 +630,13 @@ def test_throughput_baselines(benchmark):
     from repro.sketches.count_sketch import CountSketch
     from repro.sketches.cu import CUSketch
     from repro.sketches.topk import SketchTopK
-    from repro.streams.synthetic import zipf_stream
     from repro.summaries.frequent import Frequent
     from repro.summaries.lossy_counting import LossyCounting
     from repro.summaries.space_saving import SpaceSaving
 
-    stream = zipf_stream(
-        num_events=100_000, num_distinct=1_000, skew=1.0, num_periods=5, seed=42
-    )
     budget = MemoryBudget(kb(8))
     per_period = stream.period_length
-    factories = {
+    return {
         "SS": lambda: SpaceSaving.from_memory(budget),
         "Freq": lambda: Frequent.from_memory(budget),
         "LC": lambda: LossyCounting.from_memory(budget),
@@ -619,83 +651,161 @@ def test_throughput_baselines(benchmark):
         ),
         "PIE": lambda: PIE.from_memory(budget),
         "SmallSpace": lambda: SmallSpacePersistent.from_memory(
-            budget, expected_distinct=1_000
+            budget, expected_distinct=distinct
         ),
         "CU+CU": lambda: TwoStructureSignificant.from_memory(
             CUSketch, budget, 100, 1.0, 1.0
         ),
     }
 
+
+def test_throughput_baselines(benchmark):
+    """Per-event vs batched ingestion for *every* comparison summary.
+
+    Each summary in the paper's comparison line-ups (counter-based,
+    sketch+heap, persistent, two-structure) is driven through
+    :func:`run_per_event` and ``PeriodicStream.run`` in ``PAIRS``
+    alternated pairs at the 8KB operating point, at two points on either
+    side of the Space-Saving and Frequent fold's selector:
+
+    * **zipf** — the batched bench's Zipf stream, whose 1,000 keys fit
+      in 1,024 counters, so those tables never fill and always fold;
+    * **network** — the first ``NETWORK_HEAD`` events of the network
+      substitute (the paper's churny dataset), whose tables fill in the
+      second period and then take the per-event loop.  It adds the
+      keyed adapter over Space-Saving and the windowed LTC.
+
+    Results land in the ``baselines`` section of
+    ``BENCH_throughput.json``, one entry per point.
+
+    Gates (also the CI throughput smoke):
+
+    * **differential** — for every summary, the batched run's reported
+      pairs are identical to the per-event run's (always enforced; the
+      deep state equality lives in ``tests/test_batched_baselines.py``);
+    * **speedup** — at the zipf point Space-Saving and the CM sketch+heap
+      pipeline must beat per-event by ``REPRO_BASELINE_SPEEDUP_FLOOR``
+      (default 2.0; the CI smoke exports 1.2 for noisy shared runners,
+      the nightly job runs the full 2.0), and at both points no summary
+      may read below 0.9x per-event.  Every ratio is the median over the
+      pairs.
+    """
+    from repro.core.keyed import KeyedSummary
+    from repro.core.windowed import WindowedLTC
+    from repro.streams.datasets import network_like
+    from repro.streams.synthetic import zipf_stream
+    from repro.summaries.space_saving import SpaceSaving
+
+    zipf = zipf_stream(
+        num_events=100_000, num_distinct=1_000, skew=1.0, num_periods=5, seed=42
+    )
+    network = network_like().head(NETWORK_HEAD)
+    network_distinct = len(set(network.events))
+    budget = MemoryBudget(kb(8))
+    lineups = {
+        "zipf": (zipf, baseline_lineup(zipf, 1_000)),
+        "network": (
+            network,
+            {
+                **baseline_lineup(network, network_distinct),
+                "Keyed-SS": lambda: KeyedSummary(SpaceSaving.from_memory(budget)),
+                "Windowed": lambda: WindowedLTC.from_memory(budget, window=3),
+            },
+        ),
+    }
+
     def run():
         return {
-            name: (
-                measure_throughput(factory, stream, name=name, repeats=2),
-                measure_throughput(
-                    factory, stream, name=name, repeats=2, batched=True
-                ),
-            )
-            for name, factory in factories.items()
+            point: {
+                name: alternated_pairs(
+                    factory,
+                    lambda summary: run_per_event(stream, summary),
+                    stream.run,
+                )
+                for name, factory in factories.items()
+            }
+            for point, (stream, factories) in lineups.items()
         }
 
-    results = once(benchmark, run)
-    # Differential gate: outside the timed region, fresh instances.
-    for name, factory in factories.items():
-        one, many = factory(), factory()
-        run_per_event(stream, one)
-        stream.run(many)
-        assert one.reported_pairs(100) == many.reported_pairs(100), (
-            f"{name}: batched ingestion diverged from per-event"
-        )
-    speedups = {
-        name: batched.ops / per_event.ops
-        for name, (per_event, batched) in results.items()
-    }
-    emit(
-        "throughput",
-        ["algorithm", "per-event Mops", "batched Mops", "speedup"],
-        [
-            (
-                name,
-                f"{per_event.mops:.3f}",
-                f"{batched.mops:.3f}",
-                f"{speedups[name]:.2f}x",
+    timings = once(benchmark, run)
+    points = {}
+    for point, by_name in timings.items():
+        stream = lineups[point][0]
+        for name, (_, (one, many)) in by_name.items():
+            assert one.reported_pairs(100) == many.reported_pairs(100), (
+                f"{name}: batched ingestion diverged from per-event at the "
+                f"{point} point"
             )
-            for name, (per_event, batched) in results.items()
-        ],
-        title="Batched vs per-event ingestion, baseline line-ups (zipf-1.0, 8KB)",
-    )
+        results = {
+            name: median_results(name, len(stream), seconds)
+            for name, (seconds, _) in by_name.items()
+        }
+        speedups = {
+            name: median_ratio(seconds) for name, (seconds, _) in by_name.items()
+        }
+        emit(
+            "throughput",
+            ["algorithm", "per-event Mops", "batched Mops", "speedup"],
+            [
+                (
+                    name,
+                    f"{per_event.mops:.3f}",
+                    f"{batched.mops:.3f}",
+                    f"{speedups[name]:.2f}x",
+                )
+                for name, (per_event, batched) in results.items()
+            ],
+            title=(
+                f"Batched vs per-event ingestion, baseline line-ups "
+                f"({stream.name}, 8KB; medians of {PAIRS} alternated pairs)"
+            ),
+        )
+        points[point] = (stream, results, speedups)
     floor = float(os.environ.get("REPRO_BASELINE_SPEEDUP_FLOOR", "2.0"))
+    parity_floor = 0.9
     update_bench_json(
         "baselines",
         {
             "benchmark": (
                 "benchmarks/bench_throughput.py::test_throughput_baselines"
             ),
-            "stream": {
-                "kind": "zipf",
-                "skew": 1.0,
-                "num_events": len(stream),
-                "num_distinct": 1_000,
-                "num_periods": stream.num_periods,
-                "seed": 42,
-            },
             "memory_kb": 8,
+            "pairs": PAIRS,
             "speedup_floor": floor,
-            "results": [
-                result.to_dict() for pair in results.values() for result in pair
-            ],
-            "speedups": speedups,
+            "parity_floor": parity_floor,
+            "points": {
+                point: {
+                    "stream": {
+                        "name": stream.name,
+                        "num_events": len(stream),
+                        "num_distinct": len(set(stream.events)),
+                        "num_periods": stream.num_periods,
+                    },
+                    "results": [
+                        result.to_dict()
+                        for pair in results.values()
+                        for result in pair
+                    ],
+                    "speedups": speedups,
+                }
+                for point, (stream, results, speedups) in points.items()
+            },
         },
     )
-    # Never materially slower: the dict-fold paths (Freq, LC) only
-    # amortise the interpreter loop, so their wins are a few percent —
-    # gate at parity-within-noise rather than a strict 1.0.
-    for name, speedup in speedups.items():
-        assert speedup >= 0.9, f"{name} batched slower than per-event"
-    # Headline floors on the structures with fully vectorised paths.
+    # Never materially slower: at the network point SS, Frequent and the
+    # windowed LTC run their per-event loop and read about 1.0x, so gate
+    # at parity within noise rather than a strict 1.0.
+    for point, (_, _, speedups) in points.items():
+        for name, speedup in speedups.items():
+            assert speedup >= parity_floor, (
+                f"{name} batched {speedup:.2f}x per-event at the {point} point"
+            )
+    # Headline floors on the zipf point, where SS always folds and CM's
+    # sketch updates are vectorised.
+    zipf_speedups = points["zipf"][2]
     for name in ("SS", "CM-topk"):
-        assert speedups[name] >= floor, (
-            f"{name} batched speedup {speedups[name]:.2f}x below the "
+        assert zipf_speedups[name] >= floor, (
+            f"{name} batched speedup {zipf_speedups[name]:.2f}x below the "
             f"{floor:.2f}x floor"
         )
 

@@ -30,21 +30,15 @@ class LTCConfig:
             replaces the minimum cell and inherits its value + 1 (the
             Space-Saving strategy the paper argues against, §I-C).
         seed: Bucket-hash seed.
-        sanitize: Install the runtime invariant checker
-            (:mod:`repro.sanitize`) on the built structure.  Debug mode:
-            every mutation is validated and violations raise
-            :class:`repro.sanitize.SanitizeError` at the mutation site.
-            Also enabled globally by ``REPRO_SANITIZE=1``.  Excluded from
-            config equality/merge compatibility — a sanitized structure
-            checkpoints and merges like an unsanitized one.
         kernel: Which LTC implementation :func:`repro.core.kernels.build_ltc`
             constructs for this config: ``"reference"`` (the paper-faithful
             :class:`repro.core.ltc.LTC`) or ``"columnar"`` (the production
             :class:`repro.core.columnar.ColumnarLTC`: numpy columns updated
             by one compiled C loop, built on first use).
-            Both kernels are observably identical (differential-tested);
-            excluded from config equality/merge compatibility for the same
-            reason as ``sanitize``.
+            Both kernels are observably identical (differential-tested), so
+            the field is excluded from config equality and merge
+            compatibility: either kernel checkpoints and merges like the
+            other.
     """
 
     num_buckets: int
@@ -55,7 +49,6 @@ class LTCConfig:
     deviation_eliminator: bool = True
     replacement_policy: str = "longtail"
     seed: int = 0x17C
-    sanitize: bool = field(default=False, compare=False)
     kernel: str = field(default="reference", compare=False)
 
     def __post_init__(self) -> None:

@@ -119,7 +119,7 @@ class LTC(StreamSummary):
         # Debug-mode invariant checking: wrappers are installed on the
         # *instance* only when requested, so the disabled hot paths stay
         # the plain class functions (zero cost, not even a flag branch).
-        if config.sanitize or sanitize.env_enabled():
+        if sanitize.env_enabled():
             sanitize.install_ltc(self)
 
     @classmethod

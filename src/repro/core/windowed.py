@@ -133,56 +133,26 @@ class WindowedLTC(StreamSummary):
             self._freqs[jmin] = 1.0
             self._rings[jmin] = 1
 
-    def _slot(self, item: int) -> int:
-        """Cell index currently tracking ``item``, or −1."""
-        d = self.bucket_width
-        base = (splitmix64(item ^ self._seed) % self.num_buckets) * d
-        keys = self._keys
-        for j in range(base, base + d):
-            if keys[j] == item:
-                return j
-        return -1
-
     def insert_many(
         self, items: Iterable[int], counts: Optional[Sequence[int]] = None
     ) -> None:
-        """Batched arrivals, replay-identical to per-event :meth:`insert`.
+        """Batched arrivals: :meth:`insert` per event, in order.
 
-        Consecutive duplicates fold: as soon as one arrival of a run
-        lands the item in its bucket, every remaining copy is a pure
-        hit — frequency += 1 with the period-presence bit already set —
-        so the tail skips the hash and the bucket probe.  The ``1.0``s
-        are still added one at a time: once frequencies have decayed to
-        non-integers, ``f + 1.0 + 1.0`` and ``f + 2.0`` can round
-        differently.  Only the order-sensitive arrivals (misses that
-        trigger the windowed significance decrement) are replayed singly.
+        No fold pays here.  Consecutive repeats, the only arrivals a
+        fold could skip the probe for, are 0.5–6.5% of the paper
+        datasets' substitutes, and a run of hits must still add its
+        ``1.0``s one at a time: ``f + 1.0 + 1.0`` and ``f + 2.0`` can
+        round differently once frequencies have decayed.
         """
         if counts is not None:
             items = expand_counts(items, counts)
         elif not isinstance(items, (list, tuple)):
             items = list(items)
-        total = len(items)
         if self._m_batch is not None:
-            self._m_batch.observe(total)
+            self._m_batch.observe(len(items))
         insert = self.insert
-        freqs = self._freqs
-        i = 0
-        while i < total:
-            item = items[i]
-            run = i + 1
-            while run < total and items[run] == item:
-                run += 1
-            while i < run:
-                insert(item)
-                i += 1
-                if i < run:
-                    j = self._slot(item)
-                    if j >= 0:
-                        freq = freqs[j]
-                        while i < run:
-                            freq += 1.0
-                            i += 1
-                        freqs[j] = freq
+        for item in items:
+            insert(item)
 
     def end_period(self) -> None:
         """Shift the window: age rings, decay frequencies, drop dead cells.

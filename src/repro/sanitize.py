@@ -9,12 +9,14 @@ buckets stay strictly count-ordered.  This module checks those contracts
 *at the mutation site* so a violation produces a precise repro message
 instead of a distant assertion failure.
 
-Enabling (both are read at **construction** time):
+Enabling:
 
-* environment: ``REPRO_SANITIZE=1`` turns sanitization on for every
-  structure built afterwards (the nightly CI hypothesis profile runs the
-  suites this way);
-* per instance: ``LTCConfig(sanitize=True)`` for the LTC family.
+* environment: ``REPRO_SANITIZE=1``, read at **construction** time,
+  turns sanitization on for every structure built afterwards (the
+  nightly CI hypothesis profile runs the suites this way);
+* per instance: call :func:`install_ltc` (or :func:`install_windowed`,
+  :func:`install_heap`, :func:`install_space_saving`) on a structure
+  after building it.
 
 When disabled (the default) nothing is installed — the public mutators
 remain the plain class functions, so the hot paths carry **zero** extra

@@ -76,9 +76,12 @@ class StreamSummary(abc.ABC):
         consecutive arrivals of ``items[i]`` (see :func:`expand_counts`).
         Semantically identical to calling :meth:`insert` per expanded
         item; the default is a plain loop with the method lookup hoisted.
-        Summaries with a cheaper amortised batch path (LTC, ColumnarLTC, and
-        every comparison baseline) override this — differential tests pin
-        every override cell-for-cell equal to the one-at-a-time reference.
+        Overrides take a cheaper batch path where one pays: the LTC
+        kernels and most baselines always, Space-Saving and Frequent
+        only while their table has room (then they loop over
+        :meth:`insert`), and the windowed LTC never (its override only
+        records the batch size).  Differential tests pin every override
+        cell-for-cell equal to the one-at-a-time reference.
         """
         insert = self.insert
         if counts is None:

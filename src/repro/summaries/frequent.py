@@ -26,7 +26,6 @@ class Frequent(StreamSummary):
         self.capacity = capacity
         self._counters: Dict[int, int] = {}  # item -> estimate (no offset)
         self.decrements = 0  # total global decrements (for the MG bound)
-        self._fold_backoff = 0  # chunks to skip Counter-folding after a miss
         self._m_batch = obs.batch_size_histogram(type(self).__name__)
 
     @classmethod
@@ -59,115 +58,34 @@ class Frequent(StreamSummary):
     ) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
-        Hits and free-slot adds commute within a run (the counter set
-        only grows), so maximal runs fold to per-item multiplicities
-        applied in first-occurrence order — preserving the dict insertion
-        order a per-event replay produces.  The batch is processed in
-        chunks, each folded into a C-speed :class:`collections.Counter`
-        (which preserves first-occurrence order) and applied wholesale
-        when one of two commuting regimes holds:
-
-        * **everything fits** — the chunk's new distinct items all find
-          free slots, so no decrement round can trigger;
-        * **full table, no deaths** — the table is full and the chunk's
-          ``R`` untracked arrivals each trigger one decrement round; when
-          ``R`` is smaller than the minimum counter no counter can reach
-          zero in any interleaving, so the rounds fold to one pass
-          subtracting ``R`` and every untracked arrival is dropped —
-          exactly the per-event outcome.
-
-        Chunks matching neither regime replay through the ordered run
-        scan, with streaks of consecutive new items folding their
-        decrement rounds while no counter can die.  A failed fold attempt
-        backs off for a couple of chunks so churn-heavy regimes (capacity
-        far below the distinct count) don't pay for folds that never
-        apply — the backoff only picks between identical-outcome paths.
+        While the table has never overflowed (``decrements == 0``), the
+        whole batch folds into one :class:`collections.Counter`, applied
+        only if the batch's newcomers fit the free counters: then no
+        decrement round can trigger, hits and adds commute, and the
+        Counter's first-occurrence order is the dict order a per-event
+        replay produces.  Otherwise the batch goes through :meth:`insert`
+        one event at a time.  Once a decrement round has run, the table
+        sits full on churny streams and a fold would rarely fit.
         """
         if counts is not None:
             items = expand_counts(items, counts)
         elif not isinstance(items, (list, tuple)):
             items = list(items)
-        total = len(items)
         if self._m_batch is not None:
-            self._m_batch.observe(total)
+            self._m_batch.observe(len(items))
         counters = self._counters
-        capacity = self.capacity
-        i = 0
-        while i < total:
-            stop = min(total, i + 4096)
-            if self._fold_backoff:
-                self._fold_backoff -= 1
-                i = self._replay_runs(items, i, stop)
-                continue
-            folded = Counter(items[i:stop])
-            news_distinct = 0
-            news_arrivals = 0
-            for key, arrivals in folded.items():
-                if key not in counters:
-                    news_distinct += 1
-                    news_arrivals += arrivals
-            if news_distinct <= capacity - len(counters):
-                get = counters.get
-                for key, arrivals in folded.items():
-                    counters[key] = get(key, 0) + arrivals
-                i = stop
-                continue
-            if len(counters) == capacity:
-                cmin = min(counters.values())
-                if news_arrivals < cmin:
-                    for key, arrivals in folded.items():
-                        if key in counters:
-                            counters[key] += arrivals
-                    self.decrements += news_arrivals
-                    for key in counters:
-                        counters[key] -= news_arrivals
-                    i = stop
-                    continue
-            self._fold_backoff = 2
-            i = self._replay_runs(items, i, stop)
-
-    def _replay_runs(self, items: Sequence[int], i: int, stop: int) -> int:
-        """Ordered per-event fallback for one chunk; returns the next index.
-
-        The per-event logic inlined (hits and free adds verbatim), except
-        that a run-breaking new item extends over the streak of
-        consecutive new items while no counter can reach zero — those
-        decrement rounds kill nothing, so they fold to one pass
-        subtracting the streak length.
-        """
-        counters = self._counters
-        capacity = self.capacity
-        while i < stop:
-            item = items[i]
-            if item in counters:
-                counters[item] += 1
-                i += 1
-            elif len(counters) < capacity:
-                counters[item] = 1
-                i += 1
-            else:
-                cmin = min(counters.values())
-                r = 1
-                while (
-                    r < cmin - 1
-                    and i + r < stop
-                    and items[i + r] not in counters
-                ):
-                    r += 1
-                self.decrements += r
-                if r <= cmin - 1:
-                    for key in counters:
-                        counters[key] -= r
-                else:  # r == 1 and some counter sits at 1: purge zeros.
-                    dead = []
-                    for key in counters:
-                        counters[key] -= 1
-                        if counters[key] == 0:
-                            dead.append(key)
-                    for key in dead:
-                        del counters[key]
-                i += r
-        return i
+        if self.decrements == 0:
+            folded = Counter(items)
+            hits = [key for key in folded if key in counters]
+            if len(folded) - len(hits) <= self.capacity - len(counters):
+                for key in hits:
+                    folded[key] += counters[key]
+                # Hits keep their place; newcomers follow in arrival order.
+                counters.update(folded)
+                return
+        insert = self.insert
+        for item in items:
+            insert(item)
 
     def query(self, item: int) -> float:
         """Estimate the summary's ranking quantity for ``item``."""

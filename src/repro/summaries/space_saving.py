@@ -54,33 +54,30 @@ class SpaceSaving(StreamSummary):
     ) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
-        The batch is split into maximal *runs* of events that are either
-        hits on monitored items or first appearances while a counter cell
-        is still free — within such a run membership never shrinks, so
-        the run folds to per-item multiplicities and one
-        :meth:`StreamSummaryList.apply_run` bulk pass.  The event that
-        breaks a run (a miss against a full table) is the order-sensitive
-        eviction and is replayed singly via ``replace_min``.
+        While a counter is free, the batch's leading hits and first
+        appearances fold to per-item multiplicities and one
+        :meth:`StreamSummaryList.apply_run` pass: membership only grows
+        there, so order matters only for bucket order, which ``apply_run``
+        rebuilds from each item's last occurrence.  From the first miss on
+        a full table the rest goes through :meth:`insert` one event at a
+        time.  Space-Saving never frees a counter, so once the table is
+        full every later batch takes that loop: on churny streams a fold
+        would end at the first miss and cost more than it saves.
         """
         if counts is not None:
             items = expand_counts(items, counts)
         elif not isinstance(items, (list, tuple)):
             items = list(items)
-        total = len(items)
         if self._m_batch is not None:
-            self._m_batch.observe(total)
+            self._m_batch.observe(len(items))
         summary = self._summary
         nodes = summary._nodes
-        capacity = self.capacity
-        apply_run = summary.apply_run
+        free = self.capacity - len(nodes)
         i = 0
-        while i < total:
+        if free > 0:
             mult: Dict[int, int] = {}
             last: Dict[int, int] = {}
-            free = capacity - len(nodes)
-            j = i
-            while j < total:
-                item = items[j]
+            for item in items:
                 if item in mult:
                     mult[item] += 1
                 elif item in nodes:
@@ -90,14 +87,13 @@ class SpaceSaving(StreamSummary):
                     free -= 1
                 else:
                     break
-                last[item] = j
-                j += 1
-            if mult:
-                apply_run(mult, last)
-            i = j
-            if i < total:
-                summary.replace_min(items[i])
+                last[item] = i
                 i += 1
+            if mult:
+                summary.apply_run(mult, last)
+        insert = self.insert
+        for item in items[i:]:
+            insert(item)
 
     def query(self, item: int) -> float:
         """Estimate the summary's ranking quantity for ``item``."""

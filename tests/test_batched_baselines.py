@@ -1,12 +1,13 @@
 """Every baseline's ``insert_many`` ≡ per-event ``insert``, state for state.
 
-Every comparison summary has a vectorised (or run-folded) batch fast
-path.  Correctness bar: not just equal reports, but *bit-identical
-internal state* after the batch — the same evictions must happen on any
-future suffix.  Each test drives one copy per event
-(:func:`repro.metrics.throughput.run_per_event`) and one copy through
-whole-period ``insert_many`` batches (``PeriodicStream.run``) and
-compares full internals: counter dicts in insertion order, linked-list
+Every comparison summary has an ``insert_many``: a vectorised or folded
+batch path, or a per-event loop behind a fold taken only while the
+table has room (Space-Saving, Frequent).  Correctness bar: not just
+equal reports, but *bit-identical internal state* after the batch — the
+same evictions must happen on any future suffix.  Each test drives one
+copy per event (:func:`repro.metrics.throughput.run_per_event`) and one
+copy through whole-period ``insert_many`` batches
+(``PeriodicStream.run``) and compares full internals: counter dicts in insertion order, linked-list
 bucket order for Space-Saving, sketch tables, heap arrays + index, Bloom
 filter bits, STBF cell arrays, sampler dicts, the keyed adapter's
 reverse map and the windowed LTC's decayed frequencies.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.combined.two_structure import TwoStructureSignificant
@@ -226,6 +227,17 @@ class TestArbitraryChunking:
         boundaries=st.lists(st.integers(0, 250), max_size=8),
     )
     @settings(max_examples=100, deadline=None)
+    # The second batch fills the 8 counters mid-batch, then misses.
+    @example(
+        events=[0, 1, 2, 0, 3, 4, 5, 6, 7, 0, 8, 9, 1, 10, 0, 8],
+        boundaries=[3],
+    )
+    # Frequent overflows at 8 mid-batch and purges every counter; the
+    # next batch finds free counters after a decrement round.
+    @example(
+        events=[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1, 2, 1, 3],
+        boundaries=[10],
+    )
     def test_any_chunking_matches_per_event(self, factory, events, boundaries):
         one, many = factory(), factory()
         for item in events:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import obs, sanitize
 from repro.core import ckernel
 from repro.core.columnar import ColumnarLTC
 from repro.core.config import LTCConfig
@@ -196,10 +196,11 @@ class TestEquivalence:
         events = [rng.randrange(300) for _ in range(2_000)]
         config = LTCConfig(
             num_buckets=4, bucket_width=4, alpha=1.0, beta=1.0,
-            items_per_period=200, sanitize=True,
+            items_per_period=200,
         )
-        plain = ColumnarLTC(config.with_options(sanitize=False))
+        plain = ColumnarLTC(config)
         checked = ColumnarLTC(config)
+        sanitize.install_ltc(checked)
         stream = make_stream(events, num_periods=10)
         stream.run(plain)
         stream.run(checked)
@@ -967,8 +968,6 @@ class TestPerEventDispatch:
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_sanitized_instance_keeps_its_checking_wrapper(self, kernel, monkeypatch):
-        from repro import sanitize
-
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         checked = []
         check = sanitize.check_ltc_bucket

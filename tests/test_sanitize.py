@@ -69,8 +69,9 @@ def test_disabled_leaves_hot_paths_untouched():
     assert "offer" not in heap.__dict__
 
 
-def test_config_flag_installs_wrappers():
-    ltc = LTC(small_config(sanitize=True))
+def test_install_ltc_installs_wrappers():
+    ltc = LTC(small_config())
+    sanitize.install_ltc(ltc)
     for name in ("insert", "insert_many", "insert_timed", "end_period", "finalize"):
         assert name in ltc.__dict__, name
     # Installation is idempotent: a second call must not re-wrap.
@@ -300,9 +301,9 @@ def test_sanitizer_catches_old_decrement_bug():
             bucket_width=4,
             items_per_period=stream.period_length,
             replacement_policy="one",
-            sanitize=True,
         )
     )
+    sanitize.install_ltc(ltc)
     with pytest.raises(SanitizeError) as excinfo:
         stream.run(ltc)
     assert invariant_of(excinfo) == "persistency_le_frequency"
@@ -317,9 +318,9 @@ def test_fixed_decrement_passes_same_stream():
             bucket_width=4,
             items_per_period=stream.period_length,
             replacement_policy="one",
-            sanitize=True,
         )
     )
+    sanitize.install_ltc(ltc)
     stream.run(ltc)
     assert ltc.estimate(1) == (1, 1)
 
@@ -338,7 +339,8 @@ def test_sanitized_run_is_bit_identical_to_plain_run():
             seed=trial,
         )
         plain = LTC(small_config(**cfg))
-        checked = LTC(small_config(sanitize=True, **cfg))
+        checked = LTC(small_config(**cfg))
+        sanitize.install_ltc(checked)
         for event in events:
             plain.insert(event)
             checked.insert(event)
@@ -352,7 +354,8 @@ def test_sanitized_run_is_bit_identical_to_plain_run():
 def test_sanitized_batched_run_matches_plain():
     events = [3, 3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5] * 4
     plain = ColumnarLTC(small_config(items_per_period=8))
-    checked = ColumnarLTC(small_config(items_per_period=8, sanitize=True))
+    checked = ColumnarLTC(small_config(items_per_period=8))
+    sanitize.install_ltc(checked)
     plain.insert_many(events)
     checked.insert_many(events)
     plain.finalize()
