@@ -218,9 +218,51 @@ def check_ltc(
     must read images written by builds that did not keep it).
     """
     strong = persistency and ltc._policy != "space-saving"
-    for j in range(ltc.total_cells) if cells is None else cells:
+    if cells is None:
+        # The whole table is checked in numpy; the per-cell check then
+        # re-runs on the buckets it flags, in order, so the first
+        # failure raises with the same text a full per-cell scan gives.
+        cells = _flagged_cells(ltc, strong)
+    for j in cells:
         _check_ltc_cell(ltc, j, strong)
     _check_ltc_clock(ltc)
+
+
+def _flagged_cells(ltc: "LTC", strong: bool) -> Iterable[int]:
+    """The cells of every bucket in which some cell breaks an invariant
+    :func:`_check_ltc_cell` checks (every cell, for columns numpy cannot
+    hold)."""
+    import numpy as np
+
+    from repro.core.ltc import EMPTY_KEY
+    from repro.hashing.family import splitmix64_array
+
+    w, d = ltc._w, ltc._d
+    try:
+        keys = np.asarray(ltc._keys, dtype=np.uint64)
+        freqs = np.asarray(ltc._freqs, dtype=np.int64)
+        counters = np.asarray(ltc._counters, dtype=np.int64)
+        flags = np.asarray(ltc._flags, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        return range(ltc.total_cells)
+    empty = keys == np.uint64(EMPTY_KEY)
+    bad = (flags & ~0b11) != 0
+    if not ltc._de:
+        bad |= (flags & 0b10) != 0
+    bad |= empty & ((freqs != 0) | (counters != 0) | (flags != 0))
+    home = splitmix64_array(keys ^ np.uint64(ltc._seed)) % np.uint64(w)
+    wrong = (home != np.arange(w * d, dtype=np.uint64) // np.uint64(d))
+    wrong |= (freqs < 0) | (counters < 0)
+    if strong:
+        # freq - pending cannot wrap: a negative freq is flagged above.
+        wrong |= counters > freqs - ((flags & 1) + (flags >> 1 & 1))
+    bad |= ~empty & wrong
+    ranked = np.sort(keys.reshape(w, d), axis=1)
+    held_twice = (ranked[:, 1:] == ranked[:, :-1]) & (
+        ranked[:, 1:] != np.uint64(EMPTY_KEY)
+    )
+    flagged = np.flatnonzero(bad.reshape(w, d).any(axis=1) | held_twice.any(axis=1))
+    return (int(b) * d + i for b in flagged for i in range(d))
 
 
 def check_ltc_bucket(ltc: "LTC", item: int) -> None:

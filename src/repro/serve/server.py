@@ -1,21 +1,27 @@
 """Asyncio HTTP service: concurrent ingest + point and ranked queries.
 
-Stdlib only — a minimal HTTP/1.1 layer over ``asyncio.start_server``.
-One request per connection, and every response is ``Connection:
-close``, which keeps shutdown exact.  The request head is read in one
-``readuntil`` bounded by the stream's 64 KiB limit (a longer head, or
-one not ended by CRLF CRLF, is a 400, and so is a body the client's EOF
-cuts short of its ``Content-Length``).  A body over 16 MiB is refused
-with a 413 before any of it is read, and so is an ingest whose
-``counts`` add up to more events than such a body could carry.  The
-head and body together must arrive within a 30 s read deadline, or the
-request is answered 408 and the connection closed.  While
-the ingest queue holds 4 Mi events, ``POST /ingest`` is answered 503
-with ``Retry-After: 1``.  A reply ends with a half-close
-(``write_eof``) right after its last byte, so a client reading to EOF
-sees it end before the loop runs the ingest step its POST has queued;
-the later ``close()`` would only land after that step (DESIGN.md
-§12.4).
+Stdlib only — a minimal HTTP/1.1 layer: ``run_app`` serves each
+connection with one :class:`_Connection`, an ``asyncio.Protocol`` state
+machine made by ``loop.create_server``, with no Task and no stream
+objects.  One request per connection, and every response is
+``Connection: close``, which keeps shutdown exact.  The connection
+buffers bytes until the request head — ended by CRLF CRLF within 64 KiB,
+``StreamReader.readuntil``'s bound — and the body its
+``Content-Length`` declares are whole; a longer head, or one the
+client's EOF leaves without CRLF CRLF, is a 400, and so is a body the
+client's EOF cuts short.  A body over 16 MiB is refused with a 413
+before any of it is read, and so is an ingest whose ``counts`` add up
+to more events than such a body could carry.  One ``loop.call_later``
+per connection, cancelled by the reply, answers 408 and closes a
+connection whose request is not whole within 30 s.  While the ingest
+queue holds 4 Mi events, ``POST /ingest`` is answered 503 with
+``Retry-After: 1``.  A reply is written in one ``transport.write`` and
+ends with a half-close (``write_eof``) right after it, so a client
+reading to EOF sees it end before the loop runs the ingest step its
+POST has queued; the later ``close()`` would only land after that step
+(DESIGN.md §12.4).  ``ServingApp.handle`` feeds a stream pair to the
+same state machine, for callers that hold one.
+
 Ingestion and queries share one event loop: ``POST /ingest`` enqueues a
 batch and returns immediately; a background worker applies batches
 through ``insert_many`` in chunks, yielding to the loop between chunks
@@ -27,10 +33,10 @@ it runs.  ``counts`` are packed the same way and expanded with
 ``np.repeat``; the queue holds the buffers, and the worker hands
 memoryview slices of them to ``insert_many``, which the columnar
 kernel reads in place.  Queries are answered **synchronously** inside
-the handler — the event loop never switches tasks mid-answer, so every
-response reflects one consistent table state (this is also what lets
-the oracle self-check compare served bytes against a full scan of the
-very same state).
+the connection's data callback — the event loop never switches tasks
+mid-answer, so every response reflects one consistent table state
+(this is also what lets the oracle self-check compare served bytes
+against a full scan of the very same state).
 
 Ranked answers (``/top_k``, ``/significant``) are assembled, not
 re-rendered: the app keeps one ``canonical_json`` fragment per position
@@ -101,6 +107,13 @@ _TEXT = "text/plain; version=0.0.4; charset=utf-8"
 #: Events applied per worker step before yielding back to the loop.
 _INGEST_CHUNK = 4096
 
+#: Furthest into a connection's bytes a request head may end (the
+#: default limit of ``asyncio.StreamReader``, whose bound it keeps).
+_HEAD_LIMIT = 64 * 1024
+
+#: Bytes ``ServingApp.handle`` asks its reader for at a time.
+_READ_SIZE = 64 * 1024
+
 #: Largest request body read; a longer Content-Length is answered 413.
 _MAX_BODY = 16 * 1024 * 1024
 
@@ -131,19 +144,16 @@ Response = Tuple[int, str, bytes]
 #: An ingest whose ``counts`` add up to more than :data:`_MAX_EVENTS`.
 _TOO_MANY: Response = (413, _JSON, canonical_json({"error": "too many events"}))
 
+#: A Content-Length over :data:`_MAX_BODY`, refused before any body is read.
+_BODY_TOO_LARGE: Response = (413, _JSON, canonical_json({"error": "body too large"}))
+
+#: The request was not whole within :data:`_READ_DEADLINE_S`.
+_TIMED_OUT: Response = (408, _JSON, canonical_json({"error": "request timeout"}))
+
 #: The ingest queue is full: the one reply sent with ``Retry-After``.
 _QUEUE_FULL: Response = (
     503, _JSON, canonical_json({"error": "ingest queue full, retry later"})
 )
-
-
-class _Refused(Exception):
-    """A request turned away while it was read: the answer to send, or
-    ``None`` to close without one."""
-
-    def __init__(self, response: Optional[Response]) -> None:
-        super().__init__()
-        self.response = response
 
 
 class OracleMismatch(AssertionError):
@@ -480,89 +490,159 @@ class ServingApp:
     async def handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """One connection: read a request, answer, half-close, close."""
+        """Serve one connection given as a stream pair: ``reader``'s bytes
+        go to the :class:`_Connection` that ``run_app`` serves, with
+        ``writer`` as its transport."""
+        conn = _Connection(self)
+        conn.connection_made(writer)  # type: ignore[arg-type]
         try:
-            try:
-                async with asyncio.timeout(_READ_DEADLINE_S):
-                    method, target, body = await self._read_request(reader)
-            except TimeoutError:
-                await self._write(
-                    writer,
-                    (408, _JSON, canonical_json({"error": "request timeout"})),
-                )
+            while data := await reader.read(_READ_SIZE):
+                conn.data_received(data)
+            conn.eof_received()
+        except OSError:  # a reset while reading: the peer went away
+            pass
+        finally:
+            conn.connection_lost(None)
+            writer.close()
+
+
+class _Connection(asyncio.Protocol):
+    """One connection: read one request, answer it, half-close, close.
+
+    Bytes are buffered until the head (ended by CRLF CRLF) and the body
+    its ``Content-Length`` declares are whole; the app then answers
+    synchronously and the reply ends the connection.  Bytes that arrive
+    after a request, or after its answer, are dropped.
+    """
+
+    def __init__(self, app: ServingApp) -> None:
+        self._app = app
+        #: ``None`` once the connection is answered or gone.
+        self._transport: Optional[asyncio.WriteTransport] = None
+        self._buf = bytearray()
+        #: Where the search for CRLF CRLF resumes (as in ``readuntil``).
+        self._scanned = 0
+        #: ``(method, target, body length)`` once the head is read.
+        self._head: Optional[Tuple[str, str, int]] = None
+        self._deadline: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport  # type: ignore[assignment]
+        self._deadline = asyncio.get_running_loop().call_later(
+            _READ_DEADLINE_S, self._reply, _TIMED_OUT
+        )
+
+    def data_received(self, data: bytes) -> None:
+        if self._transport is not None:
+            self._buf += data
+            self._advance(eof=False)
+
+    def eof_received(self) -> None:
+        if self._transport is not None:
+            self._advance(eof=True)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._forget()
+
+    def _forget(self) -> None:
+        """Stop serving: drop the transport and cancel the deadline."""
+        self._transport = None
+        if self._deadline is not None:
+            self._deadline.cancel()
+            self._deadline = None
+
+    def _advance(self, eof: bool) -> None:
+        """Answer the request once it is whole, or refuse it, from what
+        has been buffered; ``eof`` once the client has ended its side."""
+        buf = self._buf
+        if self._head is None:
+            end = buf.find(b"\r\n\r\n", self._scanned)
+            if end < 0 and len(buf) - 3 <= _HEAD_LIMIT:
+                self._scanned = max(0, len(buf) - 3)
+                if eof:
+                    # A bare connect is dropped, a truncated (or bare-LF)
+                    # head is refused.
+                    self._reply(
+                        ServingApp._bad_request("malformed request") if buf else None
+                    )
                 return
-            except _Refused as refused:
-                if refused.response is not None:
-                    await self._write(writer, refused.response)
+            refusal = self._read_head(end)
+            if refusal is not None:
+                self._reply(refusal)
                 return
-            try:
-                response = self.respond(method, target, body)
-            except OracleMismatch:
-                raise
-            except Exception as exc:  # route bugs become 500s, not hangups
-                response = 500, _JSON, canonical_json({"error": str(exc)})
-            await self._write(writer, response)
+        method, target, length = self._head
+        if len(buf) < length:
+            if eof:
+                self._reply(ServingApp._bad_request("body shorter than Content-Length"))
+            return
+        body = bytes(buf[:length])
+        try:
+            response = self._app.respond(method, target, body)
+        except OracleMismatch:
+            self._reply(None)
+            raise
+        except Exception as exc:  # route bugs become 500s, not hangups
+            response = 500, _JSON, canonical_json({"error": str(exc)})
+        self._reply(response)
+
+    def _read_head(self, end: int) -> Optional[Response]:
+        """Take the head that ends at ``end`` (-1: none yet) off the
+        buffer into ``_head``, or return the answer that refuses it."""
+        # StreamReader.readuntil's bound: the head must end within
+        # _HEAD_LIMIT bytes, and is refused as soon as it is known not to.
+        if not 0 <= end <= _HEAD_LIMIT:
+            return ServingApp._bad_request("request head too large")
+        request, *fields = self._buf[:end].decode("latin-1").split("\r\n")
+        del self._buf[: end + 4]
+        head = request.split()
+        if len(head) < 2:
+            return ServingApp._bad_request("malformed request")
+        length = _content_length(fields)
+        if length is None:
+            return ServingApp._bad_request(
+                "Content-Length must be one non-negative integer"
+            )
+        if length > _MAX_BODY:
+            return _BODY_TOO_LARGE
+        self._head = head[0], head[1], length
+        return None
+
+    def _reply(self, response: Optional[Response]) -> None:
+        """Send ``response`` (``None``: nothing), half-close and close;
+        a no-op once the connection is answered or gone."""
+        transport = self._transport
+        if transport is None:
+            return
+        self._forget()
+        self._buf = bytearray()
+        try:
+            if response is not None:
+                transport.write(_render(response))
+                # Half-close here, not at close(): the transport closes
+                # its socket from a call_soon callback, queued behind the
+                # worker wakeup a POST has just made, so a client reading
+                # to EOF would otherwise wait out the whole batch
+                # (DESIGN.md §12.4).
+                transport.write_eof()
         except OSError:
             # The peer went away: a reset, or (ENOTCONN) a half-close
             # after it had already closed its end.
             pass
         finally:
-            try:
-                writer.close()
-            except RuntimeError:  # pragma: no cover - loop already closed
-                pass
+            transport.close()
 
-    @classmethod
-    async def _read_request(
-        cls, reader: asyncio.StreamReader
-    ) -> Tuple[str, str, bytes]:
-        """Read one request's ``(method, target, body)``, or raise
-        :class:`_Refused` with the answer to a bad one."""
-        try:
-            raw = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.IncompleteReadError as exc:
-            # EOF before the blank line: a bare connect is dropped, a
-            # truncated (or bare-LF) head is refused.
-            raise _Refused(
-                cls._bad_request("malformed request") if exc.partial else None
-            )
-        except asyncio.LimitOverrunError:
-            raise _Refused(cls._bad_request("request head too large"))
-        request, *fields = raw.decode("latin-1").split("\r\n")
-        head = request.split()
-        if len(head) < 2:
-            raise _Refused(cls._bad_request("malformed request"))
-        length = _content_length(fields)
-        if length is None:
-            raise _Refused(
-                cls._bad_request("Content-Length must be one non-negative integer")
-            )
-        if length > _MAX_BODY:
-            raise _Refused((413, _JSON, canonical_json({"error": "body too large"})))
-        try:
-            body = await reader.readexactly(length) if length else b""
-        except asyncio.IncompleteReadError:
-            raise _Refused(cls._bad_request("body shorter than Content-Length"))
-        return head[0], head[1], body
 
-    @staticmethod
-    async def _write(writer: asyncio.StreamWriter, response: Response) -> None:
-        status, ctype, payload = response
-        reason = _REASONS.get(status, "OK")
-        head = (
-            f"HTTP/1.1 {status} {reason}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            + ("Retry-After: 1\r\n" if response is _QUEUE_FULL else "")
-            + "Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        writer.write(head + payload)
-        # Half-close here, not at close(): the transport closes its socket
-        # from a call_soon callback, queued behind the worker wakeup a POST
-        # has just made, so a client reading to EOF would otherwise wait
-        # out the whole batch (DESIGN.md §12.4).
-        writer.write_eof()
-        await writer.drain()
+def _render(response: Response) -> bytes:
+    """The bytes of one ``Connection: close`` reply."""
+    status, ctype, payload = response
+    head = (
+        f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+        f"Content-Type: {ctype}\r\n"
+        f"Content-Length: {len(payload)}\r\n"
+        + ("Retry-After: 1\r\n" if response is _QUEUE_FULL else "")
+        + "Connection: close\r\n\r\n"
+    ).encode("latin-1")
+    return head + payload
 
 
 def _strict_int(raw: str, pattern: "re.Pattern[str]") -> Optional[int]:
@@ -615,7 +695,9 @@ async def run_app(
     called once listening (the CLI prints it so harnesses can connect).
     """
     app.start()
-    server = await asyncio.start_server(app.handle, host, port)
+    server = await asyncio.get_running_loop().create_server(
+        lambda: _Connection(app), host, port
+    )
     actual_port = port
     for sock in server.sockets:
         actual_port = sock.getsockname()[1]

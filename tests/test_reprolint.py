@@ -161,6 +161,30 @@ def test_r007_controls_not_flagged():
     assert "offloaded" not in messages  # run_in_executor handoff
 
 
+def test_r007_flags_blocking_calls_from_protocol_callbacks():
+    # The loop calls an asyncio protocol's methods directly: blocking
+    # reached from one stalls it as from a coroutine.
+    diags = lint_fixture("serve/r007_protocol_bad.py")
+    assert {d.rule for d in diags} == {"R007"}
+    assert lines_of(diags, "R007") == [17, 30, 36]
+    by_line = {d.line: d.message for d in diags}
+    # Every method is an entry: the loop may call one the graph does not
+    # show being called (a call_later callback).
+    assert "protocol callback '_answer'" in by_line[17]
+    assert "_answer -> _throttle" in by_line[17]
+    # Base imported by name from asyncio.
+    assert "protocol callback 'connection_lost'" in by_line[30]
+    # Subclass of a linted protocol class.
+    assert "protocol callback 'eof_received'" in by_line[36]
+
+
+def test_r007_protocol_controls_not_flagged():
+    # A typing.Protocol and a plain class are not loop callbacks.
+    diags = lint_fixture("serve/r007_protocol_bad.py")
+    assert 41 not in lines_of(diags, "R007")
+    assert 46 not in lines_of(diags, "R007")
+
+
 def test_r007_only_applies_to_serve_coroutines():
     # The same source outside serve/ has no entry points: R007 is scoped.
     source = (FIXTURES / "serve" / "r007_bad.py").read_text()

@@ -17,6 +17,8 @@ Three claims are pinned here:
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import sanitize
 from repro.core.columnar import ColumnarLTC
@@ -206,6 +208,44 @@ def test_home_bucket_invariant_holds_for_both_kernels(kernel):
     with pytest.raises(SanitizeError) as excinfo:
         sanitize.check_ltc(ltc)
     assert invariant_of(excinfo) == "key_in_home_bucket"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kernel=st.sampled_from([LTC, ColumnarLTC]),
+    de=st.booleans(),
+    persistency=st.booleans(),
+    writes=st.lists(
+        st.tuples(
+            st.sampled_from(["_keys", "_freqs", "_counters", "_flags", "twin"]),
+            st.integers(0, 15),
+            st.integers(-2, 40),
+        ),
+        max_size=4,
+    ),
+)
+def test_whole_table_scan_fails_as_the_per_cell_scan(kernel, de, persistency, writes):
+    """The whole-table check runs in numpy, then re-runs the per-cell
+    check where it found a fault: it must raise exactly what a per-cell
+    scan of every cell raises, or nothing when that passes."""
+    ltc = kernel(small_config(num_buckets=4, deviation_eliminator=de))
+    ltc.insert_many([1, 2, 3, 1, 1, 2, 9, 9, *range(20, 40)])
+    d = ltc._d
+    for column, j, value in writes:
+        if column == "twin":  # a key of the same bucket, held twice
+            column, value = "_keys", ltc._keys[j - j % d + value % d]
+        elif column == "_keys" and value < 0:
+            value = EMPTY_KEY
+        getattr(ltc, column)[j] = value % 256 if column == "_flags" else value
+
+    def failure(**kw):
+        try:
+            sanitize.check_ltc(ltc, persistency=persistency, **kw)
+        except SanitizeError as exc:
+            return str(exc)
+        return None
+
+    assert failure() == failure(cells=range(ltc.total_cells))
 
 
 def test_detects_windowed_ring_escape():

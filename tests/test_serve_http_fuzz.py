@@ -8,6 +8,10 @@ exactly one well-formed HTTP/1.1 response whose status is one the
 server means to send (no 500: a route bug would show as one), or in a
 silent close when the client connected and sent nothing.  No exception
 may escape the handler.
+
+The server reads a request as a state machine fed one socket read at a
+time, so the same bytes are also delivered in any split, one byte at a
+time included: the reply must not depend on where the reads fell.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import LTCConfig
 from repro.core.kernels import build_ltc
-from repro.serve.server import ServingApp
+from repro.serve.server import ServingApp, _Connection
 
 ALLOWED = {200, 400, 404, 405, 413, 503}
 
@@ -49,12 +53,17 @@ class _Sink:
         self.closed = True
 
 
-def _exchange(data: bytes) -> bytes:
-    """Send ``data`` then EOF to a fresh app; return what it wrote."""
+def _app() -> ServingApp:
     app = ServingApp(
         build_ltc(LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16))
     )
     app.ltc.insert_many(list(range(12)))
+    return app
+
+
+def _exchange(data: bytes) -> bytes:
+    """Send ``data`` then EOF to a fresh app; return what it wrote."""
+    app = _app()
     sink = _Sink()
 
     async def run() -> None:
@@ -172,3 +181,85 @@ def test_body_shorter_than_content_length_is_400():
     out = _exchange(b"POST /ingest HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}")
     assert _assert_one_response(out) == 400
     assert b"shorter than Content-Length" in out
+
+
+# ------------------------------------------------------------- chunking
+def _deliver(chunks) -> bytes:
+    """Feed ``chunks`` to a fresh connection's ``data_received`` one by
+    one, then EOF; return what it wrote."""
+    app = _app()
+    sink = _Sink()
+
+    async def run() -> None:
+        conn = _Connection(app)
+        conn.connection_made(sink)  # type: ignore[arg-type]
+        for chunk in chunks:
+            conn.data_received(chunk)
+        conn.eof_received()
+        conn.connection_lost(None)
+
+    asyncio.run(run())
+    assert sink.closed
+    return bytes(sink.data)
+
+
+@st.composite
+def deliveries(draw):
+    """The bytes of one exchange and a split of them into chunks: at
+    random points, or one byte at a time."""
+    data = draw(st.one_of(st.binary(max_size=200), requests()))
+    if draw(st.booleans()):
+        cuts = list(range(1, len(data)))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, len(data) - 1)))))
+    bounds = [0, *(cut for cut in cuts if cut < len(data)), len(data)]
+    return data, [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _bytewise(data: bytes):
+    return data, [data[i : i + 1] for i in range(len(data))]
+
+
+def _padded_head(end: int) -> bytes:
+    """A GET whose head's CRLF CRLF starts ``end`` bytes in."""
+    line = b"GET /healthz HTTP/1.1\r\nX-Pad: "
+    return line + b"a" * (end - len(line)) + b"\r\n\r\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(delivery=deliveries())
+@example(delivery=_bytewise(b"GET /healthz HTTP/1.1\r\n\r\n"))
+@example(delivery=(b"GET / HTTP/1.1\r\n\r\n", [b"GET / HTTP/1.1\r\n\r", b"\n"]))
+@example(delivery=_bytewise(b"POST /ingest HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"))
+@example(delivery=_bytewise(_padded_head(64 * 1024)))
+@example(delivery=_bytewise(_padded_head(64 * 1024 + 1)))
+@example(delivery=_bytewise(b"GET /healthz HTTP/1.1\r\nHost: " + b"x" * 70000))
+def test_any_split_answers_as_one_delivery(delivery):
+    # Streams hid chunk boundaries; the state machine sees every one.
+    # Whatever the split, the connection must write what it writes when
+    # the same bytes arrive in one piece.
+    data, chunks = delivery
+    assert b"".join(chunks) == data
+    assert _deliver(chunks) == _deliver([data] if data else [])
+
+
+def test_head_bound_is_readuntils():
+    # The head may end (its CRLF CRLF start) at most 64 KiB in, as with
+    # StreamReader.readuntil's default limit; a byte later is a 400.
+    assert _assert_one_response(_deliver([_padded_head(64 * 1024)])) == 200
+    out = _deliver([_padded_head(64 * 1024 + 1)])
+    assert _assert_one_response(out) == 400 and b"too large" in out
+    # Without a CRLF CRLF, 64 KiB + 3 bytes may still grow into a head;
+    # one more byte cannot, and is refused before EOF.
+    sink = _Sink()
+
+    async def run(size: int) -> None:
+        conn = _Connection(_app())
+        conn.connection_made(sink)  # type: ignore[arg-type]
+        conn.data_received(b"G" * size)
+        conn.connection_lost(None)
+
+    asyncio.run(run(64 * 1024 + 3))
+    assert not sink.data and not sink.closed
+    asyncio.run(run(64 * 1024 + 4))
+    assert _assert_one_response(bytes(sink.data)) == 400 and sink.closed

@@ -593,6 +593,58 @@ class TestReadDeadline:
         head = b"POST /ingest HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
         self.assert_timed_out(*self.stalled_reply(head + b'{"items": [1'))
 
+    def test_deadline_never_fires_after_a_reply(self, monkeypatch):
+        # One timer per connection, cancelled by its reply: after 50
+        # quick requests and a wait past the deadline, no connection has
+        # been written to after it was closed, and the loop's exception
+        # handler has seen nothing.
+        late = []
+
+        class Watched:
+            """A transport that records what is written after close()."""
+
+            def __init__(self, transport):
+                self.transport = transport
+                self.closed = False
+
+            def write(self, data):
+                if self.closed:
+                    late.append(data)
+                self.transport.write(data)
+
+            def write_eof(self):
+                if self.closed:
+                    late.append(b"<EOF>")
+                self.transport.write_eof()
+
+            def close(self):
+                self.closed = True
+                self.transport.close()
+
+        made = server._Connection.connection_made
+        monkeypatch.setattr(
+            server._Connection,
+            "connection_made",
+            lambda conn, transport: made(conn, Watched(transport)),
+        )
+
+        async def scenario():
+            errors = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, ctx: errors.append(ctx)
+            )
+            app = ServingApp(build_ltc(_cfg()))
+            app.ltc.insert_many(list(range(10)))
+            async with _Server(app) as srv:
+                for i in range(50):
+                    path = f"/query/{i % 12}" if i % 2 else "/top_k?k=3"
+                    assert (await _http(srv.port, "GET", path))[0] == 200
+                await asyncio.sleep(self.DEADLINE * 3)
+            return errors
+
+        assert asyncio.run(scenario()) == []
+        assert late == []
+
 
 class TestShutdown:
     def test_shutdown_drains_queue_and_snapshots(self, tmp_path):

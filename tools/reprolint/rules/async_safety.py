@@ -3,7 +3,10 @@
 The serving tier runs a single asyncio event loop; one blocking call in
 anything a coroutine handler reaches stalls every concurrent request.
 This rule walks the call graph from every ``async def`` in a ``serve/``
-module — through method resolution, from-imports, and attribute types
+module, and from every method of a ``serve/`` class derived from one of
+asyncio's protocol classes (``asyncio.Protocol``, ``BaseProtocol``, ...;
+the loop calls those methods directly, so they block it as a coroutine
+does) — through method resolution, from-imports, and attribute types
 (``self.snapshots.save(...)`` resolves through the ``SnapshotStore``
 annotation) — and flags the blocking primitives it can prove reachable:
 
@@ -29,7 +32,7 @@ from collections import deque
 from typing import Dict, List, Optional, Tuple
 
 from tools.reprolint.diagnostics import Diagnostic
-from tools.reprolint.symbols import CallSite, FunctionInfo, SymbolIndex
+from tools.reprolint.symbols import CallSite, ClassInfo, FunctionInfo, SymbolIndex
 
 RULE_ID = "R007"
 TAG = "blocking-ok"
@@ -54,8 +57,36 @@ _BLOCKING_QUEUE_GETS = {
 }
 
 
+#: asyncio's protocol classes: the loop calls their subclasses' methods.
+_PROTOCOLS = frozenset(
+    f"{module}.{name}"
+    for module in ("asyncio", "asyncio.protocols")
+    for name in (
+        "BaseProtocol",
+        "Protocol",
+        "BufferedProtocol",
+        "DatagramProtocol",
+        "SubprocessProtocol",
+    )
+)
+
+
 def _in_serve(path: str) -> bool:
     return "serve" in os.path.normpath(path).split(os.sep)[:-1]
+
+
+def _is_protocol(index: SymbolIndex, info: ClassInfo) -> bool:
+    """Whether ``info`` derives from an asyncio protocol class, directly
+    or through linted classes (bases resolved through each module's
+    imports, so ``typing.Protocol`` does not count)."""
+    for cls in (info, *index.classes.ancestors(info)):
+        scope = index.modules.get(index.module_of_path.get(cls.path, ""))
+        imports = scope.imports if scope is not None else {}
+        for dotted in cls.dotted_bases:
+            head, dot, rest = dotted.partition(".")
+            if imports.get(head, head) + dot + rest in _PROTOCOLS:
+                return True
+    return False
 
 
 def _blocking_desc(site: CallSite) -> Optional[str]:
@@ -86,15 +117,23 @@ def _blocking_desc(site: CallSite) -> Optional[str]:
 
 
 def check(index: SymbolIndex) -> List[Diagnostic]:
+    protocols = {
+        (path, info.name)
+        for path in index.paths
+        if _in_serve(path)
+        for info in index.per_file_classes[path]
+        if _is_protocol(index, info)
+    }
     entries = sorted(
         (
             fn
             for fn in index.functions.values()
-            if fn.is_async and _in_serve(fn.path)
+            if _in_serve(fn.path)
+            and (fn.is_async or (fn.path, fn.cls) in protocols)
         ),
         key=lambda f: (f.path, f.node.lineno),
     )
-    #: qualname -> (entry coroutine, call chain of function names)
+    #: qualname -> (entry point, call chain of function names)
     origin: Dict[str, Tuple[FunctionInfo, List[str]]] = {}
     work: "deque[FunctionInfo]" = deque()
     for entry in entries:
@@ -148,7 +187,8 @@ def check(index: SymbolIndex) -> List[Diagnostic]:
                     call.lineno,
                     call.col_offset,
                     RULE_ID,
-                    f"blocking call to {desc} is reachable from coroutine "
+                    f"blocking call to {desc} is reachable from "
+                    f"{'coroutine' if entry.is_async else 'protocol callback'} "
                     f"'{entry.name}' ({route}); offload with "
                     f"run_in_executor or waive with "
                     f"'# reprolint: {TAG} — <why>'",

@@ -51,6 +51,8 @@ class ClassInfo:
     path: str
     line: int
     bases: List[str] = field(default_factory=list)
+    #: The bases as written, dots kept (``asyncio.Protocol``).
+    dotted_bases: List[str] = field(default_factory=list)
     methods: Dict[str, int] = field(default_factory=dict)  # name -> lineno
     abstract_methods: Set[str] = field(default_factory=set)
 
@@ -90,7 +92,15 @@ def _collect_classes(tree: ast.Module, path: str) -> List[ClassInfo]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
-        info = ClassInfo(node.name, path, node.lineno, bases=_base_names(node))
+        info = ClassInfo(
+            node.name,
+            path,
+            node.lineno,
+            bases=_base_names(node),
+            dotted_bases=[
+                name for name in map(_annotation_type, node.bases) if name
+            ],
+        )
         for item in node.body:
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 info.methods[item.name] = item.lineno
