@@ -2,7 +2,7 @@
 
 Every benchmark regenerates one figure of the paper's evaluation (see
 DESIGN.md §5): it runs the same sweep the figure plots, prints the series
-as an ASCII table, appends it to ``benchmarks/results/``, asserts the
+as an ASCII table, writes it to ``benchmarks/results/``, asserts the
 paper's qualitative shape, and is timed end-to-end by pytest-benchmark
 (``pedantic`` with a single round — an experiment is its own unit of work).
 
@@ -23,6 +23,10 @@ from repro.streams.datasets import caida_like, network_like, social_like
 from repro.streams.ground_truth import GroundTruth
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+
+#: Figures already written this session: a figure's first write truncates
+#: its file and later ones append, so a rerun reproduces the file exactly.
+_WRITTEN: set[str] = set()
 
 
 @pytest.fixture(scope="session")
@@ -52,14 +56,21 @@ def datasets(bench_caida, bench_network, bench_social):
     }
 
 
+def _write(figure: str, text: str) -> None:
+    """Persist ``text`` under benchmarks/results/: afresh on the figure's
+    first write in this session, appended after that."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    mode = "a" if figure in _WRITTEN else "w"
+    _WRITTEN.add(figure)
+    with (RESULTS_DIR / f"{figure}.txt").open(mode) as fh:
+        fh.write(text + "\n\n")
+
+
 def emit(figure: str, headers, rows, title: str) -> str:
     """Print a figure's series and persist it under benchmarks/results/."""
     table = format_table(headers, rows, title=title)
     print(f"\n{table}")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{figure}.txt"
-    with path.open("a") as fh:
-        fh.write(table + "\n\n")
+    _write(figure, table)
     return table
 
 
@@ -70,9 +81,7 @@ def emit_chart(figure, x_labels, series, title, log_scale=False) -> str:
         x_labels, series, height=8, title=title, log_scale=log_scale
     )
     print(f"\n{chart}")
-    RESULTS_DIR.mkdir(exist_ok=True)
-    with (RESULTS_DIR / f"{figure}.txt").open("a") as fh:
-        fh.write(chart + "\n\n")
+    _write(figure, chart)
     return chart
 
 
