@@ -122,7 +122,11 @@ def median_results(name, events, seconds):
 def test_throughput_frequent(benchmark, bench_caida):
     stream, _ = bench_caida
     budget = MemoryBudget(kb(8))
-    factories = dict(default_algorithms_frequent(budget, stream, 100))
+    # The line-up's LTC row is the reference kernel: every ratio here is
+    # over the paper-faithful update.
+    factories = dict(
+        default_algorithms_frequent(budget, stream, 100, kernel="reference")
+    )
     # The production kernel with the O(1) hit path (same behaviour,
     # differentially tested) — included to show the Python-level headroom.
     from repro.core.columnar import ColumnarLTC
@@ -960,7 +964,7 @@ def test_query_throughput(benchmark, bench_caida):
     """Point-query latency of populated summaries (items present+absent)."""
     stream, truth = bench_caida
     budget = MemoryBudget(kb(8))
-    factories = default_algorithms_frequent(budget, stream, 100)
+    factories = default_algorithms_frequent(budget, stream, 100, kernel="reference")
     probes = truth.items()[:2_000] + [2**40 + i for i in range(2_000)]
 
     def run():
@@ -988,7 +992,7 @@ def test_query_throughput(benchmark, bench_caida):
 def test_throughput_persistent(benchmark, bench_social):
     stream, _ = bench_social
     budget = MemoryBudget(kb(8))
-    factories = default_algorithms_persistent(budget, stream, 100)
+    factories = default_algorithms_persistent(budget, stream, 100, kernel="reference")
 
     def run():
         return {

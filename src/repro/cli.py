@@ -53,14 +53,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--beta", type=float, default=1.0)
     parser.add_argument(
-        "--kernel",
-        choices=["reference", "columnar"],
-        default="reference",
-        help="LTC implementation to build (repro.core.kernels): the "
-        "paper-faithful reference or the columnar kernel, whose update is "
-        "one compiled C loop — observably identical",
-    )
-    parser.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
@@ -111,12 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=8421,
         help="listen port (0 = ephemeral; the bound port is printed as "
         "'serving on HOST:PORT' once ready)",
-    )
-    serve.add_argument(
-        "--kernel",
-        choices=["reference", "columnar"],
-        default="columnar",
-        help="LTC kernel to serve (columnar default: fastest ingest)",
     )
     serve.add_argument("--num-buckets", type=int, default=1024)
     serve.add_argument("-d", "--bucket-width", type=int, default=8)
@@ -174,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _demo(args: argparse.Namespace) -> int:
     stream = make_dataset(args.dataset)
     budget = MemoryBudget(kb(args.memory_kb))
-    ltc = ltc_factory(budget, stream, args.alpha, args.beta, kernel=args.kernel)()
+    ltc = ltc_factory(budget, stream, args.alpha, args.beta)()
     stream.run(ltc)
     truth = GroundTruth(stream)
     rows = []
@@ -201,14 +187,11 @@ def _demo(args: argparse.Namespace) -> int:
 
 def _line_up(args: argparse.Namespace, stream):
     budget = MemoryBudget(kb(args.memory_kb))
-    kernel = getattr(args, "kernel", "reference")
     if args.beta == 0:
-        return default_algorithms_frequent(budget, stream, args.k, kernel=kernel)
+        return default_algorithms_frequent(budget, stream, args.k)
     if args.alpha == 0:
-        return default_algorithms_persistent(budget, stream, args.k, kernel=kernel)
-    return default_algorithms_significant(
-        budget, stream, args.k, args.alpha, args.beta, kernel=kernel
-    )
+        return default_algorithms_persistent(budget, stream, args.k)
+    return default_algorithms_significant(budget, stream, args.k, args.alpha, args.beta)
 
 
 def _compare(args: argparse.Namespace) -> int:
@@ -348,8 +331,9 @@ def _serve(args: argparse.Namespace) -> int:
     """Run the serving tier (repro.serve) until SIGTERM/SIGINT."""
     import asyncio
 
+    from repro.core.columnar import ColumnarLTC
     from repro.core.config import LTCConfig
-    from repro.core.kernels import KERNELS, build_ltc
+    from repro.core.kernels import build_ltc
     from repro.serve.server import ServingApp, run_app
     from repro.serve.snapshots import SnapshotStore
 
@@ -360,7 +344,7 @@ def _serve(args: argparse.Namespace) -> int:
         if args.snapshot_dir
         else None
     )
-    ltc = store.restore(cls=KERNELS[args.kernel]) if store is not None else None
+    ltc = store.restore(cls=ColumnarLTC) if store is not None else None
     if ltc is not None:
         print(f"restored {ltc.total_cells}-cell structure from snapshot", flush=True)
     else:
@@ -371,7 +355,6 @@ def _serve(args: argparse.Namespace) -> int:
                 alpha=args.alpha,
                 beta=args.beta,
                 items_per_period=args.items_per_period,
-                kernel=args.kernel,
             )
         )
     app = ServingApp(

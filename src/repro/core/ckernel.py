@@ -10,10 +10,11 @@ a cache never load each other's module.  Later processes only import
 the cached module.  The build writes a temporary file next to the target
 and renames it into place, so processes racing on a cold cache each load
 a complete module.  Without a compiler or without ``Python.h``,
-:func:`load` raises :class:`RuntimeError`.  ``kernel="columnar"`` needs
-the module, and so does ``repro serve`` whichever kernel it runs, since
-``POST /ingest`` packs its keys with ``pack_keys``; the reference kernel
-needs it nowhere else.
+:func:`load` raises :class:`RuntimeError`.  Every default construction
+needs the module (``LTCConfig.kernel`` defaults to ``"columnar"``), and
+so does ``repro serve``, whose ``POST /ingest`` packs its keys with
+``pack_keys``; ``LTCConfig(kernel="reference")`` is the path that needs
+no compiler.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ SOURCE = Path(__file__).with_name("_ltc_kernel.c")
 FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: What needs the module, for the build's error messages.
-_NEEDS = 'kernel="columnar" and repro serve (with either kernel) need'
-_SPARED = 'kernel="reference" needs none outside repro serve'
+_NEEDS = "every default LTC construction and repro serve need"
+_SPARED = 'LTCConfig(kernel="reference") needs no compiler'
 
 #: The ``policy`` codes of the kernel's constructor, as the C enum
 #: numbers them.

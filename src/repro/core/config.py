@@ -31,14 +31,15 @@ class LTCConfig:
             Space-Saving strategy the paper argues against, §I-C).
         seed: Bucket-hash seed.
         kernel: Which LTC implementation :func:`repro.core.kernels.build_ltc`
-            constructs for this config: ``"reference"`` (the paper-faithful
-            :class:`repro.core.ltc.LTC`) or ``"columnar"`` (the production
-            :class:`repro.core.columnar.ColumnarLTC`: numpy columns updated
-            by one compiled C loop, built on first use).
-            Both kernels are observably identical (differential-tested), so
-            the field is excluded from config equality and merge
-            compatibility: either kernel checkpoints and merges like the
-            other.
+            constructs for this config: ``"columnar"`` (default; the
+            production :class:`repro.core.columnar.ColumnarLTC`, numpy
+            columns updated by one compiled C loop, built on first use)
+            or ``"reference"`` (the paper-faithful
+            :class:`repro.core.ltc.LTC`, the differential oracle, which
+            needs no C compiler).  Both kernels are observably identical
+            (differential-tested), so the field is excluded from config
+            equality and merge compatibility: either kernel checkpoints
+            and merges like the other.
     """
 
     num_buckets: int
@@ -49,7 +50,7 @@ class LTCConfig:
     deviation_eliminator: bool = True
     replacement_policy: str = "longtail"
     seed: int = 0x17C
-    kernel: str = field(default="reference", compare=False)
+    kernel: str = field(default="columnar", compare=False)
 
     def __post_init__(self) -> None:
         if self.num_buckets < 1:

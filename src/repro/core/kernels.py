@@ -3,17 +3,17 @@
 Two interchangeable kernels implement the same observable structure
 (differential-tested cell-for-cell against each other):
 
+* ``"columnar"`` (default) — :class:`repro.core.columnar.ColumnarLTC`,
+  the production kernel: numpy struct-of-arrays storage and an update
+  compiled from C on first use (needs a C compiler).
 * ``"reference"`` — :class:`repro.core.ltc.LTC`, the paper-faithful
   implementation whose per-cell layout matches the 12-byte accounting;
-  accuracy experiments use this one.
-* ``"columnar"`` — :class:`repro.core.columnar.ColumnarLTC`, the
-  production kernel: numpy struct-of-arrays storage and an update
-  compiled from C on first use (needs a C compiler).
+  the differential oracle, and the one path that needs no compiler.
 
 Both hold keys in ``[0, MAX_KEY]``.
 
-Call sites that build an LTC from a config (CLI, experiment factories,
-distributed coordinators) go through :func:`build_ltc` so the
+Call sites that build an LTC from a config (CLI, serve, experiment
+factories, distributed coordinators) go through :func:`build_ltc` so the
 ``LTCConfig.kernel`` field selects the implementation everywhere.
 """
 

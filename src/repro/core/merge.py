@@ -35,7 +35,8 @@ def merge(
     *,
     check_period: bool = True,
 ) -> LTC:
-    """Merge LTC summaries into a new LTC with the shared configuration.
+    """Merge LTC summaries into a new LTC of the first input's class
+    with the shared configuration.
 
     Inputs should be finalized (all flags harvested); pending flags are
     folded in defensively.  Bucket overflow keeps the d most significant
@@ -58,7 +59,7 @@ def merge(
     for other in summaries[1:]:
         _check_compatible(first, other, check_period=check_period)
 
-    merged = LTC(first.config)
+    merged = type(first)(first.config)
     alpha, beta = first.config.alpha, first.config.beta
     d = first.config.bucket_width
     for bucket in range(first.config.num_buckets):
@@ -69,7 +70,7 @@ def merge(
                 key = summary._keys[j]
                 if key == EMPTY_KEY:
                     continue
-                # int() casts: columnar inputs hold numpy scalars, and the
+                # int() casts: columnar inputs hold numpy scalars, and a
                 # merged reference LTC must stay plain-int for serialization.
                 freq = int(summary._freqs[j])
                 counter = int(summary._counters[j])

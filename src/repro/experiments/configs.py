@@ -58,8 +58,9 @@ def ltc_factory(
 ) -> Callable[[], LTC]:
     """Factory for a paper-default LTC sized for ``budget``.
 
-    ``options`` forwards to :class:`repro.core.config.LTCConfig` — in
-    particular ``kernel=`` selects the implementation
+    ``options`` forwards to :class:`repro.core.config.LTCConfig`.  The
+    factory builds the columnar kernel unless ``kernel="reference"``
+    asks for the paper-faithful oracle
     (:func:`repro.core.kernels.build_ltc`).
     """
 

@@ -7,6 +7,9 @@ import pytest
 from repro.cli import main
 from repro.experiments import configs
 
+#: The commands that once took ``--kernel``.
+KERNEL_FREE_COMMANDS = ["compare", "serve", "demo", "throughput", "check-longtail"]
+
 
 @pytest.fixture(autouse=True)
 def small_datasets(monkeypatch):
@@ -104,21 +107,66 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main([])
 
-    @pytest.mark.parametrize("command", ["compare", "serve"])
-    def test_kernel_auto_is_an_argparse_error(self, capsys, command):
+    @staticmethod
+    def assert_kernel_refused(capsys, command, value):
+        """No command takes ``--kernel``: each builds the columnar kernel."""
         with pytest.raises(SystemExit) as exc:
-            main([command, "--kernel", "auto"])
+            main([command, "--kernel", value])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'auto'" in err
+        assert f"unrecognized arguments: --kernel {value}" in err
 
-    @pytest.mark.parametrize("command", ["compare", "serve"])
+    @pytest.mark.parametrize("command", KERNEL_FREE_COMMANDS)
+    @pytest.mark.parametrize("value", ["reference", "columnar"])
+    def test_kernel_is_an_argparse_error(self, capsys, command, value):
+        self.assert_kernel_refused(capsys, command, value)
+
+    @pytest.mark.parametrize("command", KERNEL_FREE_COMMANDS)
+    def test_kernel_auto_is_an_argparse_error(self, capsys, command):
+        self.assert_kernel_refused(capsys, command, "auto")
+
+    @pytest.mark.parametrize("command", KERNEL_FREE_COMMANDS)
     def test_kernel_fast_is_an_argparse_error(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--kernel", "fast"])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'fast'" in err
+        self.assert_kernel_refused(capsys, command, "fast")
+
+
+class TestServeKernel:
+    """``repro serve`` builds, and restores into, the columnar kernel."""
+
+    @staticmethod
+    def served_table(monkeypatch, argv):
+        from repro.serve import server
+
+        served = []
+
+        async def run_app(app, host, port, *, ready=None):
+            served.append(app.ltc)
+
+        monkeypatch.setattr(server, "run_app", run_app)
+        assert main(["serve", "--no-metrics", *argv]) == 0
+        (ltc,) = served
+        return ltc
+
+    def test_fresh_table_is_columnar(self, monkeypatch):
+        from repro.core.columnar import ColumnarLTC
+
+        ltc = self.served_table(monkeypatch, ["--num-buckets", "16"])
+        assert type(ltc) is ColumnarLTC
+        assert ltc.config.num_buckets == 16
+
+    def test_restored_table_is_columnar(self, monkeypatch, tmp_path, capsys):
+        from repro.core.columnar import ColumnarLTC
+        from repro.core.config import LTCConfig
+        from repro.core.ltc import LTC
+        from repro.serve.snapshots import SnapshotStore
+
+        saved = LTC(LTCConfig(num_buckets=4, bucket_width=2, items_per_period=8))
+        saved.insert_many([1, 2, 1, 3])
+        SnapshotStore(tmp_path).save(saved)
+        ltc = self.served_table(monkeypatch, ["--snapshot-dir", str(tmp_path)])
+        assert "restored 8-cell structure from snapshot" in capsys.readouterr().out
+        assert type(ltc) is ColumnarLTC
+        assert list(ltc.cells()) == list(saved.cells())
 
 
 class TestMetricsOut:

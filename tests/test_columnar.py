@@ -930,7 +930,10 @@ class TestPerEventDispatch:
     def test_run_per_event_counters_match_reference(self, kernel):
         registries, built = [], []
         try:
-            for config in (PAPER_CONFIG, PAPER_CONFIG.with_options(kernel=kernel)):
+            for config in (
+                PAPER_CONFIG.with_options(kernel="reference"),
+                PAPER_CONFIG.with_options(kernel=kernel),
+            ):
                 registries.append(obs.enable(MetricsRegistry()))
                 built.append(build_ltc(config))
         finally:
@@ -1210,9 +1213,12 @@ class TestBuild:
         monkeypatch.setattr(ckernel, "compiler", lambda: None)
         ckernel.load.cache_clear()
         try:
-            config = LTCConfig(num_buckets=2, bucket_width=4, kernel="columnar")
-            with pytest.raises(RuntimeError, match="C compiler"):
+            config = LTCConfig(num_buckets=2, bucket_width=4)
+            with pytest.raises(RuntimeError, match="C compiler") as exc:
                 build_ltc(config)
+            message = str(exc.value)
+            assert message.startswith("every default LTC construction")
+            assert 'LTCConfig(kernel="reference") needs no compiler' in message
             ref = build_ltc(config.with_options(kernel="reference"))
             ref.insert_many([1, 2, 1])
             assert ref.estimate(1) == (2, 0)
@@ -1227,9 +1233,12 @@ class TestBuild:
         monkeypatch.setattr(ckernel, "include_dir", lambda: tmp_path / "include")
         ckernel.load.cache_clear()
         try:
-            config = LTCConfig(num_buckets=2, bucket_width=4, kernel="columnar")
-            with pytest.raises(RuntimeError, match="Python.h"):
+            config = LTCConfig(num_buckets=2, bucket_width=4)
+            with pytest.raises(RuntimeError, match="Python.h") as exc:
                 build_ltc(config)
+            message = str(exc.value)
+            assert message.startswith("every default LTC construction")
+            assert 'LTCConfig(kernel="reference") needs no compiler' in message
             ref = build_ltc(config.with_options(kernel="reference"))
             ref.insert_many([1, 2, 1])
             assert ref.estimate(1) == (2, 0)
@@ -1319,8 +1328,45 @@ class TestLifecycle:
         via_ref = merge(sites(LTC), num_periods=1)
         assert list(via_col.cells()) == list(via_ref.cells())
 
+    def test_merge_of_columnar_sites_stays_columnar(self):
+        """A merge builds the first input's class: columnar sites give a
+        ColumnarLTC whose cells, ranking and checkpoint equal the
+        reference merge's, and which keeps ingesting in step with it."""
+        config = LTCConfig(
+            num_buckets=4, bucket_width=4, alpha=1.0, beta=2.0,
+            items_per_period=40,
+        )
+        rng = random.Random(7)
+        shards = [[rng.randrange(60) for _ in range(120)] for _ in range(3)]
+
+        def merged(cls):
+            sites = []
+            for shard in shards:
+                site = cls(config)
+                for start in range(0, len(shard), 40):
+                    site.insert_many(shard[start:start + 40])
+                    site.end_period()
+                site.finalize()
+                sites.append(site)
+            return merge(sites, num_periods=3)
+
+        via_col, via_ref = merged(ColumnarLTC), merged(LTC)
+        assert type(via_col) is ColumnarLTC and type(via_ref) is LTC
+        assert list(via_col.cells()) == list(via_ref.cells())
+        assert via_col.top_k(8) == via_ref.top_k(8)
+        assert to_bytes(via_col) == to_bytes(via_ref)
+        more = [rng.randrange(80) for _ in range(80)]
+        via_col.insert_many(more)
+        via_ref.insert_many(more)
+        assert list(via_col.cells()) == list(via_ref.cells())
+
 
 class TestKernelSelection:
+    def test_columnar_is_the_default_kernel(self):
+        config = LTCConfig(num_buckets=1)
+        assert config.kernel == "columnar"
+        assert type(build_ltc(config)) is ColumnarLTC
+
     def test_build_ltc_honours_kernel(self):
         for name, cls in KERNELS.items():
             config = LTCConfig(

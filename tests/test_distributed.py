@@ -156,11 +156,30 @@ class TestMergingCoordinator:
         """On item-sharded sites both kernels give the same report."""
         sites = partition_sharded(logical_stream, 4)
         config = self.make_config()
-        reference = MergingCoordinator(config).run(sites, 50)
-        columnar = MergingCoordinator(
-            config.with_options(kernel="columnar")
+        reference = MergingCoordinator(
+            config.with_options(kernel="reference")
         ).run(sites, 50)
+        columnar = MergingCoordinator(config).run(sites, 50)
         assert columnar == reference
+
+    def test_sites_and_merge_build_the_columnar_kernel(
+        self, logical_stream, monkeypatch
+    ):
+        from repro.core.columnar import ColumnarLTC
+        from repro.distributed import coordinator
+
+        built = []
+        real_merge = coordinator.merge
+
+        def spy(summaries, **kwargs):
+            merged = real_merge(summaries, **kwargs)
+            built.extend([*summaries, merged])
+            return merged
+
+        monkeypatch.setattr(coordinator, "merge", spy)
+        sites = partition_sharded(logical_stream, 3)
+        MergingCoordinator(self.make_config()).run(sites, 10)
+        assert [type(ltc) for ltc in built] == [ColumnarLTC] * 4
 
     def test_rejects_empty_site_list(self):
         with pytest.raises(ValueError, match="^no site streams to run$"):

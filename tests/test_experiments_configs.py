@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.combined.two_structure import TwoStructureSignificant
+from repro.core.columnar import ColumnarLTC
 from repro.core.ltc import LTC
 from repro.experiments.configs import (
     default_algorithms_frequent,
@@ -60,6 +61,15 @@ class TestLineUps:
         assert isinstance(combined, TwoStructureSignificant)
         assert combined.alpha == 2.0 and combined.beta == 3.0
 
+    def test_lineups_build_the_columnar_kernel(self, tiny_stream):
+        budget = MemoryBudget(kb(4))
+        for factories in (
+            default_algorithms_frequent(budget, tiny_stream, 10),
+            default_algorithms_persistent(budget, tiny_stream, 10),
+            default_algorithms_significant(budget, tiny_stream, 10, 1.0, 1.0),
+        ):
+            assert type(factories["LTC"]()) is ColumnarLTC
+
     def test_factories_build_fresh_instances(self, tiny_stream):
         factory = default_algorithms_frequent(
             MemoryBudget(kb(4)), tiny_stream, 10
@@ -71,6 +81,12 @@ class TestLTCFactory:
     def test_period_length_from_stream(self, tiny_stream):
         ltc = ltc_factory(MemoryBudget(kb(4)), tiny_stream, 1.0, 1.0)()
         assert ltc.config.items_per_period == tiny_stream.period_length
+
+    def test_builds_columnar_unless_reference_is_asked_for(self, tiny_stream):
+        budget = MemoryBudget(kb(4))
+        assert type(ltc_factory(budget, tiny_stream, 1.0, 1.0)()) is ColumnarLTC
+        reference = ltc_factory(budget, tiny_stream, 1.0, 1.0, kernel="reference")
+        assert type(reference()) is LTC
 
     def test_options_forwarded(self, tiny_stream):
         ltc = ltc_factory(

@@ -365,8 +365,11 @@ class TestBatchedRun:
         report = MergingCoordinator(config).run(sites, k=30)
         tables = []
         for site in sites:
+            # The oracle is the reference kernel, fed one event at a time.
             ltc = build_ltc(
-                config.with_options(items_per_period=site.period_length)
+                config.with_options(
+                    items_per_period=site.period_length, kernel="reference"
+                )
             )
             run_per_event(site, ltc)
             tables.append(ltc)

@@ -355,9 +355,10 @@ class TestBatchSizeHistogram:
             for m in reg.snapshot()["metrics"]
             if m["name"] == "summary_insert_many_batch_size"
         }
-        # One series per instrumented class in the line-ups.
+        # One series per instrumented class in the line-ups (their LTC is
+        # the default, columnar kernel).
         assert {
-            "LTC",
+            "ColumnarLTC",
             "SpaceSaving",
             "Frequent",
             "LossyCounting",

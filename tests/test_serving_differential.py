@@ -214,7 +214,7 @@ class TestConcurrentIngest:
             index = app.index
             top_item = index.top_k(1)[0][0]
             twin = from_bytes(to_bytes(app.ltc), cls=type(app.ltc))
-            victim = twin._keys.index(top_item)
+            victim = twin._slot(top_item)
             twin._freqs[victim] += 1  # lie about f in the scan's input
             index._ltc = twin
             epoch = index.epoch
