@@ -8,12 +8,12 @@ ranks items by the combined estimate ``α·f̂ + β·p̂``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro import obs
 from repro.membership.bloom import BloomFilter
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 from repro.summaries.heap import TopKHeap
 
 
@@ -79,7 +79,7 @@ class TwoStructureSignificant(StreamSummary):
             p_est = self.pers_sketch.query(item)
         self.heap.offer(item, self.alpha * f_est + self.beta * p_est)
 
-    def insert_many(self, items, counts: Optional[Sequence[int]] = None) -> None:
+    def insert_many(self, items) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         The frequency sketch sees every arrival, so its per-event
@@ -89,9 +89,7 @@ class TwoStructureSignificant(StreamSummary):
         arrivals interleave with other items' updates — only the heap
         offer gains the provable no-op skip.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

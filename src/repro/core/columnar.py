@@ -30,7 +30,7 @@ it changes anything.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable
 
 import numpy as _np
 
@@ -40,7 +40,7 @@ from repro.core.config import LTCConfig
 from repro.core.hooks import CellListener
 from repro.core.ltc import EMPTY_KEY, LTC
 from repro.hashing.family import splitmix64
-from repro.summaries.base import as_items, expand_counts
+from repro.summaries.base import as_items
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -139,9 +139,7 @@ class ColumnarLTC(LTC):
         self._kernel.insert(item)
 
     # reprolint: parity-ok — the C kernel writes the columns through their buffers
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals through the compiled loop.
 
         Replay-identical to per-event :meth:`insert` (same cells, same
@@ -150,9 +148,7 @@ class ColumnarLTC(LTC):
         or memoryview goes to the kernel as it is, which reads its buffer
         in place.
         """
-        if counts is not None:
-            items = expand_counts(as_items(items), counts)
-        elif not (
+        if not (
             isinstance(items, memoryview) or getattr(items, "dtype", None) == _np.uint64
         ):
             items = as_items(items)

@@ -15,7 +15,7 @@ bound (evicted mappings simply fall back to reporting the integer key).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Hashable, Iterable, List, Optional, Sequence
+from typing import Hashable, Iterable, List
 
 from repro.hashing.family import canonical_key
 from repro.summaries.base import ItemReport, StreamSummary
@@ -53,30 +53,14 @@ class KeyedSummary(StreamSummary):
         """Process one arrival of ``key``."""
         self.inner.insert(self._intern(key))
 
-    def insert_many(
-        self, keys: Iterable[Hashable], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, keys: Iterable[Hashable]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         Keys are interned in arrival order (so the reverse map's LRU
         state matches the per-event path), then the integer batch is
-        handed to the wrapped summary's own batched fast path.  A row
-        with count 0 is skipped without interning — per-event replay
-        never sees it either.
+        handed to the wrapped summary's own batched fast path.
         """
-        if counts is None:
-            self.inner.insert_many([self._intern(key) for key in keys])
-            return
-        interned: List[int] = []
-        kept: List[int] = []
-        for key, count in zip(keys, counts):
-            if count < 0:
-                raise ValueError("counts must be non-negative")
-            if count == 0:
-                continue
-            interned.append(self._intern(key))
-            kept.append(count)
-        self.inner.insert_many(interned, kept)
+        self.inner.insert_many([self._intern(key) for key in keys])
 
     def end_period(self) -> None:
         """Forwarded period boundary."""

@@ -26,7 +26,7 @@ API turns a free cell's key back into ``None``.
 from __future__ import annotations
 
 import operator
-from typing import Any, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
 from repro import obs, sanitize
 from repro.core.cell import CellView
@@ -35,12 +35,7 @@ from repro.core.config import LTCConfig
 from repro.core.hooks import CellListener
 from repro.hashing.family import splitmix64
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import (
-    ItemReport,
-    StreamSummary,
-    as_items,
-    expand_counts,
-)
+from repro.summaries.base import ItemReport, StreamSummary, as_items
 
 #: The key of a free cell, in the key list and in a checkpoint's cell
 #: record, so no item may take it.
@@ -177,9 +172,7 @@ class LTC(StreamSummary):
             self._m_inserts.inc()
         self._sweep(self._clock.on_arrival())
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Process a batch of arrivals (count-based CLOCK advancement).
 
         Equivalent to ``insert`` per item, cell for cell: arrivals that
@@ -188,16 +181,12 @@ class LTC(StreamSummary):
         telescope, so one accumulator update stands for the chunk's
         :meth:`~repro.core.clock.ClockPointer.on_arrival` calls) at
         exactly the arrival position where the one-at-a-time path would
-        take them.  ``counts`` weights the batch as in
-        :meth:`repro.summaries.base.StreamSummary.insert_many`.  The
-        whole batch is checked first, in arrival order as the compiled
-        kernel does, so the first bad key raises — ``TypeError`` for a
-        key that is not an int, ``ValueError`` for one outside ``[0,
-        MAX_KEY]`` — with the table untouched.
+        take them.  The whole batch is checked first, in arrival order
+        as the compiled kernel does, so the first bad key raises —
+        ``TypeError`` for a key that is not an int, ``ValueError`` for
+        one outside ``[0, MAX_KEY]`` — with the table untouched.
         """
         items = as_items(items)
-        if counts is not None:
-            items = expand_counts(items, counts)
         keys: List[int] = []
         for key in map(operator.index, items):
             if not 0 <= key <= MAX_KEY:

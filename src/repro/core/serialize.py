@@ -81,9 +81,23 @@ def _ticks_from_fraction(facc: float) -> int:
     return min(max(ticks, 0), ClockPointer.TICKS_PER_PERIOD - 1)
 
 
+def _check_fits(name: str, value: int, lo: int, hi: int) -> None:
+    if not lo <= value <= hi:
+        raise ValueError(
+            f"{name} = {value} is outside [{lo}, {hi}], which an LTC3 "
+            "image cannot hold"
+        )
+
+
 def to_bytes(ltc: LTC) -> bytes:
-    """Serialise an LTC to a compact binary image (v3 format)."""
+    """Serialise an LTC to a compact binary image (v3 format).
+
+    Raises ``ValueError``, naming the field, for a config field past the
+    header's uint32 or a cell count past the record's int32.
+    """
     cfg = ltc.config
+    for name in ("num_buckets", "bucket_width", "items_per_period"):
+        _check_fits(name, getattr(cfg, name), 0, 0xFFFFFFFF)
     ltr, policy_code = _POLICY_BYTES[cfg.replacement_policy]
     ts = ltc._last_timestamp
     header = _HEADER_V3.pack(
@@ -109,12 +123,13 @@ def to_bytes(ltc: LTC) -> bytes:
     )
     cells = bytearray()
     for j, key in enumerate(ltc._keys):
-        cells += _CELL.pack(
-            key,
-            int(ltc._freqs[j]),
-            int(ltc._counters[j]),
-            int(ltc._flags[j]),
-        )
+        freq, counter = int(ltc._freqs[j]), int(ltc._counters[j])
+        try:
+            cells += _CELL.pack(key, freq, counter, int(ltc._flags[j]))
+        except struct.error:  # the kernels count past the record's int32
+            _check_fits(f"cell {j} frequency", freq, -(1 << 31), (1 << 31) - 1)
+            _check_fits(f"cell {j} persistency", counter, -(1 << 31), (1 << 31) - 1)
+            raise
     return header + bytes(cells)
 
 

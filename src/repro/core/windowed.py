@@ -22,12 +22,12 @@ W bits replace the 32-bit counter + flags, so W ≤ 32 keeps the paper's
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro import obs, sanitize
 from repro.hashing.family import splitmix64
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 
 
 def _popcount(x: int) -> int:
@@ -133,9 +133,7 @@ class WindowedLTC(StreamSummary):
             self._freqs[jmin] = 1.0
             self._rings[jmin] = 1
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals: :meth:`insert` per event, in order.
 
         No fold pays here.  Consecutive repeats, the only arrivals a
@@ -144,9 +142,7 @@ class WindowedLTC(StreamSummary):
         ``1.0``s one at a time: ``f + 1.0 + 1.0`` and ``f + 2.0`` can
         round differently once frequencies have decayed.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

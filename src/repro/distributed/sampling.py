@@ -12,7 +12,7 @@ the sample are invisible everywhere.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.hashing.family import HashFamily
 from repro.summaries.base import ItemReport, StreamSummary
@@ -47,32 +47,16 @@ class CoordinatedSampler(StreamSummary):
         self._freq[item] = self._freq.get(item, 0) + 1
         self._presence[item] = self._presence.get(item, 0) | (1 << self._period)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
-        """Batched arrivals, replay-identical to per-event :meth:`insert`.
-
-        Within one period frequency additions and presence-bit ORs
-        commute, so a weighted row folds to a single dictionary update
-        (first-touch dict order still matches the per-event path because
-        rows are walked in arrival order).
-        """
+    def insert_many(self, items: Iterable[int]) -> None:
+        """Batched arrivals, replay-identical to per-event :meth:`insert`."""
         threshold = self._threshold
         sample_hash = self._hash
         bit = 1 << self._period
         freq = self._freq
         presence = self._presence
-        if counts is None:
-            for item in items:
-                if sample_hash(item) < threshold:
-                    freq[item] = freq.get(item, 0) + 1
-                    presence[item] = presence.get(item, 0) | bit
-            return
-        for item, count in zip(items, counts):
-            if count < 0:
-                raise ValueError("counts must be non-negative")
-            if count and sample_hash(item) < threshold:
-                freq[item] = freq.get(item, 0) + count
+        for item in items:
+            if sample_hash(item) < threshold:
+                freq[item] = freq.get(item, 0) + 1
                 presence[item] = presence.get(item, 0) | bit
 
     def end_period(self) -> None:

@@ -12,7 +12,7 @@ converged; heavy churn flags regime change (or an attack — see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, List, Optional, Sequence, Set
+from typing import Any, Iterable, List, Set
 
 from repro.summaries.base import ItemReport
 
@@ -52,11 +52,9 @@ class TopKMonitor:
         """Forwarded arrival."""
         self.summary.insert(item)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Forwarded batch of arrivals."""
-        self.summary.insert_many(items, counts)
+        self.summary.insert_many(items)
 
     def end_period(self) -> None:
         """Forward the boundary, then snapshot the top-k and diff it."""

@@ -12,7 +12,7 @@ budget of the single-structure algorithms to make it comparable (§V-C) —
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as _np
 
@@ -21,7 +21,7 @@ from repro.codes.raptor import RaptorCode
 from repro.hashing.family import as_key_array
 from repro.membership.stbf import SpaceTimeBloomFilter
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 
 _ID_MASK32 = 0xFFFFFFFF
 
@@ -101,9 +101,7 @@ class PIE(StreamSummary):
         self._seen_this_period.add(item)
         self._current.insert(item)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         Persistency only cares about period-first appearances, so the
@@ -112,9 +110,7 @@ class PIE(StreamSummary):
         minus those already seen this period; the survivors go to the
         current filter's vectorised ``insert_many``.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

@@ -11,12 +11,12 @@ to sketch + heap.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List
 
 from repro import obs
 from repro.membership.bloom import BloomFilter
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 from repro.summaries.heap import TopKHeap
 
 
@@ -68,9 +68,7 @@ class SketchPersistent(StreamSummary):
                 return  # provable no-op: full heap, untracked item below floor
             heap.offer(item, estimate)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         Period-first survivors of the Bloom filter's batch probe feed the
@@ -78,9 +76,7 @@ class SketchPersistent(StreamSummary):
         replays the per-event estimates with the same no-op skip as
         :class:`repro.sketches.topk.SketchTopK`.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

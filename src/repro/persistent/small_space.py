@@ -15,14 +15,14 @@ paper exploits when comparing against sampling methods.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Set
 
 import numpy as _np
 
 from repro import obs
 from repro.hashing.family import HashFamily, as_key_array
 from repro.metrics.memory import COUNTER_CELL_BYTES, MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 
 _HASH_SPACE = 1 << 64
 
@@ -81,9 +81,7 @@ class SmallSpacePersistent(StreamSummary):
             self._seen_this_period.add(item)
             self._pers[item] = self._pers.get(item, 0) + 1
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         The sampling hash is computed for the whole batch in one
@@ -93,9 +91,7 @@ class SmallSpacePersistent(StreamSummary):
         before the per-event bookkeeping — non-candidates are exactly the
         events per-event replay drops at the first ``_sampled`` test.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

@@ -12,12 +12,12 @@ positives, and never overcount by more than P/m (P = Σ persistencies).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List
 
 from repro import obs
 from repro.membership.bloom import BloomFilter
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 from repro.summaries.space_saving import SpaceSaving
 
 
@@ -54,9 +54,7 @@ class SpaceSavingPersistent(StreamSummary):
         if self.bloom.insert_if_absent(item):
             self._ss.insert(item)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         The Bloom filter's batch probe returns each arrival's
@@ -65,9 +63,7 @@ class SpaceSavingPersistent(StreamSummary):
         structures share no state, so splitting the interleaved per-event
         sequence into two passes is exact.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

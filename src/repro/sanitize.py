@@ -37,7 +37,7 @@ and the exact cell/slot involved.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.ltc import LTC
@@ -335,8 +335,8 @@ def install_ltc(ltc: "LTC") -> None:
         if len(span):
             check_ltc(ltc, cells=(j % m for j in span))
 
-    def insert_many(items: Any, counts: Any = None) -> None:
-        orig_insert_many(items, counts)
+    def insert_many(items: Any) -> None:
+        orig_insert_many(items)
         check_ltc(ltc)
 
     def end_period() -> None:
@@ -396,8 +396,8 @@ def install_windowed(wltc: "WindowedLTC") -> None:
         orig_insert(item)
         check_windowed(wltc)
 
-    def insert_many(items: Any, counts: Any = None) -> None:
-        orig_insert_many(items, counts)
+    def insert_many(items: Any) -> None:
+        orig_insert_many(items)
         check_windowed(wltc)
 
     def end_period() -> None:
@@ -547,8 +547,8 @@ def install_space_saving(ss: "SpaceSaving") -> None:
         orig_insert(item)
         check_space_saving(ss)
 
-    def insert_many(items: Any, counts: Optional[Sequence[int]] = None) -> None:
-        orig_insert_many(items, counts)
+    def insert_many(items: Any) -> None:
+        orig_insert_many(items)
         check_space_saving(ss)
 
     ss.insert = insert  # type: ignore[method-assign]

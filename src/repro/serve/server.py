@@ -190,6 +190,7 @@ class ServingApp:
         self.batches = 0
         self.periods = 0
         self.snapshots_written = 0
+        self.snapshot_failures = 0
         self.oracle_checks = 0
         # Rendered report fragments, one per ranked-prefix position of
         # index epoch ``_frag_epoch``.
@@ -277,7 +278,13 @@ class ServingApp:
             and self.snapshot_every > 0
             and self.batches % self.snapshot_every == 0
         ):
-            self.save_snapshot()
+            # A failed periodic snapshot (a full disk, a count the image
+            # cannot hold) must not end the worker, or every later batch
+            # would stay queued; the next scheduled snapshot tries again.
+            try:
+                self.save_snapshot()
+            except (OSError, ValueError):
+                self.snapshot_failures += 1
 
     async def shutdown(self) -> None:
         """Drain queued batches, stop the worker, write a final snapshot."""
@@ -374,6 +381,7 @@ class ServingApp:
             "repairs": self.index.epoch,
             "heap_size": self.index.held(),
             "snapshots_written": self.snapshots_written,
+            "snapshot_failures": self.snapshot_failures,
             "oracle_checks": self.oracle_checks,
         }
 

@@ -20,7 +20,7 @@ loop, so every path stays cell-for-cell identical to per-event updates.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
 
 import numpy as _np
 
@@ -80,105 +80,54 @@ class CUSketch(CountMinSketch):
         )
 
     @staticmethod
-    def _check_batch_args(
-        delta: int, counts: Optional[Sequence[int]]
-    ) -> None:
+    def _check_batch_args(delta: int) -> None:
         if delta < 0:
             raise ValueError("CU sketch does not support decrements")
-        if counts is not None and any(c < 0 for c in counts):
-            raise ValueError("CU sketch does not support negative counts")
 
-    def update_many(
-        self,
-        keys: Iterable[int],
-        delta: int = 1,
-        counts: Optional[Sequence[int]] = None,
-    ) -> None:
-        """Batch update, cell-for-cell identical to sequential replay.
-
-        ``counts[i]`` (optional) repeats ``keys[i]`` that many times
-        consecutively at position ``i``.  Consecutive same-key updates
-        fold exactly — after one conservative update the row minimum *is*
-        the target, so ``c`` repeats raise it by ``c * delta`` in one
-        step — which is also how the bail-out replay applies them.
-        """
-        self._check_batch_args(delta, counts)
+    def update_many(self, keys: Iterable[int], delta: int = 1) -> None:
+        """Batch update, cell-for-cell identical to sequential replay."""
+        self._check_batch_args(delta)
         if delta == 0:
             return
         arr = as_key_array(keys)
         if arr.size == 0:
             return
-        deltas = self._event_deltas(arr, delta, counts)
+        deltas = _np.full(arr.size, delta, dtype=_np.int64)
+        update = self.update
         for start in range(0, arr.size, _CHUNK):
             sub, d = arr[start : start + _CHUNK], deltas[start : start + _CHUNK]
             if self._batch_targets(sub, d) is None:
-                self._scalar_replay(sub, d)
-
-    def _event_deltas(
-        self, arr: Any, delta: int, counts: Optional[Sequence[int]]
-    ) -> Any:
-        """Per-event folded deltas (``counts[i] * delta``).
-
-        Count-0 events stay in the batch with delta 0: the target
-        recurrence then yields the key's *positional* estimate (the
-        min over its counters as raised by earlier events only), and
-        committing such a target is a no-op because every counter it
-        touches already sits at or above it.
-        """
-        np = _np
-        if counts is None:
-            return np.full(arr.size, delta, dtype=np.int64)
-        carr = np.asarray(counts, dtype=np.int64)
-        if carr.shape != arr.shape:
-            raise ValueError("counts must match keys in length")
-        return carr * delta
-
-    def _scalar_replay(self, arr: Any, deltas: Any) -> None:
-        """Per-event replay of a folded batch (kernel bail-out path)."""
-        update = self.update
-        for key, d in zip(arr.tolist(), deltas.tolist()):
-            if d:
-                update(key, d)
+                for key in sub.tolist():
+                    update(key, delta)
 
     def update_and_query(self, key: int, delta: int = 1) -> int:
         """Single-pass update returning the fresh estimate."""
         self.update(key, delta)
         return self.query(key)
 
-    def update_and_query_many(
-        self,
-        keys: Iterable[int],
-        delta: int = 1,
-        counts: Optional[Sequence[int]] = None,
-    ) -> Any:
+    def update_and_query_many(self, keys: Iterable[int], delta: int = 1) -> Any:
         """Per-event fresh estimates for a whole batch, replay-identical.
 
         After an update the post-update minimum over the key's counters
         *is* the raise target, so the kernel's per-event targets are
         exactly the answers :meth:`update_and_query` would return in
-        stream order.  With ``counts``, each answer is the estimate after
-        all of that event's repeats (count-0 events answer a plain
-        query).  Returns a list, like the scalar path.
+        stream order.  Returns a list, like the scalar path.
         """
-        self._check_batch_args(delta, counts)
+        self._check_batch_args(delta)
         if delta == 0:
             # update() is a no-op at delta=0, so the estimate is a plain query.
             return [self.query(key) for key in keys]
         arr = as_key_array(keys)
         if arr.size == 0:
             return []
-        deltas = self._event_deltas(arr, delta, counts)
+        deltas = _np.full(arr.size, delta, dtype=_np.int64)
         answers: "list[int]" = []
         update_and_query = self.update_and_query
-        query = self.query
         for start in range(0, arr.size, _CHUNK):
             sub, d = arr[start : start + _CHUNK], deltas[start : start + _CHUNK]
             targets = self._batch_targets(sub, d)
             if targets is not None:
                 answers.extend(targets.tolist())
             else:
-                for key, kd in zip(sub.tolist(), d.tolist()):
-                    answers.append(
-                        update_and_query(key, kd) if kd else query(key)
-                    )
+                answers.extend(update_and_query(key, delta) for key in sub.tolist())
         return answers

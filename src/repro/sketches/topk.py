@@ -15,11 +15,11 @@ report — regression-tested against the always-offer replay.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List
 
 from repro import obs
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 from repro.summaries.heap import TopKHeap
 
 
@@ -58,18 +58,14 @@ class SketchTopK(StreamSummary):
             return  # provable no-op: full heap, untracked item below the floor
         heap.offer(item, estimate)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         The sketch's ``update_and_query_many`` commits the whole batch and
         returns every per-event fresh estimate, so only the heap replay —
         with the same no-op skip as :meth:`insert` — stays a Python loop.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

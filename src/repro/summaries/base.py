@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import abc
-from itertools import repeat
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple
 
 
 def as_items(items: Iterable[int]) -> Iterable[int]:
@@ -21,23 +20,6 @@ def as_items(items: Iterable[int]) -> Iterable[int]:
         return items
     converted: List[int] = tolist()
     return converted
-
-
-def expand_counts(items: Iterable[int], counts: Iterable[int]) -> List[int]:
-    """Flatten a weighted batch into per-arrival items, in stream order.
-
-    ``(items, counts)`` describes ``counts[i]`` consecutive arrivals of
-    ``items[i]``; the expansion is the exact event sequence a per-event
-    replay would see.  Negative counts are rejected; zero counts drop the
-    item.
-    """
-    out: List[int] = []
-    extend = out.extend
-    for item, count in zip(items, counts):
-        if count < 0:
-            raise ValueError("counts must be non-negative")
-        extend(repeat(item, count))
-    return out
 
 
 class ItemReport(NamedTuple):
@@ -67,15 +49,11 @@ class StreamSummary(abc.ABC):
     def insert(self, item: int) -> None:
         """Process one arrival of ``item``."""
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Process a batch of arrivals, in order.
 
-        ``counts``, when given, weights the batch: ``counts[i]``
-        consecutive arrivals of ``items[i]`` (see :func:`expand_counts`).
-        Semantically identical to calling :meth:`insert` per expanded
-        item; the default is a plain loop with the method lookup hoisted.
+        Semantically identical to calling :meth:`insert` per item; the
+        default is a plain loop with the method lookup hoisted.
         Overrides take a cheaper batch path where one pays: the LTC
         kernels and most baselines always, Space-Saving and Frequent
         only while their table has room (then they loop over
@@ -84,15 +62,8 @@ class StreamSummary(abc.ABC):
         cell-for-cell equal to the one-at-a-time reference.
         """
         insert = self.insert
-        if counts is None:
-            for item in items:
-                insert(item)
-            return
-        for item, count in zip(items, counts):
-            if count < 0:
-                raise ValueError("counts must be non-negative")
-            for _ in range(count):
-                insert(item)
+        for item in items:
+            insert(item)
 
     def end_period(self) -> None:
         """React to a period boundary (no-op for frequency-only summaries)."""

@@ -10,11 +10,11 @@ insertion, so the amortised cost per arrival is O(1).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from repro import obs
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 
 
 class Frequent(StreamSummary):
@@ -53,9 +53,7 @@ class Frequent(StreamSummary):
         for key in dead:
             del counters[key]
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         While the table has never overflowed (``decrements == 0``), the
@@ -67,9 +65,7 @@ class Frequent(StreamSummary):
         one event at a time.  Once a decrement round has run, the table
         sits full on churny streams and a fold would rarely fit.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

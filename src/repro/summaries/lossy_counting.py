@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro import obs
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 
 
 class LossyCounting(StreamSummary):
@@ -63,9 +63,7 @@ class LossyCounting(StreamSummary):
             self._prune()
             self._bucket_id += 1
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         Chunks the batch at prune boundaries (every ``bucket_width``
@@ -80,9 +78,7 @@ class LossyCounting(StreamSummary):
         new item against a full table, which sheds — is delegated to
         :meth:`insert`.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         total = len(items)
         if self._m_batch is not None:

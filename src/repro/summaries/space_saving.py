@@ -9,11 +9,11 @@ amortised updates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from repro import obs, sanitize
 from repro.metrics.memory import MemoryBudget
-from repro.summaries.base import ItemReport, StreamSummary, expand_counts
+from repro.summaries.base import ItemReport, StreamSummary
 from repro.summaries.stream_summary import StreamSummaryList
 
 
@@ -49,9 +49,7 @@ class SpaceSaving(StreamSummary):
         else:
             summary.replace_min(item)
 
-    def insert_many(
-        self, items: Iterable[int], counts: Optional[Sequence[int]] = None
-    ) -> None:
+    def insert_many(self, items: Iterable[int]) -> None:
         """Batched arrivals, replay-identical to per-event :meth:`insert`.
 
         While a counter is free, the batch's leading hits and first
@@ -64,9 +62,7 @@ class SpaceSaving(StreamSummary):
         full every later batch takes that loop: on churny streams a fold
         would end at the first miss and cost more than it saves.
         """
-        if counts is not None:
-            items = expand_counts(items, counts)
-        elif not isinstance(items, (list, tuple)):
+        if not isinstance(items, (list, tuple)):
             items = list(items)
         if self._m_batch is not None:
             self._m_batch.observe(len(items))

@@ -49,3 +49,35 @@ class PairedFine(StreamSummary):
 
     def top_k(self, k):
         return []
+
+
+class WeightedBatch(StreamSummary):
+    """The batch takes a weighting that the per-event insert does not."""
+
+    def insert(self, item):
+        pass
+
+    def insert_many(self, items, counts=None):  # R001 line: batch shape
+        pass
+
+    def query(self, item):
+        return 0.0
+
+    def top_k(self, k):
+        return []
+
+
+class ShapedFine(StreamSummary):
+    """Control: the batch takes exactly the parameters insert takes."""
+
+    def insert(self, item, delta=1):
+        pass
+
+    def insert_many(self, items, delta=1):
+        pass
+
+    def query(self, item):
+        return 0.0
+
+    def top_k(self, k):
+        return []

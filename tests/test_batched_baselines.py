@@ -38,7 +38,7 @@ from repro.sketches.count_sketch import CountSketch
 from repro.sketches.cu import CUSketch
 from repro.sketches.topk import SketchTopK
 from repro.streams.synthetic import zipf_stream
-from repro.summaries.base import StreamSummary, expand_counts
+from repro.summaries.base import StreamSummary
 from repro.summaries.frequent import Frequent
 from repro.summaries.lossy_counting import LossyCounting
 from repro.summaries.space_saving import SpaceSaving
@@ -260,32 +260,27 @@ class TestArbitraryChunking:
         assert state_of(one) == state_of(many)
 
 
-# ------------------------------------------------------ weighted batches
+# ------------------------------------------------------ runs of repeats
 
 
 class TestCounts:
-    def test_expand_counts(self):
-        assert expand_counts([5, 7, 5], [2, 0, 3]) == [5, 5, 5, 5, 5]
-        assert expand_counts([], []) == []
-
-    def test_expand_counts_rejects_negative(self):
-        with pytest.raises(ValueError):
-            expand_counts([1], [-1])
-
     @pytest.mark.parametrize("name", FAMILY_IDS)
     def test_counts_equal_repeated_inserts(self, name):
+        """A batch of runs — ``counts[i]`` consecutive arrivals of
+        ``items[i]``, the shape the fold paths collapse — matches the
+        same arrivals inserted one at a time."""
         rng = random.Random(29)
         items = [rng.randrange(40) for _ in range(120)]
         counts = [rng.randrange(0, 4) for _ in items]
+        runs = [item for item, count in zip(items, counts) for _ in range(count)]
         factory = lineup(64)[name]
         one, many = factory(), factory()
-        for item, count in zip(items, counts):
-            for _ in range(count):
-                one.insert(item)
-        many.insert_many(items, counts=counts)
+        for item in runs:
+            one.insert(item)
+        many.insert_many(runs)
         assert state_of(one) == state_of(many)
 
-    def test_default_base_implementation_honours_counts(self):
+    def test_default_base_implementation_inserts_in_order(self):
         class Recorder(StreamSummary):
             def __init__(self):
                 self.seen = []
@@ -300,11 +295,9 @@ class TestCounts:
                 return []
 
         rec = Recorder()
-        rec.insert_many([3, 9], counts=[2, 1])
+        rec.insert_many([3, 3, 9])
         rec.insert_many(iter([4]))
         assert rec.seen == [3, 3, 9, 4]
-        with pytest.raises(ValueError):
-            rec.insert_many([1], counts=[-2])
 
 
 # -------------------------------------------------------- membership unit

@@ -206,16 +206,6 @@ class TestEquivalence:
         stream.run(checked)
         assert_identical(plain, checked)
 
-    def test_counts_form_matches_expansion(self):
-        config = LTCConfig(
-            num_buckets=2, bucket_width=4, alpha=1.0, beta=1.0,
-            items_per_period=50,
-        )
-        a, b = ColumnarLTC(config), ColumnarLTC(config)
-        a.insert_many([1, 2, 3], counts=[5, 1, 3])
-        b.insert_many([1] * 5 + [2] + [3] * 3)
-        assert_identical(a, b)
-
     def test_query_paths_return_python_scalars(self):
         """The numpy columns must not leak ``np.int64``/``np.float64``
         through the read APIs (that would break e.g. json.dumps of a

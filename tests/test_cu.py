@@ -5,7 +5,7 @@ sort-and-segment fixpoint kernel from ``_vectorized.py``; every test in
 :class:`TestBatchKernel` pins them table-for-table (and answer-for-
 answer) against a per-event replay, including the regimes the kernel
 finds hardest: duplicate-heavy batches, width-1 total collision,
-``counts=`` folding, and the forced non-convergence bail-out.
+``delta`` > 1, and the forced non-convergence bail-out.
 """
 
 from __future__ import annotations
@@ -118,31 +118,13 @@ class TestBatchKernel:
 
     @given(
         st.lists(st.integers(0, 6), min_size=1, max_size=100),
-        st.data(),
+        st.integers(1, 5),
     )
     @settings(max_examples=40, deadline=None)
-    def test_update_and_query_many_answers(self, keys, data):
-        counts = data.draw(
-            st.one_of(
-                st.none(),
-                st.lists(
-                    st.integers(0, 5),
-                    min_size=len(keys),
-                    max_size=len(keys),
-                ),
-            )
-        )
+    def test_update_and_query_many_answers(self, keys, delta):
         batched, scalar = replay_pair()
-        got = batched.update_and_query_many(keys, counts=counts)
-        expected = []
-        folded = (
-            zip(keys, [1] * len(keys)) if counts is None else zip(keys, counts)
-        )
-        for key, count in folded:
-            if count:
-                expected.append(scalar.update_and_query(key, count))
-            else:
-                expected.append(scalar.query(key))
+        got = batched.update_and_query_many(keys, delta=delta)
+        expected = [scalar.update_and_query(key, delta) for key in keys]
         assert got == expected
         assert_tables_equal(batched, scalar)
 
@@ -159,32 +141,14 @@ class TestBatchKernel:
         assert answers == expected
         assert_tables_equal(batched, scalar)
 
-    def test_counts_matches_expansion(self):
-        batched, scalar = replay_pair()
-        batched.update_many([3, 5, 3, 7], counts=[4, 0, 2, 1])
-        for key, count in [(3, 4), (5, 0), (3, 2), (7, 1)]:
-            for _ in range(count):
-                scalar.update(key)
-        assert_tables_equal(batched, scalar)
-
     def test_counts_with_delta(self):
+        """Runs of one key (as an expanded count would give) at delta 3."""
         batched, scalar = replay_pair()
-        batched.update_many([1, 2, 1], delta=3, counts=[2, 1, 2])
-        for key, count in [(1, 2), (2, 1), (1, 2)]:
-            for _ in range(count):
-                scalar.update(key, 3)
+        keys = [1, 1, 2, 1, 1]
+        batched.update_many(keys, delta=3)
+        for key in keys:
+            scalar.update(key, 3)
         assert_tables_equal(batched, scalar)
-
-    def test_negative_counts_rejected(self):
-        sketch = CUSketch(width=8)
-        with pytest.raises(ValueError):
-            sketch.update_many([1, 2], counts=[1, -1])
-        with pytest.raises(ValueError):
-            sketch.update_and_query_many([1, 2], counts=[1, -1])
-
-    def test_counts_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            CUSketch(width=8).update_many([1, 2, 3], counts=[1, 2])
 
     def test_batch_rejects_negative_delta(self):
         sketch = CUSketch(width=8)

@@ -174,15 +174,19 @@ class TestNumpyBatchInput:
         same_state(from_array, from_list)
 
     def test_negative_keys_and_counts_array(self, kernel):
-        items = np.array([-5, 3, -5, 9, 2**40], dtype=np.int64)
-        counts = np.array([2, 0, 1, 3, 1], dtype=np.int64)
+        # An int64 batch expanded from (keys, counts) with np.repeat,
+        # the way ``POST /ingest`` turns counts into arrivals.
+        items = np.repeat(
+            np.array([-5, 3, -5, 9, 2**40], dtype=np.int64),
+            np.array([2, 0, 1, 3, 1], dtype=np.int64),
+        )
         from_array, from_list = self._pair(kernel)
         # Both kernels hold keys in [0, MAX_KEY] only and refuse the
         # whole batch, from an array as from a list.
         with pytest.raises(ValueError, match="-5"):
-            from_array.insert_many(items, counts=counts)
+            from_array.insert_many(items)
         with pytest.raises(ValueError, match="-5"):
-            from_list.insert_many(items.tolist(), counts=counts.tolist())
+            from_list.insert_many(items.tolist())
         assert len(from_array) == len(from_list) == 0
         same_state(from_array, self._pair(kernel)[0])
 

@@ -309,6 +309,42 @@ class TestUnstorableKeys:
         assert restored.estimate(0) == (1, 0)
 
 
+class TestUnstorableCounts:
+    """The cell record holds its counts as int32 and the header its
+    geometry, period length and CLOCK position as uint32, while both
+    kernels count past them: ``to_bytes`` refuses such a structure with
+    a ``ValueError`` that names the field, not a ``struct.error``."""
+
+    @pytest.mark.parametrize("column", ["_freqs", "_counters"])
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_count_past_int32_refused(self, kernel, column):
+        ltc = KERNELS[kernel](
+            LTCConfig(num_buckets=4, bucket_width=2, items_per_period=16)
+        )
+        ltc.insert(9)
+        j = list(ltc._keys).index(9)
+        getattr(ltc, column)[j] = 1 << 31
+        field = "frequency" if column == "_freqs" else "persistency"
+        with pytest.raises(
+            ValueError, match=rf"cell {j} {field} = 2147483648 is outside"
+        ):
+            to_bytes(ltc)
+        getattr(ltc, column)[j] = (1 << 31) - 1
+        restored = from_bytes(to_bytes(ltc), cls=type(ltc))
+        assert restored.cell_state(j) == ltc.cell_state(j)
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_period_length_past_uint32_refused(self, kernel):
+        ltc = KERNELS[kernel](
+            LTCConfig(num_buckets=4, bucket_width=2, items_per_period=1 << 32)
+        )
+        ltc.insert(9)
+        with pytest.raises(
+            ValueError, match=r"items_per_period = 4294967296 is outside"
+        ):
+            to_bytes(ltc)
+
+
 class TestCorruptionRobustness:
     def test_truncated_blob_rejected(self):
         blob = to_bytes(build_ltc([1, 2, 3]))

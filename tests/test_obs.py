@@ -309,7 +309,7 @@ class TestBatchSizeHistogram:
         ss = SpaceSaving(capacity=16)  # built *after* enable: captures it
         ss.insert_many([1, 2, 3, 1])
         ss.insert_many([5] * 10)
-        ss.insert_many([], counts=[])
+        ss.insert_many([])
         h = reg.histogram(
             "summary_insert_many_batch_size",
             buckets=obs.DEFAULT_BATCH_SIZE_BUCKETS,
@@ -317,20 +317,6 @@ class TestBatchSizeHistogram:
         )
         assert h.count == 3
         assert h.sum == 4 + 10 + 0
-
-    def test_counts_weighting_observes_expanded_total(self):
-        from repro.summaries.frequent import Frequent
-
-        reg = obs.enable()
-        freq = Frequent(capacity=8)
-        freq.insert_many([1, 2], counts=[3, 4])
-        h = reg.histogram(
-            "summary_insert_many_batch_size",
-            buckets=obs.DEFAULT_BATCH_SIZE_BUCKETS,
-            labels={"summary": "Frequent"},
-        )
-        assert h.count == 1
-        assert h.sum == 7
 
     def test_every_family_labels_its_own_series(self):
         from repro.experiments.configs import (

@@ -30,19 +30,28 @@ def lines_of(diags, rule):
 # ----------------------------------------------------------------- R001
 def test_r001_flags_both_directions():
     diags = lint_fixture("r001_bad.py")
-    assert [d.rule for d in diags] == ["R001", "R001"]
-    orphan, missing = diags
+    assert [d.rule for d in diags] == ["R001", "R001", "R001"]
+    orphan, missing, _ = diags
     assert orphan.line == 21 and "OrphanBatch" in orphan.message
     assert "without a concrete insert" in orphan.message
     assert missing.line == 28 and "MissingBatch" in missing.message
     assert "insert_many" in missing.message
 
 
+def test_r001_flags_a_batch_shape_unlike_insert():
+    weighted = lint_fixture("r001_bad.py")[2]
+    assert weighted.line == 60 and "WeightedBatch" in weighted.message
+    assert "['counts'] besides the batch" in weighted.message
+
+
 def test_r001_controls_not_flagged():
-    # The abstract stub base and the fully paired subclass stay silent.
+    # The abstract stub base, the fully paired subclass and the one whose
+    # batch takes insert's own extra parameter stay silent.
     diags = lint_fixture("r001_bad.py")
     assert not any(
-        "PairedFine" in d.message or "'StreamSummary'" in d.message for d in diags
+        name in d.message
+        for d in diags
+        for name in ("PairedFine", "ShapedFine", "'StreamSummary'")
     )
 
 

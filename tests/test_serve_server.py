@@ -397,7 +397,7 @@ class TestEndpoints:
     )
     def test_ingest_rejects_bad_payloads(self, doc):
         # bool is an int subclass, and bad counts must be refused before
-        # expand_counts sees them: all are client errors, none queued.
+        # np.repeat sees them: all are client errors, none queued.
         app = ServingApp(build_ltc(_cfg()))
         status, _, payload = app.respond(
             "POST", "/ingest", json.dumps(doc).encode()
@@ -666,6 +666,32 @@ class TestShutdown:
         store = SnapshotStore(tmp_path, retain=2)
         restored = store.restore()
         assert restored is not None and len(restored) > 0
+
+    def test_failed_periodic_snapshot_keeps_ingesting(self, tmp_path, monkeypatch):
+        """A periodic save that raises (here ENOSPC) is counted in
+        ``/stats``; the worker goes on applying batches.  The shutdown
+        snapshot still raises."""
+        store = SnapshotStore(tmp_path, retain=2)
+
+        def full_disk(ltc):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(store, "save", full_disk)
+
+        async def scenario():
+            app = ServingApp(build_ltc(_cfg()), snapshots=store, snapshot_every=1)
+            app.start()
+            for _ in range(3):
+                app.submit(list(range(10)))
+                await asyncio.wait_for(app._queue.join(), 10)
+            assert app.stats()["queued"] == 0
+            assert app.ingested == 30
+            assert app.stats()["snapshot_failures"] == 3
+            assert not app._worker.done()
+            with pytest.raises(OSError):
+                await app.shutdown()
+
+        asyncio.run(scenario())
 
 
 def _spawn_cli(tmp_path, extra=()):

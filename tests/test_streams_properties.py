@@ -6,6 +6,10 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.columnar import ColumnarLTC
+from repro.core.config import LTCConfig
+from repro.core.ltc import LTC
+from repro.core.serialize import to_bytes
 from repro.streams.ground_truth import GroundTruth
 from repro.streams.io import TimeBinnedStream
 from repro.streams.model import PeriodicStream
@@ -118,3 +122,48 @@ class TestTimeBinnedOracle:
             oracle_bins.setdefault(item, set()).add(period)
         for item, bins in oracle_bins.items():
             assert truth.persistency(item) == len(bins)
+
+
+class TestTimedClockOracle:
+    """The timed CLOCK (``insert_timed``) against the same oracle.
+
+    Both kernels take the records with ``insert_timed`` at ``span / T``
+    seconds per period and one ``end_period`` per oracle bin edge the
+    stream crosses.  The table has a cell in every bucket for each of
+    the six items, so nothing is ever evicted, and with the Deviation
+    Eliminator each item's persistency after ``finalize`` is the number
+    of oracle bins it appears in.  The kernels' images agree after every
+    arrival, CLOCK position included."""
+
+    @given(_records, st.integers(1, 60))
+    @example([(5, 1), (5, 2), (5, 1)], 4)  # all timestamps equal
+    @example([(0.0, 1), (0.1, 2), (10.0, 1)], 8)  # empty middle bins
+    @example([(-1e6, 0), (1e6, 0)], 60)  # one item at both ends
+    @settings(max_examples=200, deadline=None)
+    def test_persistency_is_the_oracle_bin_count(self, records, num_periods):
+        timestamps = [t for t, _ in records]
+        bins = _oracle_periods(timestamps, num_periods)
+        period_seconds = max(timestamps[-1] - timestamps[0], 1e-12) / num_periods
+        config = LTCConfig(
+            num_buckets=4, bucket_width=8, items_per_period=16,
+            deviation_eliminator=True,
+        )
+        ref, col = LTC(config), ColumnarLTC(config)
+        current = 0
+        for (timestamp, item), period in zip(records, bins):
+            for ltc in (ref, col):
+                for _ in range(period - current):
+                    ltc.end_period()
+                ltc.insert_timed(item, timestamp, period_seconds)
+            current = period
+            assert to_bytes(col) == to_bytes(ref)  # cells and CLOCK state
+        ref.finalize()
+        col.finalize()
+
+        oracle_bins = {}
+        for (_, item), period in zip(records, bins):
+            oracle_bins.setdefault(item, set()).add(period)
+        for item, seen in oracle_bins.items():
+            assert ref.estimate(item)[1] == len(seen)
+        assert list(col.cells()) == list(ref.cells())
+        assert to_bytes(col) == to_bytes(ref)

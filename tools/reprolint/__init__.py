@@ -21,9 +21,10 @@ Run it from the repository root::
 Rules (details in each :mod:`tools.reprolint.rules` module):
 
 * **R001** — batched-ingestion pairing: a class defining ``insert_many``
-  must have a concrete ``insert`` (own or inherited), and every
-  ``StreamSummary`` subclass that overrides ``insert`` must also carry a
-  batched ``insert_many`` override somewhere below the base class.
+  must have a concrete ``insert`` (own or inherited) that takes the same
+  parameters besides the item, and every ``StreamSummary`` subclass that
+  overrides ``insert`` must also carry a batched ``insert_many``
+  override somewhere below the base class.
 * **R002** — observability hot-path discipline: methods on the hot path
   (``insert*``, ``evict*``, ``decrement*``, ``update*``) must use the
   capture-at-construction registry with a single ``is None`` guard —

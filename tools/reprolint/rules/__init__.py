@@ -25,7 +25,8 @@ __all__ = ["Diagnostic", "RULES", "SUMMARIES", "lint_paths", "rule_checks"]
 
 #: Rule id -> one-line summary (SARIF shortDescription, docs).
 SUMMARIES: Dict[str, str] = {
-    "R001": "insert_many requires a concrete per-event insert twin",
+    "R001": "insert_many requires a concrete per-event insert twin "
+    "with the same parameters besides the batch",
     "R002": "hot paths use the capture-at-construction observability "
     "pattern with a single is-None guard",
     "R003": "no unseeded entropy or wall-clock reads in the "
